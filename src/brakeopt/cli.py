@@ -21,24 +21,39 @@ from . import __version__, config as cfgmod, mc_uq, mechmodel, optimizer
 from .errors import BrakeOptError, ParseError
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _header(cfg, seed) -> str:
     return f"# brakeopt {__version__} seed={seed} config_sha256={cfgmod.config_sha256(cfg)[:12]}\n"
 
 
-def _write_csv(path: Path, cfg, seed, columns, rows) -> None:
+# rows formatted and written per block: large enough to amortize the
+# per-block overhead, small enough that the text buffer stays a few hundred kB
+_BLOCK_ROWS = 2048
+
+
+def _cells(column, lo: int, hi: int):
+    """Text of rows lo:hi of one column: ``1``/``0`` for bools, else the
+    ``repr`` of the Python value (shortest round-trip spelling for floats,
+    plain decimals for ints)."""
+    part = column[lo:hi]
+    if isinstance(part, range):
+        return map(repr, part)
+    values = part.tolist()
+    if part.dtype == np.bool_:
+        return ["1" if v else "0" for v in values]
+    return map(repr, values)
+
+
+def _write_csv(path: Path, cfg, seed, names, columns) -> None:
+    """Write equal-length 1-D columns (numpy arrays or ranges) under a
+    provenance header and a line of column names."""
+    nrows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_header(cfg, seed))
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, nrows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, nrows)
+            rows = zip(*(_cells(col, lo, hi) for col in columns))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_json(path: Path, cfg, seed, payload: dict) -> None:
@@ -106,8 +121,7 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs, workers) -> int:
     out = _out_dir(cfg)
     _write_csv(out / "ensemble.csv", cfg, seed,
                ["index", "alpha_deg", "fs_kN", "fh_kN", "valid"],
-               ((i, ens.inputs[i, 0], ens.inputs[i, 1], ens.outputs[i], ens.valid[i])
-                for i in range(ens.nu)))
+               [range(ens.nu), ens.inputs[:, 0], ens.inputs[:, 1], ens.outputs, ens.valid])
 
     finite = ens.outputs[np.isfinite(ens.outputs)]
     stats = mc_uq.summarize(finite)
@@ -132,12 +146,12 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs, workers) -> int:
     running_mean, running_std = mc_uq.convergence_trace(finite)
     _write_csv(out / "trace.csv", cfg, seed,
                ["n", "running_mean_kN", "running_std_kN"],
-               ((k + 1, running_mean[k], running_std[k]) for k in range(finite.size)))
+               [range(1, finite.size + 1), running_mean, running_std])
 
     if stats.kde_grid is not None:
         _write_csv(out / "kde.csv", cfg, seed,
                    ["fh_kN", "density_per_kN"],
-                   zip(stats.kde_grid, stats.kde_density))
+                   [stats.kde_grid, stats.kde_density])
     print(f"uq: nu={nu} seed={seed} mean={stats.mean:.6g} kN std={stats.std:.6g} kN "
           f"invalid={ens.invalid_count} -> {out}")
     return 0
@@ -163,11 +177,10 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
 
 def _write_contour(cfg, seed, scan: optimizer.GridScan, out: Path) -> Path:
     value_col = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
-    rows = ((a, c, scan.values[i, j])
-            for i, a in enumerate(scan.a_values)
-            for j, c in enumerate(scan.c_values))
+    a, c = scan.a_values, scan.c_values
     path = out / f"contour_{scan.kind}.csv"
-    _write_csv(path, cfg, seed, ["a_mm", "c_mm", value_col[scan.kind]], rows)
+    _write_csv(path, cfg, seed, ["a_mm", "c_mm", value_col[scan.kind]],
+               [np.repeat(a, len(c)), np.tile(c, len(a)), scan.values.ravel()])
     return path
 
 

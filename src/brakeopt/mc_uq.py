@@ -9,6 +9,7 @@ propagated ensemble is byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,8 +94,12 @@ def propagate(
     ``freeze_alpha_deg`` / ``freeze_fs_kn`` replace one input by a constant
     (the other keeps consuming its own uniform column, so its samples are
     unchanged against the unfrozen run).  Per-sample evaluation failures are
-    flagged, not fatal.
+    flagged, not fatal.  ``workers`` must be >= 1; at most ``os.cpu_count()``
+    threads are used, since the output is the same for any count.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValidationError("worker count must be an integer >= 1", workers)
+    workers = min(workers, os.cpu_count() or 1)
     u = uniforms.values
     if freeze_alpha_deg is None:
         alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v) for v in u[:, 0]])

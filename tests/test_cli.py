@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+
+from brakeopt import cli
 from brakeopt.cli import main
 from brakeopt.config import config_to_text, default_config, default_config_path
 
@@ -54,6 +57,13 @@ def test_uq_worker_count_does_not_change_bytes(tmp_path):
     assert read_bytes(a, UQ_FILES) == read_bytes(b, UQ_FILES)
 
 
+def test_uq_rejects_worker_count_below_one(tmp_path, capsys):
+    for bad in (0, -2):
+        assert run(["uq", "--out", tmp_path / "w", "--nu", 64, "--workers", bad]) == 11
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "w" / "ensemble.csv").exists()
+
+
 def test_uq_freeze_flags(tmp_path):
     out = tmp_path / "frozen"
     assert run(["uq", "--out", out, "--nu", 128, "--freeze-fs", 42.0]) == 0
@@ -79,6 +89,62 @@ def test_opt_robust_writes_optimum_and_contours(tmp_path):
     assert doc["constraint_probability"] >= 0.95
     assert (out / "contour_robust.csv").exists()
     assert (out / "contour_constraint.csv").exists()
+
+
+def test_opt_robust_contours_match_contour_command(tmp_path):
+    common = ["--seed", 3, "--nu", 128, "--grid", "7x5"]
+    assert run(["opt-robust", "--out", tmp_path / "orb", *common]) == 0
+    for kind in ("robust", "constraint"):
+        assert run(["contour", "--kind", kind, "--out", tmp_path / kind, *common]) == 0
+        name = f"contour_{kind}.csv"
+        assert (tmp_path / "orb" / name).read_bytes() == (tmp_path / kind / name).read_bytes()
+
+
+def _reference_fmt(value) -> str:
+    # the per-value spelling rules the artifacts have always followed
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _reference_csv(cfg, seed, names, columns) -> str:
+    rows = zip(*columns)
+    return (cli._header(cfg, seed) + ",".join(names) + "\n"
+            + "".join(",".join(_reference_fmt(v) for v in row) + "\n" for row in rows))
+
+
+def test_csv_spelling_of_special_values(tmp_path):
+    cfg = default_config()
+    names = ["i", "x", "k", "ok"]
+    columns = [range(7),
+               np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]),
+               np.array([0, -1, 2**53 + 1, 7, -(2**62), 10, 3], dtype=np.int64),
+               np.array([True, False, True, True, False, False, True])]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, cfg, 5, names, columns)
+    text = path.read_text()
+    assert text == _reference_csv(cfg, 5, names, columns)
+    assert text.splitlines()[2:] == [
+        "0,nan,0,1", "1,inf,-1,0", "2,-inf,9007199254740993,1", "3,-0.0,7,1",
+        "4,5e-324,-4611686018427387904,0", "5,1e+300,10,0", "6,0.1,3,1"]
+
+
+def test_csv_rows_across_block_boundaries_match_reference(tmp_path):
+    cfg = default_config()
+    n = 2 * cli._BLOCK_ROWS + 1
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[::97] = np.nan
+    names = ["n", "x", "y", "valid"]
+    columns = [range(1, n + 1), x, np.cumsum(x[::-1]), x > 0]
+    path = tmp_path / "blocks.csv"
+    cli._write_csv(path, cfg, 0, names, columns)
+    text = path.read_text()
+    assert text == _reference_csv(cfg, 0, names, columns)
+    read_back = [float(line.split(",")[1]) for line in text.splitlines()[2:]]
+    np.testing.assert_array_equal(read_back, x)
 
 
 def test_contour_grid_shape_and_values(tmp_path, capsys):

@@ -109,14 +109,14 @@ def cmd_eval(cfg) -> int:
     return 0
 
 
-def cmd_uq(cfg, freeze_alpha, freeze_fs, workers) -> int:
+def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
     seed, nu = cfg.mc.seed, cfg.mc.nu
     model = cfgmod.input_model_from(cfg)
     uniforms = mc_uq.draw_uniform_matrix(seed, nu)
     ens = mc_uq.propagate(
         model, uniforms, cfg.geometry, cfg.friction,
         cfg.loads.Fg_kN, cfg.loads.Fb_kN,
-        freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs, workers=workers)
+        freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs)
 
     out = _out_dir(cfg)
     _write_csv(out / "ensemble.csv", cfg, seed,
@@ -252,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="hold the cam angle fixed at this value")
     p_uq.add_argument("--freeze-fs", type=float, default=None, metavar="KN",
                       help="hold the spring force fixed at this value")
-    p_uq.add_argument("--workers", type=int, default=1,
-                      help="evaluation threads (output is identical for any count)")
 
     common(sub.add_parser("opt-classical", help="maximize nominal braking force over the box"))
     common(sub.add_parser("opt-robust", help="maximize the robust objective under the chance constraint"))
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg)
         if args.command == "uq":
-            return cmd_uq(cfg, args.freeze_alpha, args.freeze_fs, args.workers)
+            return cmd_uq(cfg, args.freeze_alpha, args.freeze_fs)
         if args.command == "opt-classical":
             return cmd_opt_classical(cfg)
         if args.command == "opt-robust":

@@ -2,15 +2,14 @@
 
 Everything here is a pure function of (seed, nu, configuration).  The
 uniform draws come from a counter-based generator (Philox) so row i of the
-sample matrix never depends on how many rows were drawn before it, and the
-propagated ensemble is byte-identical for any worker count.
+sample matrix never depends on how many rows were drawn before it.  The
+same transform (:func:`sample_inputs`) feeds ``uq`` and the robust
+optimizer, so both see one ensemble.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,29 +76,21 @@ class Ensemble:
         return int(np.count_nonzero(~self.valid))
 
 
-def propagate(
+def sample_inputs(
     input_model: maxent.InputModel,
     uniforms: UniformMatrix,
-    geom: mechmodel.BrakeGeometry,
-    fric: mechmodel.FrictionSet,
-    Fg: float,
-    Fb: float,
     *,
     freeze_alpha_deg: float | None = None,
     freeze_fs_kn: float | None = None,
-    workers: int = 1,
-) -> Ensemble:
-    """Push every uniform row through the inverse CDFs and the brake model.
+):
+    """Map every uniform row through the inverse CDFs.
 
+    Returns ``(alpha_deg, fs, sin_a, cos_a)``, one entry per row: the cam
+    angle (deg), the spring force (kN) and the sine and cosine of the angle.
     ``freeze_alpha_deg`` / ``freeze_fs_kn`` replace one input by a constant
     (the other keeps consuming its own uniform column, so its samples are
-    unchanged against the unfrozen run).  Per-sample evaluation failures are
-    flagged, not fatal.  ``workers`` must be >= 1; at most ``os.cpu_count()``
-    threads are used, since the output is the same for any count.
+    unchanged against the unfrozen run).
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError("worker count must be an integer >= 1", workers)
-    workers = min(workers, os.cpu_count() or 1)
     u = uniforms.values
     if freeze_alpha_deg is None:
         alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v) for v in u[:, 0]])
@@ -112,23 +103,33 @@ def propagate(
 
     alpha_rad = np.array([math.radians(v) for v in alpha_deg])
     sin_a, cos_a = mechmodel.trig_arrays(alpha_rad)
+    return alpha_deg, fs, sin_a, cos_a
 
+
+def propagate(
+    input_model: maxent.InputModel,
+    uniforms: UniformMatrix,
+    geom: mechmodel.BrakeGeometry,
+    fric: mechmodel.FrictionSet,
+    Fg: float,
+    Fb: float,
+    *,
+    freeze_alpha_deg: float | None = None,
+    freeze_fs_kn: float | None = None,
+) -> Ensemble:
+    """Push every uniform row through the inverse CDFs and the brake model.
+
+    The freeze arguments are those of :func:`sample_inputs`.  Per-sample
+    evaluation failures are flagged, not fatal.
+    """
+    alpha_deg, fs, sin_a, cos_a = sample_inputs(
+        input_model, uniforms, freeze_alpha_deg=freeze_alpha_deg, freeze_fs_kn=freeze_fs_kn)
+
+    # filled in place, so the kernel's temporaries are freed before the
+    # inputs are stacked; this keeps the peak memory of large runs down
     fh = np.empty(uniforms.nu)
     valid = np.empty(uniforms.nu, dtype=bool)
-
-    def eval_slice(lo, hi):
-        out, ok_contact, _ = mechmodel.braking_force_ensemble(
-            geom, fric, Fg, Fb, sin_a[lo:hi], cos_a[lo:hi], fs[lo:hi])
-        fh[lo:hi] = out
-        valid[lo:hi] = ok_contact
-
-    if workers <= 1:
-        eval_slice(0, uniforms.nu)
-    else:
-        chunk = -(-uniforms.nu // workers)
-        bounds = [(k, min(k + chunk, uniforms.nu)) for k in range(0, uniforms.nu, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: eval_slice(*se), bounds))
+    fh[:], valid[:], _ = mechmodel.braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, fs)
 
     inputs = np.column_stack([alpha_deg, fs])
     for arr in (inputs, fh, valid):

@@ -118,44 +118,47 @@ class EquilibriumSolution:
     valid: bool
 
 
-def _normals(sin_a, cos_a, Fs, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb):
-    """Closed-form normals, elementwise over scalars or equally-shaped arrays.
-
-    Evaluation order N4 -> N1 -> N2 -> N3.  The caller is responsible for
-    checking the two denominators; this keeps one code path shared by the
-    scalar route and the vectorized ensemble route (bitwise identical
-    results either way).
+def _denominators(sin_a, cos_a, geom: BrakeGeometry, fric: FrictionSet):
+    """``(den1, den4, dwe)``: the two closed-form denominators and the
+    cam-wedge lever d + e*mu2, elementwise over scalars or arrays of sin/cos
+    alpha.  The scalar check and the ensemble mask both read them from here.
     """
-    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     dwe = geom.d + geom.e * fric.mu2
     den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - geom.c) / dwe
+    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    return den1, den4, dwe
+
+
+def _normals(sin_a, cos_a, Fs, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, den1, den4, dwe):
+    """Closed-form normals, elementwise over scalars or equally-shaped arrays.
+
+    Evaluation order N4 -> N1 -> N2 -> N3, dividing by the values of
+    :func:`_denominators`; the caller handles singular ones.  One code path
+    for the scalar and the ensemble route keeps them bitwise identical.
+    """
     n4 = ((Fg + Fb) * geom.l / 2 - Fs * geom.a) / den4
     n1 = (n4 - geom.a * fric.mu2 * Fs / dwe) / den1
     n2 = (geom.a * Fs + (geom.b * fric.mu1 - geom.c) * n1) / dwe
     n3 = fric.mu2 * n2 + (fric.mu1 * sin_a + cos_a) * n1
-    return n1, n2, n3, n4, den1, den4
-
-
-def _check_denominators(sin_a, cos_a, geom, fric):
-    """Raise before any division if either closed-form denominator is singular."""
-    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    if abs(den4) <= SINGULAR_TOL:
-        raise SingularDenominator("mu4*(n+l) - m", den4)
-    dwe = geom.d + geom.e * fric.mu2
-    den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - geom.c) / dwe
-    if abs(den1) <= SINGULAR_TOL:
-        raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
+    return n1, n2, n3, n4
 
 
 def normal_forces(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase):
     """Return the four closed-form contact normals (kN)."""
+    sol = braking_force(geom, fric, load)
+    return sol.N1, sol.N2, sol.N3, sol.N4
+
+
+def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
+    """Full closed-form solution including friction forces, reactions and Fh.
+    Raises SingularDenominator, before any division, at a singular denominator."""
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
-    _check_denominators(sin_a, cos_a, geom, fric)
-    n1, n2, n3, n4, _, _ = _normals(sin_a, cos_a, load.Fs, geom, fric, load.Fg, load.Fb)
-    return n1, n2, n3, n4
-
-
-def _assemble_solution(geom, fric, load, n1, n2, n3, n4) -> EquilibriumSolution:
+    den1, den4, dwe = _denominators(sin_a, cos_a, geom, fric)
+    if abs(den4) <= SINGULAR_TOL:
+        raise SingularDenominator("mu4*(n+l) - m", den4)
+    if abs(den1) <= SINGULAR_TOL:
+        raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
+    n1, n2, n3, n4 = _normals(sin_a, cos_a, load.Fs, geom, fric, load.Fg, load.Fb, den1, den4, dwe)
     t1 = fric.mu1 * n1
     t2 = fric.mu2 * n2
     t3 = (geom.f / geom.R) * n3
@@ -168,14 +171,6 @@ def _assemble_solution(geom, fric, load, n1, n2, n3, n4) -> EquilibriumSolution:
         Fh=t1 + t2 + t3 + t4,
         valid=bool(n1 >= 0 and n2 >= 0 and n3 >= 0 and n4 >= 0),
     )
-
-
-def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
-    """Full closed-form solution including friction forces, reactions and Fh."""
-    sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
-    _check_denominators(sin_a, cos_a, geom, fric)
-    n1, n2, n3, n4, _, _ = _normals(sin_a, cos_a, load.Fs, geom, fric, load.Fg, load.Fb)
-    return _assemble_solution(geom, fric, load, n1, n2, n3, n4)
 
 
 def solve_equilibrium(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
@@ -252,12 +247,11 @@ def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs):
     sin_a = np.asarray(sin_a, dtype=float)
     cos_a = np.asarray(cos_a, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
+    den1, den4, dwe = _denominators(sin_a, cos_a, geom, fric)
+    ok = (np.abs(den1) > SINGULAR_TOL) & (abs(den4) > SINGULAR_TOL)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n1, n2, n3, n4, den1, den4 = _normals(sin_a, cos_a, Fs, geom, fric, Fg, Fb)
+        n1, n2, n3, n4 = _normals(sin_a, cos_a, Fs, geom, fric, Fg, Fb, den1, den4, dwe)
         fh = fric.mu1 * n1 + fric.mu2 * n2 + (geom.f / geom.R) * n3 + fric.mu4 * n4
-        ok = np.abs(den1) > SINGULAR_TOL
-        if abs(den4) <= SINGULAR_TOL:
-            ok = np.zeros_like(ok)
         fh = np.where(ok, fh, np.nan)
         valid = ok & (n1 >= 0) & (n2 >= 0) & (n3 >= 0) & (n4 >= 0)
     return fh, valid, ok

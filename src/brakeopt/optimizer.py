@@ -136,26 +136,12 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
     return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, load).Fh
 
 
-@dataclass(frozen=True)
-class _CrnInputs:
-    """Ensemble inputs transformed once and shared across design points."""
-
-    sin_a: np.ndarray
-    cos_a: np.ndarray
-    fs: np.ndarray
-
-
-def _prepare_crn(input_model: maxent.InputModel, uniforms: mc_uq.UniformMatrix) -> _CrnInputs:
-    u = uniforms.values
-    alpha_deg = [maxent.sample_inverse_cdf(input_model.alpha_dist, v) for v in u[:, 0]]
-    fs = np.array([maxent.sample_inverse_cdf(input_model.fs_dist, v) for v in u[:, 1]])
-    sin_a, cos_a = mechmodel.trig_arrays([math.radians(v) for v in alpha_deg])
-    return _CrnInputs(sin_a=sin_a, cos_a=cos_a, fs=fs)
-
-
-def _ensemble_fh(setup: ModelSetup, crn: _CrnInputs, s: DesignPoint) -> np.ndarray:
+def _ensemble_fh(setup: ModelSetup, crn, s: DesignPoint) -> np.ndarray:
+    """Braking force over the common-random-numbers ensemble ``crn`` (the
+    tuple returned by :func:`mc_uq.sample_inputs`) at design s."""
+    _, fs, sin_a, cos_a = crn
     fh, _, _ = mechmodel.braking_force_ensemble(
-        _geometry_at(setup, s), setup.fric, setup.Fg, setup.Fb, crn.sin_a, crn.cos_a, crn.fs)
+        _geometry_at(setup, s), setup.fric, setup.Fg, setup.Fb, sin_a, cos_a, fs)
     return fh
 
 
@@ -194,7 +180,7 @@ def robust_objective(
     optimization loops prefer the cached path used by
     :func:`optimize_robust`; this entry transforms the uniforms on each call.
     """
-    crn = _prepare_crn(input_model, uniforms)
+    crn = mc_uq.sample_inputs(input_model, uniforms)
     return _robust_value(weights, _ensemble_fh(setup, crn, s))
 
 
@@ -206,7 +192,7 @@ def empirical_constraint(
     setup: ModelSetup,
 ) -> float:
     """Fraction of ensemble samples with |Fh| above the constraint level."""
-    crn = _prepare_crn(input_model, uniforms)
+    crn = mc_uq.sample_inputs(input_model, uniforms)
     return _constraint_value(cspec, _ensemble_fh(setup, crn, s))
 
 
@@ -226,22 +212,24 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
         return None
 
     step = step0
+    norm = None  # the gradient is kept until a step is accepted
     for _ in range(max_iter):
         if step < step_min:
             break
-        grad = np.zeros(2)
-        for ax in range(2):
-            up, um = u.copy(), u.copy()
-            up[ax] = min(up[ax] + fd_step, 1.0)
-            um[ax] = max(um[ax] - fd_step, 0.0)
-            if up[ax] == um[ax]:
-                continue
-            fp = evaluate(up[0], up[1])
-            fm = evaluate(um[0], um[1])
-            if fp is None or fm is None:
-                continue
-            grad[ax] = (fp - fm) / (up[ax] - um[ax])
-        norm = math.hypot(grad[0], grad[1])
+        if norm is None:
+            grad = np.zeros(2)
+            for ax in range(2):
+                up, um = u.copy(), u.copy()
+                up[ax] = min(up[ax] + fd_step, 1.0)
+                um[ax] = max(um[ax] - fd_step, 0.0)
+                if up[ax] == um[ax]:
+                    continue
+                fp = evaluate(up[0], up[1])
+                fm = evaluate(um[0], um[1])
+                if fp is None or fm is None:
+                    continue
+                grad[ax] = (fp - fm) / (up[ax] - um[ax])
+            norm = math.hypot(grad[0], grad[1])
         if norm == 0.0:
             step *= 0.5
             continue
@@ -250,6 +238,7 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
         if fc is not None and fc > fx:
             u, fx = cand, fc
             step = min(step * 2.0, 0.5)
+            norm = None
         else:
             step *= 0.5
     return u, fx
@@ -305,7 +294,7 @@ def grid_scan(
 
     if input_model is None:
         raise ValidationError("robust/constraint grid scan needs an input model", kind)
-    crn = _prepare_crn(input_model, mc_uq.draw_uniform_matrix(seed, nu))
+    crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
     weights = weights if weights is not None else RobustWeights()
     cspec = cspec if cspec is not None else ConstraintSpec()
     for i, a in enumerate(a_values):
@@ -321,9 +310,17 @@ def grid_scan(
     return GridScan(kind=kind, a_values=a_values, c_values=c_values, values=values)
 
 
-def _start_lattice(starts: int):
+def _multistart(evaluate, starts: int):
+    """Best (u, value) of the ascents from a starts x starts lattice on the
+    unit square, the first start winning ties; None if every start fails."""
     pts = np.linspace(0.0, 1.0, starts)
-    return [(ua, uc) for ua in pts for uc in pts]
+    best = None
+    for ua in pts:
+        for uc in pts:
+            res = _ascend(evaluate, (ua, uc))
+            if res is not None and (best is None or res[1] > best[1]):
+                best = res
+    return best
 
 
 def optimize_classical(
@@ -346,11 +343,7 @@ def optimize_classical(
         except SingularDenominator:
             return None
 
-    best = None
-    for u0 in _start_lattice(starts):
-        res = _ascend(evaluate, u0)
-        if res is not None and (best is None or res[1] > best[1]):
-            best = res
+    best = _multistart(evaluate, starts)
     if best is None:
         raise AllStartsFailed("every ascent start hit a singular evaluation")
 
@@ -390,7 +383,7 @@ def optimize_robust(
     certificate is the best feasible cell of the dense grid.  Raises
     NoFeasiblePoint when the certificate grid contains no feasible cell.
     """
-    crn = _prepare_crn(input_model, mc_uq.draw_uniform_matrix(seed, nu))
+    crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
     threshold = 1.0 - cspec.p_r
     evals = [0]
 
@@ -410,11 +403,7 @@ def optimize_robust(
             return None
         return value
 
-    best = None
-    for u0 in _start_lattice(starts):
-        res = _ascend(evaluate, u0)
-        if res is not None and (best is None or res[1] > best[1]):
-            best = res
+    best = _multistart(evaluate, starts)
 
     # feasible-grid certificate, reusing the same CRN inputs
     a_values, c_values = _grid_axes(box, grid[0], grid[1])

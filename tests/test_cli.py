@@ -50,20 +50,6 @@ def test_uq_runs_are_byte_identical(tmp_path):
     assert read_bytes(a, UQ_FILES) == read_bytes(b, UQ_FILES)
 
 
-def test_uq_worker_count_does_not_change_bytes(tmp_path):
-    a, b = tmp_path / "w1", tmp_path / "w4"
-    assert run(["uq", "--out", a, "--nu", 1024]) == 0
-    assert run(["uq", "--out", b, "--nu", 1024, "--workers", 4]) == 0
-    assert read_bytes(a, UQ_FILES) == read_bytes(b, UQ_FILES)
-
-
-def test_uq_rejects_worker_count_below_one(tmp_path, capsys):
-    for bad in (0, -2):
-        assert run(["uq", "--out", tmp_path / "w", "--nu", 64, "--workers", bad]) == 11
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
-    assert not (tmp_path / "w" / "ensemble.csv").exists()
-
-
 def test_uq_freeze_flags(tmp_path):
     out = tmp_path / "frozen"
     assert run(["uq", "--out", out, "--nu", 128, "--freeze-fs", 42.0]) == 0

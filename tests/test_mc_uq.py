@@ -74,46 +74,6 @@ def test_propagate_invalid_count_regression(ensemble):
     assert ensemble.invalid_count == 1276
 
 
-def test_propagate_workers_do_not_change_bytes(cfg, input_model):
-    uniforms = draw_uniform_matrix(3, 1000)
-    args = (input_model, uniforms, cfg.geometry, cfg.friction,
-            cfg.loads.Fg_kN, cfg.loads.Fb_kN)
-    one = propagate(*args, workers=1)
-    four = propagate(*args, workers=4)
-    assert np.array_equal(one.outputs, four.outputs)
-    assert np.array_equal(one.valid, four.valid)
-    assert np.array_equal(one.inputs, four.inputs)
-
-
-def test_propagate_caps_threads_at_cpu_count(cfg, input_model, monkeypatch):
-    pools = []
-
-    class RecordingPool:
-        # runs the slices inline, so the test starts no thread at all
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(mc_uq.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(mc_uq, "ThreadPoolExecutor", RecordingPool)
-    uniforms = draw_uniform_matrix(3, 1000)
-    args = (input_model, uniforms, cfg.geometry, cfg.friction,
-            cfg.loads.Fg_kN, cfg.loads.Fb_kN)
-    capped = propagate(*args, workers=10**9)
-    assert pools == [3]
-    one = propagate(*args, workers=1)
-    assert np.array_equal(one.outputs, capped.outputs)
-    assert np.array_equal(one.valid, capped.valid)
-
-
 def test_propagate_larger_run_confirms_mean(cfg, input_model, ensemble):
     big = propagate(input_model, draw_uniform_matrix(123, 65536),
                     cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)

@@ -23,6 +23,7 @@ from brakeopt import (
     propagate,
     robust_objective,
 )
+from brakeopt import mc_uq, optimizer
 
 NOMINAL_FH = 7.2693735011397308  # braking force at (55, 52.7), nominal loads
 
@@ -210,3 +211,46 @@ def test_design_box_membership_and_mapping():
     assert not box.contains(DesignPoint(a=61.0, c=52.7))
     corner = box.unmap(1.0, 0.0)
     assert (corner.a, corner.c) == (60.0, 50.0)
+
+
+def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
+    uniforms = draw_uniform_matrix(0, 4096)
+    ens = propagate(input_model, uniforms, cfg.geometry, cfg.friction,
+                    cfg.loads.Fg_kN, cfg.loads.Fb_kN)
+    shipped = DesignPoint(a=cfg.geometry.a, c=cfg.geometry.c)
+    fh = optimizer._ensemble_fh(setup, mc_uq.sample_inputs(input_model, uniforms), shipped)
+    assert fh.tobytes() == ens.outputs.tobytes()
+    weights = cfg.design.weights
+    assert robust_objective(shipped, weights, uniforms, input_model, setup) \
+        == optimizer._robust_value(weights, ens.outputs)
+
+
+def recording(objective):
+    points = []
+
+    def evaluate(ua, uc):
+        points.append((float(ua), float(uc)))
+        return objective(ua, uc)
+    return evaluate, points
+
+
+def test_ascent_keeps_its_gradient_through_rejected_steps():
+    # tilted, anisotropic peak at (0.61, 0.43): the path never retraces itself,
+    # so a repeated point can only be a stencil recomputed where u has not moved
+    def objective(ua, uc):
+        da, dc = ua - 0.61, uc - 0.43
+        return -da * da - 2.0 * dc * dc - 0.5 * da * dc
+
+    evaluate, points = recording(objective)
+    u, _ = optimizer._ascend(evaluate, (0.5, 0.5))
+    assert u == pytest.approx([0.61, 0.43], abs=1e-4)
+    # only a rejected candidate falls this far below the start
+    assert min(objective(*p) for p in points) < objective(0.5, 0.5) - 0.01
+    assert len(set(points)) == len(points), "a point was evaluated twice"
+
+
+def test_ascent_on_a_flat_objective_evaluates_one_stencil():
+    evaluate, points = recording(lambda ua, uc: 0.0)
+    u, value = optimizer._ascend(evaluate, (0.5, 0.5))
+    assert (tuple(u), value) == ((0.5, 0.5), 0.0)
+    assert len(points) == 1 + 4  # the start and its four stencil points

@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
 )
 from .mechmodel import (  # noqa: F401
     BrakeGeometry,
-    EquilibriumSolution,
     FrictionSet,
     LoadCase,
     braking_force,
@@ -25,7 +24,6 @@ from .mechmodel import (  # noqa: F401
     solve_equilibrium,
 )
 from .maxent import (  # noqa: F401
-    InputModel,
     TruncatedExponential,
     build_input_model,
     fit_truncexp,
@@ -33,8 +31,6 @@ from .maxent import (  # noqa: F401
     sample_inverse_cdf,
 )
 from .mc_uq import (  # noqa: F401
-    Ensemble,
-    SummaryStats,
     UniformMatrix,
     convergence_trace,
     draw_uniform_matrix,
@@ -46,9 +42,6 @@ from .optimizer import (  # noqa: F401
     ConstraintSpec,
     DesignBox,
     DesignPoint,
-    GridScan,
-    ModelSetup,
-    OptimizationResult,
     RobustWeights,
     classical_objective,
     empirical_constraint,
@@ -57,4 +50,3 @@ from .optimizer import (  # noqa: F401
     optimize_robust,
     robust_objective,
 )
-from .config import Config, config_sha256, config_to_text, default_config, load_config  # noqa: F401

@@ -9,7 +9,6 @@ command mutates the config file or any other input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as cfgmod, mc_uq, mechmodel, optimizer
-from .errors import BrakeOptError, ParseError
+from .errors import BrakeOptError, ParseError, ValidationError
 
 
 def _header(cfg, seed) -> str:
@@ -71,24 +70,15 @@ def _write_json(path: Path, cfg, seed, payload: dict) -> None:
         fh.write("\n")
 
 
-def _apply_overrides(cfg, args):
-    mc = cfg.mc
-    if getattr(args, "seed", None) is not None:
-        mc = dataclasses.replace(mc, seed=args.seed)
-    if getattr(args, "nu", None) is not None:
-        mc = dataclasses.replace(mc, nu=args.nu)
-    out = cfg.output
-    if getattr(args, "grid", None) is not None:
-        nx, ny = args.grid
-        out = dataclasses.replace(out, grid_nx=nx, grid_ny=ny)
-    if getattr(args, "out", None) is not None:
-        out = dataclasses.replace(out, dir=args.out)
-    return dataclasses.replace(cfg, mc=mc, output=out)
-
-
 def _out_dir(cfg) -> Path:
+    """Create the output directory; called before any model work, so an
+    unusable directory fails fast with a stable exit code."""
     path = Path(cfg.output.dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output.dir must be a usable directory ({exc.strerror})",
+                              str(path)) from exc
     return path
 
 
@@ -110,6 +100,7 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
+    out = _out_dir(cfg)
     seed, nu = cfg.mc.seed, cfg.mc.nu
     model = cfgmod.input_model_from(cfg)
     uniforms = mc_uq.draw_uniform_matrix(seed, nu)
@@ -118,7 +109,6 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
         cfg.loads.Fg_kN, cfg.loads.Fb_kN,
         freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs)
 
-    out = _out_dir(cfg)
     _write_csv(out / "ensemble.csv", cfg, seed,
                ["index", "alpha_deg", "fs_kN", "fh_kN", "valid"],
                [range(ens.nu), ens.inputs[:, 0], ens.inputs[:, 1], ens.outputs, ens.valid])
@@ -185,10 +175,10 @@ def _write_contour(cfg, seed, scan: optimizer.GridScan, out: Path) -> Path:
 
 
 def cmd_opt_classical(cfg) -> int:
+    out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     result = optimizer.optimize_classical(
         cfg.design.box, setup, grid=(cfg.output.grid_nx, cfg.output.grid_ny))
-    out = _out_dir(cfg)
     _write_json(out / "optimum.json", cfg, cfg.mc.seed,
                 {"command": "opt-classical", **_optimum_payload(result, "kN")})
     print(f"opt-classical: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
@@ -197,13 +187,13 @@ def cmd_opt_classical(cfg) -> int:
 
 
 def cmd_opt_robust(cfg) -> int:
+    out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg)
     grid = (cfg.output.grid_nx, cfg.output.grid_ny)
     result = optimizer.optimize_robust(
         cfg.design.box, cfg.design.weights, cfg.design.constraint,
         cfg.mc.seed, setup, model, nu=cfg.mc.nu, grid=grid)
-    out = _out_dir(cfg)
     _write_json(out / "optimum.json", cfg, cfg.mc.seed,
                 {"command": "opt-robust", **_optimum_payload(result, "weighted")})
     for kind in ("robust", "constraint"):
@@ -218,13 +208,14 @@ def cmd_opt_robust(cfg) -> int:
 
 
 def cmd_contour(cfg, kind: str) -> int:
+    out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg) if kind != "classical" else None
     scan = optimizer.grid_scan(
         cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, kind, setup,
         input_model=model, weights=cfg.design.weights,
         cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
-    path = _write_contour(cfg, cfg.mc.seed, scan, _out_dir(cfg))
+    path = _write_contour(cfg, cfg.mc.seed, scan, out)
     print(f"contour: kind={kind} grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
     return 0
 
@@ -264,12 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"mc.seed": args.seed, "mc.nu": args.nu, "output.dir": args.out}
+    if args.grid is not None:
+        flags["output.grid_nx"], flags["output.grid_ny"] = args.grid
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
-        if args.config is None:
-            cfg = cfgmod.default_config()
-        else:
-            cfg = cfgmod.load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        path = cfgmod.default_config_path() if args.config is None else args.config
+        cfg = cfgmod.load_config(path, overrides)
 
         if args.command == "eval":
             return cmd_eval(cfg)

@@ -1,16 +1,19 @@
 """Config ingestion: one flat, unit-suffixed key per value.
 
 The canonical format is a flat YAML mapping whose keys look like
-``geometry.a_mm: 55.0``.  Exactly the keys below are accepted; unknown keys
-are rejected so typos cannot silently fall back to defaults.  The
-``geometry``, ``friction``, ``loads`` and ``random`` sections are required,
-while ``mc``, ``design`` and ``output`` fall back to shipped defaults when
-omitted.  Domain invariants are enforced while the dataclasses are built,
-at parse time.
+``geometry.a_mm: 55.0``.  Exactly the keys of ``_SCHEMA`` are accepted, each
+once; unknown or repeated keys are rejected so typos cannot silently fall
+back to defaults.  The ``geometry``, ``friction``, ``loads`` and ``random``
+sections are required, while omitted ``mc``, ``design`` and ``output`` keys
+take their dataclass field defaults.  Domain invariants are enforced while
+the dataclasses are built, at parse time.
 """
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations``: _build and _leaves read the
+# nested section classes from the field types of Config and DesignSettings
+import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -39,12 +42,12 @@ class Loads:
 
 @dataclass(frozen=True)
 class RandomModel:
-    alpha_lo_deg: float = 0.0
-    alpha_hi_deg: float = 18.0
-    alpha_mean_deg: float = 6.0
-    fs_lo_kN: float = 0.0
-    fs_hi_kN: float = 56.0
-    fs_mean_kN: float = 42.0
+    alpha_lo_deg: float
+    alpha_hi_deg: float
+    alpha_mean_deg: float
+    fs_lo_kN: float
+    fs_hi_kN: float
+    fs_mean_kN: float
 
     def __post_init__(self):
         if not self.alpha_lo_deg < self.alpha_hi_deg:
@@ -107,29 +110,81 @@ class Config:
     output: OutputSettings
 
 
-# key -> (expected type, required section)
-_FLOAT, _INT, _STR = "float", "int", "str"
-
-_KEYS = {
-    "geometry.a_mm": _FLOAT, "geometry.b_mm": _FLOAT, "geometry.c_mm": _FLOAT,
-    "geometry.d_mm": _FLOAT, "geometry.e_mm": _FLOAT, "geometry.f_mm": _FLOAT,
-    "geometry.l_mm": _FLOAT, "geometry.m_mm": _FLOAT, "geometry.n_mm": _FLOAT,
-    "geometry.R_mm": _FLOAT,
-    "friction.mu1": _FLOAT, "friction.mu2": _FLOAT, "friction.mu4": _FLOAT,
-    "loads.Fg_kN": _FLOAT, "loads.Fb_kN": _FLOAT,
-    "random.alpha_lo_deg": _FLOAT, "random.alpha_hi_deg": _FLOAT,
-    "random.alpha_mean_deg": _FLOAT,
-    "random.fs_lo_kN": _FLOAT, "random.fs_hi_kN": _FLOAT, "random.fs_mean_kN": _FLOAT,
-    "mc.nu": _INT, "mc.seed": _INT,
-    "design.a_min_mm": _FLOAT, "design.a_max_mm": _FLOAT,
-    "design.c_min_mm": _FLOAT, "design.c_max_mm": _FLOAT,
-    "design.beta1": _FLOAT, "design.beta2": _FLOAT,
-    "design.beta3": _FLOAT, "design.beta4": _FLOAT,
-    "design.y_star_kN": _FLOAT, "design.p_r": _FLOAT,
-    "output.dir": _STR, "output.grid_nx": _INT, "output.grid_ny": _INT,
+# flat key -> (field path in Config, type), in serialization order.  Optional
+# keys take their defaults from the dataclass fields; a key whose field has
+# no default is required.
+_SCHEMA = {
+    "geometry.a_mm": ("geometry.a", float), "geometry.b_mm": ("geometry.b", float),
+    "geometry.c_mm": ("geometry.c", float), "geometry.d_mm": ("geometry.d", float),
+    "geometry.e_mm": ("geometry.e", float), "geometry.f_mm": ("geometry.f", float),
+    "geometry.l_mm": ("geometry.l", float), "geometry.m_mm": ("geometry.m", float),
+    "geometry.n_mm": ("geometry.n", float), "geometry.R_mm": ("geometry.R", float),
+    "friction.mu1": ("friction.mu1", float), "friction.mu2": ("friction.mu2", float),
+    "friction.mu4": ("friction.mu4", float),
+    "loads.Fg_kN": ("loads.Fg_kN", float), "loads.Fb_kN": ("loads.Fb_kN", float),
+    "random.alpha_lo_deg": ("random.alpha_lo_deg", float),
+    "random.alpha_hi_deg": ("random.alpha_hi_deg", float),
+    "random.alpha_mean_deg": ("random.alpha_mean_deg", float),
+    "random.fs_lo_kN": ("random.fs_lo_kN", float),
+    "random.fs_hi_kN": ("random.fs_hi_kN", float),
+    "random.fs_mean_kN": ("random.fs_mean_kN", float),
+    "mc.nu": ("mc.nu", int), "mc.seed": ("mc.seed", int),
+    "design.a_min_mm": ("design.box.a_min", float),
+    "design.a_max_mm": ("design.box.a_max", float),
+    "design.c_min_mm": ("design.box.c_min", float),
+    "design.c_max_mm": ("design.box.c_max", float),
+    "design.beta1": ("design.weights.beta1", float),
+    "design.beta2": ("design.weights.beta2", float),
+    "design.beta3": ("design.weights.beta3", float),
+    "design.beta4": ("design.weights.beta4", float),
+    "design.y_star_kN": ("design.constraint.y_star", float),
+    "design.p_r": ("design.constraint.p_r", float),
+    "output.dir": ("output.dir", str),
+    "output.grid_nx": ("output.grid_nx", int), "output.grid_ny": ("output.grid_ny", int),
 }
 
-_REQUIRED_SECTIONS = ("geometry", "friction", "loads", "random")
+
+def _leaves(cls, prefix=""):
+    """(field path, field) of every non-dataclass field under dataclass ``cls``."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _leaves(f.type, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f
+
+
+_REQUIRED = frozenset(path for path, f in _leaves(Config) if f.default is dataclasses.MISSING)
+
+
+def _build(cls, values, prefix=""):
+    """Instance of dataclass ``cls`` from values keyed by field path.
+
+    Nested dataclasses are built first, in field order, so the first invalid
+    section in that order raises; absent fields keep their defaults.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        path = prefix + f.name
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, values, path + ".")
+        elif path in values:
+            kwargs[f.name] = values[path]
+    return cls(**kwargs)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe YAML loader that refuses a key given twice in one mapping
+    (plain ``safe_load`` keeps the last value without a word)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode):
+                if key_node.value in seen:
+                    raise ParseError("duplicate config key",
+                                     line=key_node.start_mark.line + 1, key=key_node.value)
+                seen.add(key_node.value)
+        return super().construct_mapping(node, deep)
 
 
 def _key_line(text: str, key: str):
@@ -140,32 +195,35 @@ def _key_line(text: str, key: str):
     return None
 
 
-def _coerce(key: str, value, text: str):
-    kind = _KEYS[key]
-    line = _key_line(text, key)
-    if kind == _STR:
+def _coerce(key, value):
+    """Field path of ``key`` and ``value`` as its schema type; a ValueError
+    says what is wrong."""
+    if key not in _SCHEMA:
+        raise ValueError("unknown config key")
+    path, kind = _SCHEMA[key]
+    if kind is str:
         if not isinstance(value, str):
-            raise ParseError(f"expected a string, got {value!r}", line=line, key=key)
-        return value
-    if kind == _FLOAT and isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
+        return path, value
+    if kind is float and isinstance(value, str):
         # YAML 1.1 reads dot-less exponents ('1e-5') as strings; forgive that
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"expected a number, got {value!r}", line=line, key=key) from None
+        with contextlib.suppress(ValueError):
+            value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"expected a number, got {value!r}", line=line, key=key)
-    if kind == _INT:
-        if isinstance(value, float):
-            raise ParseError(f"expected an integer, got {value!r}", line=line, key=key)
-        return int(value)
-    return float(value)
+        raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return path, kind(value)
 
 
-def parse_config_text(text: str, source: str = "<string>") -> Config:
-    """Parse and fully validate a flat-key config document."""
+def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Config:
+    """Parse and fully validate a flat-key config document.
+
+    ``overrides`` (flat key -> value) replace or add document values before
+    the type checks, so they are validated exactly like the document.
+    """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ParseError(f"invalid YAML in {source}: {exc}",
@@ -175,60 +233,32 @@ def parse_config_text(text: str, source: str = "<string>") -> Config:
     if not isinstance(raw, dict):
         raise ParseError(f"{source} must be a flat mapping of 'section.key: value'")
 
+    overrides = overrides or {}
     values = {}
-    for key, value in raw.items():
-        if key not in _KEYS:
-            raise ParseError(f"unknown config key in {source}",
-                             line=_key_line(text, str(key)), key=str(key))
-        values[key] = _coerce(key, value, text)
+    for key, value in {**raw, **overrides}.items():
+        try:
+            path, value = _coerce(key, value)
+        except ValueError as exc:
+            line = None if key in overrides else _key_line(text, str(key))
+            raise ParseError(f"{exc} in {source}", line=line, key=str(key)) from None
+        values[path] = value
 
-    missing = [k for k in _KEYS
-               if k not in values and k.split(".")[0] in _REQUIRED_SECTIONS]
+    missing = [key for key, (path, _) in _SCHEMA.items()
+               if path in _REQUIRED and path not in values]
     if missing:
         raise ParseError(f"missing required keys in {source}: {', '.join(missing)}")
-
-    def get(key, default=None):
-        return values.get(key, default)
-
-    geometry = mechmodel.BrakeGeometry(
-        a=values["geometry.a_mm"], b=values["geometry.b_mm"], c=values["geometry.c_mm"],
-        d=values["geometry.d_mm"], e=values["geometry.e_mm"], f=values["geometry.f_mm"],
-        l=values["geometry.l_mm"], m=values["geometry.m_mm"], n=values["geometry.n_mm"],
-        R=values["geometry.R_mm"])
-    friction = mechmodel.FrictionSet(
-        mu1=values["friction.mu1"], mu2=values["friction.mu2"], mu4=values["friction.mu4"])
-    loads = Loads(Fg_kN=values["loads.Fg_kN"], Fb_kN=values["loads.Fb_kN"])
-    random = RandomModel(
-        alpha_lo_deg=values["random.alpha_lo_deg"],
-        alpha_hi_deg=values["random.alpha_hi_deg"],
-        alpha_mean_deg=values["random.alpha_mean_deg"],
-        fs_lo_kN=values["random.fs_lo_kN"],
-        fs_hi_kN=values["random.fs_hi_kN"],
-        fs_mean_kN=values["random.fs_mean_kN"])
-    mc = McSettings(nu=get("mc.nu", 4096), seed=get("mc.seed", 0))
-    design = DesignSettings(
-        box=optimizer.DesignBox(
-            a_min=get("design.a_min_mm", 50.0), a_max=get("design.a_max_mm", 60.0),
-            c_min=get("design.c_min_mm", 50.0), c_max=get("design.c_max_mm", 55.0)),
-        weights=optimizer.RobustWeights(
-            beta1=get("design.beta1", 0.2), beta2=get("design.beta2", 0.2),
-            beta3=get("design.beta3", 0.2), beta4=get("design.beta4", 0.4)),
-        constraint=optimizer.ConstraintSpec(
-            y_star=get("design.y_star_kN", 0.5), p_r=get("design.p_r", 0.05)))
-    output = OutputSettings(
-        dir=get("output.dir", "out"),
-        grid_nx=get("output.grid_nx", 101), grid_ny=get("output.grid_ny", 51))
-    return Config(geometry=geometry, friction=friction, loads=loads, random=random,
-                  mc=mc, design=design, output=output)
+    return _build(Config, values)
 
 
-def load_config(path) -> Config:
+def load_config(path, overrides=None) -> Config:
+    """Read and parse a config file; ``overrides`` (flat key -> value) win
+    over the file's values."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), overrides=overrides)
 
 
 _PLAIN_STR = re.compile(r"^[A-Za-z0-9_./-]+$")
@@ -252,29 +282,8 @@ def _emit(value) -> str:
 
 def config_to_text(cfg: Config) -> str:
     """Serialize to the canonical flat-key document (round-trips exactly)."""
-    g, fr, ld, rm = cfg.geometry, cfg.friction, cfg.loads, cfg.random
-    box, w, cs = cfg.design.box, cfg.design.weights, cfg.design.constraint
-    ordered = {
-        "geometry.a_mm": g.a, "geometry.b_mm": g.b, "geometry.c_mm": g.c,
-        "geometry.d_mm": g.d, "geometry.e_mm": g.e, "geometry.f_mm": g.f,
-        "geometry.l_mm": g.l, "geometry.m_mm": g.m, "geometry.n_mm": g.n,
-        "geometry.R_mm": g.R,
-        "friction.mu1": fr.mu1, "friction.mu2": fr.mu2, "friction.mu4": fr.mu4,
-        "loads.Fg_kN": ld.Fg_kN, "loads.Fb_kN": ld.Fb_kN,
-        "random.alpha_lo_deg": rm.alpha_lo_deg, "random.alpha_hi_deg": rm.alpha_hi_deg,
-        "random.alpha_mean_deg": rm.alpha_mean_deg,
-        "random.fs_lo_kN": rm.fs_lo_kN, "random.fs_hi_kN": rm.fs_hi_kN,
-        "random.fs_mean_kN": rm.fs_mean_kN,
-        "mc.nu": cfg.mc.nu, "mc.seed": cfg.mc.seed,
-        "design.a_min_mm": box.a_min, "design.a_max_mm": box.a_max,
-        "design.c_min_mm": box.c_min, "design.c_max_mm": box.c_max,
-        "design.beta1": w.beta1, "design.beta2": w.beta2,
-        "design.beta3": w.beta3, "design.beta4": w.beta4,
-        "design.y_star_kN": cs.y_star, "design.p_r": cs.p_r,
-        "output.dir": cfg.output.dir,
-        "output.grid_nx": cfg.output.grid_nx, "output.grid_ny": cfg.output.grid_ny,
-    }
-    return "".join(f"{k}: {_emit(v)}\n" for k, v in ordered.items())
+    return "".join(f"{key}: {_emit(functools.reduce(getattr, path.split('.'), cfg))}\n"
+                   for key, (path, _) in _SCHEMA.items())
 
 
 def config_sha256(cfg: Config) -> str:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from brakeopt import cli
 from brakeopt.cli import main
@@ -179,3 +180,38 @@ def test_cli_never_mutates_config(tmp_path):
     before = path.read_bytes()
     run(["uq", "--out", tmp_path / "o", "--nu", 64])
     assert path.read_bytes() == before
+
+
+def test_seed_and_nu_flags_write_the_same_bytes_as_the_file_keys(tmp_path):
+    doc = config_to_text(default_config())
+    doc = doc.replace("mc.nu: 4096\n", "mc.nu: 300\n").replace("mc.seed: 0\n", "mc.seed: 5\n")
+    assert "mc.nu: 300\n" in doc and "mc.seed: 5\n" in doc
+    path = tmp_path / "c.yaml"
+    path.write_text(doc)
+    assert run(["uq", "--out", tmp_path / "flags", "--seed", 5, "--nu", 300]) == 0
+    assert run(["uq", "--out", tmp_path / "file", "--config", path]) == 0
+    assert read_bytes(tmp_path / "flags", UQ_FILES) == read_bytes(tmp_path / "file", UQ_FILES)
+
+
+@pytest.mark.parametrize("flags", [["--nu", 0], ["--grid", "1x5"]])
+def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
+    assert run(["uq", "--out", tmp_path / "o", *flags]) == 11
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["uq", "--nu", 8], ["opt-classical"], ["opt-robust"],
+                                     ["contour", "--kind", "classical"]])
+def test_unusable_output_dir_fails_before_any_model_work(tmp_path, capsys, monkeypatch, command):
+    def no_model_work(cfg):
+        raise AssertionError("model work started before the output directory was made")
+
+    monkeypatch.setattr(cli.cfgmod, "input_model_from", no_model_work)
+    monkeypatch.setattr(cli.cfgmod, "setup_from", no_model_work)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run([*command, "--out", taken]) == 11
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("ValidationError", 11)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "not a directory\n"

@@ -1,9 +1,16 @@
 """Config parsing, validation, canonical serialization and hashing."""
 
+import dataclasses
+import typing
+
 import pytest
+import yaml
 
 from brakeopt import MeanOutOfSupport, ParseError, ValidationError
 from brakeopt.config import (
+    _SCHEMA,
+    Config,
+    _coerce,
     config_sha256,
     config_to_text,
     default_config,
@@ -107,3 +114,65 @@ def test_loading_does_not_mutate_the_file():
     before = path.read_bytes()
     default_config()
     assert path.read_bytes() == before
+
+
+def _field_types(cls, prefix=""):
+    """(field path, annotated type) of every non-dataclass field under ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _field_types(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name]
+
+
+def test_schema_maps_every_section_field_exactly_once():
+    fields = dict(_field_types(Config))
+    paths = [path for path, _ in _SCHEMA.values()]
+    assert sorted(paths) == sorted(fields)
+    assert dict(_SCHEMA.values()) == fields
+
+
+def _shipped_with(key, value):
+    """The shipped document with ``key`` set to ``value``, and that line's number."""
+    lines = default_config_path().read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    lines[index] = f"{key}: {value}\n"
+    return "".join(lines), index + 1
+
+
+_WRONG_TYPE = {int: ("4096.5", "true"), float: ("abc", "true"), str: ("5",)}
+
+
+@pytest.mark.parametrize("key", list(_SCHEMA))
+def test_every_key_enforces_its_schema_type(key):
+    path, kind = _SCHEMA[key]
+    for value in _WRONG_TYPE[kind]:
+        text, line = _shipped_with(key, value)
+        with pytest.raises(ParseError) as err:
+            parse_config_text(text)
+        assert (err.value.key, err.value.line) == (key, line), value
+    if kind is float:
+        # YAML reads '3' as an int and the dot-less '1e-5' as a string
+        for value, expected in (("3", 3.0), ("1e-5", 1e-5)):
+            got = _coerce(key, yaml.safe_load(f"{key}: {value}")[key])
+            assert got == (path, expected) and type(got[1]) is float, value
+
+
+def test_repeated_key_is_rejected_at_the_repeat():
+    text = default_config_path().read_text()
+    with pytest.raises(ParseError, match="duplicate") as err:
+        parse_config_text(text + "geometry.a_mm: 58.0\n")
+    assert (err.value.key, err.value.line) == ("geometry.a_mm", len(text.splitlines()) + 1)
+
+
+def test_overrides_are_checked_like_file_values():
+    path = default_config_path()
+    cfg = load_config(path, {"mc.seed": 5, "output.grid_nx": 7, "output.dir": "elsewhere"})
+    assert (cfg.mc.seed, cfg.output.grid_nx, cfg.output.dir) == (5, 7, "elsewhere")
+    assert cfg.geometry == default_config().geometry
+    with pytest.raises(ParseError) as err:
+        load_config(path, {"mc.nu": 1.5})
+    assert (err.value.key, err.value.line) == ("mc.nu", None)
+    with pytest.raises(ValidationError, match="mc.nu"):
+        load_config(path, {"mc.nu": 0})

@@ -44,7 +44,6 @@ from .optimizer import (  # noqa: F401
     DesignPoint,
     RobustWeights,
     classical_objective,
-    empirical_constraint,
     grid_scan,
     optimize_classical,
     optimize_robust,

@@ -145,7 +145,12 @@ def cdf(dist: TruncatedExponential, x) -> float:
     if dist.rate == 0.0:
         return (x - dist.lo) / (dist.hi - dist.lo)
     z = dist.rate * (dist.hi - dist.lo)
-    return math.expm1(-dist.rate * (x - dist.lo)) / math.expm1(-z)
+    try:
+        return math.expm1(-dist.rate * (x - dist.lo)) / math.expm1(-z)
+    except OverflowError:
+        # z < -709.78: divide exp(-z) out of numerator and denominator
+        return (math.exp(dist.rate * (dist.hi - x)) * math.expm1(dist.rate * (x - dist.lo))
+                / math.expm1(z))
 
 
 def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
@@ -163,7 +168,12 @@ def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
     if dist.rate == 0.0:
         return dist.lo + u * (dist.hi - dist.lo)
     z = dist.rate * (dist.hi - dist.lo)
-    x = dist.lo - math.log1p(u * math.expm1(-z)) / dist.rate
+    try:
+        x = dist.lo - math.log1p(u * math.expm1(-z)) / dist.rate
+    except OverflowError:
+        # z < -709.78: log1p(u * expm1(-z)) = -z + log(u + (1 - u) * exp(z))
+        # and lo + z / rate = hi
+        x = dist.hi - math.log(u + (1.0 - u) * math.exp(z)) / dist.rate
     return min(max(x, dist.lo), dist.hi)
 
 

@@ -14,6 +14,8 @@ The local solver is a multi-start projected ascent with finite-difference
 gradients, run in box-normalized coordinates.  Every optimization is
 cross-checked against a dense grid scan whose best (feasible) cell is
 returned as a certificate; the reported optimum always dominates it.
+Ascent, certificate and contour maps share one convention: a design's value
+is a float, and a non-finite value means rejected or not evaluable.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ class DesignBox:
     c_max: float = 55.0
 
     def __post_init__(self):
+        bounds = (self.a_min, self.a_max, self.c_min, self.c_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValidationError("design box bounds must be finite", bounds)
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
-            raise ValidationError(
-                "design box requires a_min <= a_max and c_min <= c_max",
-                (self.a_min, self.a_max, self.c_min, self.c_max),
-            )
+            raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
     def contains(self, s: DesignPoint) -> bool:
         return self.a_min <= s.a <= self.a_max and self.c_min <= s.c <= self.c_max
@@ -76,8 +78,8 @@ class RobustWeights:
 
     def __post_init__(self):
         betas = (self.beta1, self.beta2, self.beta3, self.beta4)
-        if any(b < 0 for b in betas):
-            raise ValidationError("robust weights must be >= 0", betas)
+        if not all(0.0 <= b <= 1.0 for b in betas):
+            raise ValidationError("robust weights must lie in [0, 1]", betas)
         if abs(sum(betas) - 1.0) > 1e-12:
             raise ValidationError("robust weights must sum to 1", sum(betas))
 
@@ -88,8 +90,8 @@ class ConstraintSpec:
     p_r: float = 0.05
 
     def __post_init__(self):
-        if self.y_star < 0:
-            raise ValidationError("constraint level y_star must be >= 0 kN", self.y_star)
+        if not (math.isfinite(self.y_star) and self.y_star >= 0):
+            raise ValidationError("constraint level y_star must be finite and >= 0 kN", self.y_star)
         if not 0.0 < self.p_r < 1.0:
             raise ValidationError("reference probability p_r must lie in (0, 1)", self.p_r)
 
@@ -129,11 +131,27 @@ def _geometry_at(setup: ModelSetup, s: DesignPoint) -> mechmodel.BrakeGeometry:
     return dataclasses.replace(setup.geom, a=s.a, c=s.c)
 
 
+def _nominal_load(setup: ModelSetup) -> mechmodel.LoadCase:
+    return mechmodel.LoadCase.from_degrees(
+        setup.Fg, setup.Fb, setup.fs_nominal_kn, setup.alpha_nominal_deg)
+
+
 def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
     """Braking force (kN) at the nominal loads with a, c overridden by s."""
-    load = mechmodel.LoadCase.from_degrees(
-        setup.Fg, setup.Fb, setup.fs_nominal_kn, setup.alpha_nominal_deg)
-    return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, load).Fh
+    return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, _nominal_load(setup)).Fh
+
+
+def _classical_value(setup: ModelSetup):
+    """Value function of the classical problem: :func:`classical_objective`,
+    nan where a denominator is singular; the load case is built once."""
+    load = _nominal_load(setup)
+
+    def value_at(s: DesignPoint) -> float:
+        try:
+            return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, load).Fh
+        except SingularDenominator:
+            return math.nan
+    return value_at
 
 
 def _ensemble_fh(setup: ModelSetup, crn, s: DesignPoint) -> np.ndarray:
@@ -161,6 +179,13 @@ def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     return value
 
 
+def _robust_or_nan(weights: RobustWeights, fh: np.ndarray) -> float:
+    try:
+        return _robust_value(weights, fh)
+    except DegenerateEnsemble:
+        return math.nan
+
+
 def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:
     # non-evaluable samples count as violations
     hits = np.count_nonzero(np.isfinite(fh) & (np.abs(fh) > cspec.y_star))
@@ -184,31 +209,19 @@ def robust_objective(
     return _robust_value(weights, _ensemble_fh(setup, crn, s))
 
 
-def empirical_constraint(
-    s: DesignPoint,
-    cspec: ConstraintSpec,
-    uniforms: mc_uq.UniformMatrix,
-    input_model: maxent.InputModel,
-    setup: ModelSetup,
-) -> float:
-    """Fraction of ensemble samples with |Fh| above the constraint level."""
-    crn = mc_uq.sample_inputs(input_model, uniforms)
-    return _constraint_value(cspec, _ensemble_fh(setup, crn, s))
-
-
 def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: float = 1e-8,
             fd_step: float = 1e-4):
     """Projected finite-difference ascent on the unit square.
 
-    ``evaluate(ua, uc)`` returns the objective or None for a rejected or
-    failed point.  Steps and the FD stencil are fractions of the box width;
-    the search stops when the step underflows ``step_min`` or after
-    ``max_iter`` iterations.  Returns (u, value) or None if even the start
-    fails.
+    ``evaluate(ua, uc)`` returns the objective; a non-finite value marks a
+    rejected or failed point.  Steps and the FD stencil are fractions of the
+    box width; the search stops when the step underflows ``step_min`` or
+    after ``max_iter`` iterations.  Returns (u, value) or None if even the
+    start is rejected.
     """
     u = np.array(u0, dtype=float)
     fx = evaluate(u[0], u[1])
-    if fx is None:
+    if not math.isfinite(fx):
         return None
 
     step = step0
@@ -226,7 +239,7 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
                     continue
                 fp = evaluate(up[0], up[1])
                 fm = evaluate(um[0], um[1])
-                if fp is None or fm is None:
+                if not (math.isfinite(fp) and math.isfinite(fm)):
                     continue
                 grad[ax] = (fp - fm) / (up[ax] - um[ax])
             norm = math.hypot(grad[0], grad[1])
@@ -235,7 +248,7 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
             continue
         cand = np.clip(u + step * grad / norm, 0.0, 1.0)
         fc = evaluate(cand[0], cand[1])
-        if fc is not None and fc > fx:
+        if math.isfinite(fc) and fc > fx:
             u, fx = cand, fc
             step = min(step * 2.0, 0.5)
             norm = None
@@ -244,10 +257,18 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
     return u, fx
 
 
-def _grid_axes(box: DesignBox, nx: int, ny: int):
+def _lattice(box: DesignBox, nx: int, ny: int, value_at):
+    """(a_values, c_values, values): ``value_at`` on the row-major nx x ny
+    lattice spanning the box, written into one preallocated array."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    return np.linspace(box.a_min, box.a_max, nx), np.linspace(box.c_min, box.c_max, ny)
+    a_values = np.linspace(box.a_min, box.a_max, nx)
+    c_values = np.linspace(box.c_min, box.c_max, ny)
+    values = np.empty((nx, ny))
+    for i, a in enumerate(a_values):
+        for j, c in enumerate(c_values):
+            values[i, j] = value_at(DesignPoint(a=float(a), c=float(c)))
+    return a_values, c_values, values
 
 
 def _grid_argmax(a_values, c_values, values):
@@ -280,47 +301,58 @@ def grid_scan(
     """
     if kind not in GRID_KINDS:
         raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
-    a_values, c_values = _grid_axes(box, nx, ny)
-    values = np.full((nx, ny), np.nan)
-
     if kind == "classical":
-        for i, a in enumerate(a_values):
-            for j, c in enumerate(c_values):
-                try:
-                    values[i, j] = classical_objective(DesignPoint(a=float(a), c=float(c)), setup)
-                except SingularDenominator:
-                    pass
-        return GridScan(kind=kind, a_values=a_values, c_values=c_values, values=values)
+        return GridScan(kind, *_lattice(box, nx, ny, _classical_value(setup)))
 
     if input_model is None:
         raise ValidationError("robust/constraint grid scan needs an input model", kind)
     crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
     weights = weights if weights is not None else RobustWeights()
     cspec = cspec if cspec is not None else ConstraintSpec()
-    for i, a in enumerate(a_values):
-        for j, c in enumerate(c_values):
-            fh = _ensemble_fh(setup, crn, DesignPoint(a=float(a), c=float(c)))
-            if kind == "constraint":
-                values[i, j] = _constraint_value(cspec, fh)
-            else:
-                try:
-                    values[i, j] = _robust_value(weights, fh)
-                except DegenerateEnsemble:
-                    pass
-    return GridScan(kind=kind, a_values=a_values, c_values=c_values, values=values)
+
+    def value_at(s: DesignPoint) -> float:
+        fh = _ensemble_fh(setup, crn, s)
+        if kind == "constraint":
+            return _constraint_value(cspec, fh)
+        return _robust_or_nan(weights, fh)
+    return GridScan(kind, *_lattice(box, nx, ny, value_at))
 
 
-def _multistart(evaluate, starts: int):
-    """Best (u, value) of the ascents from a starts x starts lattice on the
-    unit square, the first start winning ties; None if every start fails."""
-    pts = np.linspace(0.0, 1.0, starts)
+def _optimize(box: DesignBox, value_at, grid: tuple[int, int], starts: int):
+    """Ascents from a starts x starts lattice on the unit square (the first
+    start wins ties) and the dense-grid certificate of ``value_at``.
+
+    Returns (best, cert, evaluations): the (point, value) of the best ascent
+    and of the best grid cell, each None if every candidate is rejected, and
+    the number of ``value_at`` calls.
+    """
+    evaluations = 0
+
+    def counted(s: DesignPoint) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return value_at(s)
+
+    def evaluate(ua, uc):
+        return counted(box.unmap(ua, uc))
+
     best = None
+    pts = np.linspace(0.0, 1.0, starts)
     for ua in pts:
         for uc in pts:
             res = _ascend(evaluate, (ua, uc))
             if res is not None and (best is None or res[1] > best[1]):
-                best = res
-    return best
+                best = box.unmap(*res[0]), res[1]
+    cert = _grid_argmax(*_lattice(box, grid[0], grid[1], counted))
+    return best, cert, evaluations
+
+
+def _settle(best, cert, evaluations: int) -> OptimizationResult:
+    """The ascent's best point, unless the certificate cell beats it."""
+    s_opt, objective = best if best is not None and best[1] >= cert[1] else cert
+    return OptimizationResult(
+        s_opt=s_opt, objective=objective, feasible=True, evaluations=evaluations,
+        certificate_value=cert[1], certificate_point=cert[0])
 
 
 def optimize_classical(
@@ -333,35 +365,13 @@ def optimize_classical(
 
     Multi-start projected ascent from a starts x starts lattice, then the
     result is checked against (and never undercuts) a dense grid certificate.
+    Raises AllStartsFailed when every start is singular; with no finite grid
+    cell the ascent is its own certificate.
     """
-    evals = [0]
-
-    def evaluate(ua, uc):
-        evals[0] += 1
-        try:
-            return classical_objective(box.unmap(ua, uc), setup)
-        except SingularDenominator:
-            return None
-
-    best = _multistart(evaluate, starts)
+    best, cert, evaluations = _optimize(box, _classical_value(setup), grid, starts)
     if best is None:
         raise AllStartsFailed("every ascent start hit a singular evaluation")
-
-    scan = grid_scan(box, grid[0], grid[1], "classical", setup)
-    evals[0] += grid[0] * grid[1]
-    cert = _grid_argmax(scan.a_values, scan.c_values, scan.values)
-    if cert is None:
-        cert_point, cert_value = box.unmap(*best[0]), best[1]
-    else:
-        cert_point, cert_value = cert
-
-    if best[1] >= cert_value:
-        s_opt, objective = box.unmap(*best[0]), best[1]
-    else:
-        s_opt, objective = cert_point, cert_value
-    return OptimizationResult(
-        s_opt=s_opt, objective=objective, feasible=True, evaluations=evals[0],
-        certificate_value=cert_value, certificate_point=cert_point)
+    return _settle(best, cert or best, evaluations)
 
 
 def optimize_robust(
@@ -379,53 +389,24 @@ def optimize_robust(
 
     One uniform matrix is drawn from (seed, nu) and reused at every design
     point, so the whole optimization is a pure function of its arguments.
-    Candidates violating the constraint are rejected during the ascent; the
-    certificate is the best feasible cell of the dense grid.  Raises
-    NoFeasiblePoint when the certificate grid contains no feasible cell.
+    A design violating the constraint has the value nan, so the ascent
+    rejects it and the certificate is the best feasible cell of the dense
+    grid.  Raises NoFeasiblePoint when no certificate cell is feasible.
     """
     crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
     threshold = 1.0 - cspec.p_r
-    evals = [0]
 
-    def stats_at(s: DesignPoint):
-        evals[0] += 1
+    def value_at(s: DesignPoint) -> float:
         fh = _ensemble_fh(setup, crn, s)
-        prob = _constraint_value(cspec, fh)
-        try:
-            value = _robust_value(weights, fh)
-        except DegenerateEnsemble:
-            return float("nan"), prob
-        return value, prob
+        if _constraint_value(cspec, fh) < threshold:
+            return math.nan
+        return _robust_or_nan(weights, fh)
 
-    def evaluate(ua, uc):
-        value, prob = stats_at(box.unmap(ua, uc))
-        if prob < threshold or not math.isfinite(value):
-            return None
-        return value
-
-    best = _multistart(evaluate, starts)
-
-    # feasible-grid certificate, reusing the same CRN inputs
-    a_values, c_values = _grid_axes(box, grid[0], grid[1])
-    feasible_values = np.full((grid[0], grid[1]), np.nan)
-    for i, a in enumerate(a_values):
-        for j, c in enumerate(c_values):
-            value, prob = stats_at(DesignPoint(a=float(a), c=float(c)))
-            if prob >= threshold and math.isfinite(value):
-                feasible_values[i, j] = value
-    cert = _grid_argmax(a_values, c_values, feasible_values)
+    best, cert, evaluations = _optimize(box, value_at, grid, starts)
     if cert is None:
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
             f"P(|Fh| > {cspec.y_star}) >= {threshold}")
-    cert_point, cert_value = cert
-
-    if best is not None and best[1] >= cert_value:
-        s_opt, objective = box.unmap(*best[0]), best[1]
-    else:
-        s_opt, objective = cert_point, cert_value
-    prob_at_opt = _constraint_value(cspec, _ensemble_fh(setup, crn, s_opt))
-    return OptimizationResult(
-        s_opt=s_opt, objective=objective, feasible=True, evaluations=evals[0],
-        certificate_value=cert_value, certificate_point=cert_point,
-        constraint_prob=prob_at_opt)
+    result = _settle(best, cert, evaluations)
+    prob_at_opt = _constraint_value(cspec, _ensemble_fh(setup, crn, result.s_opt))
+    return dataclasses.replace(result, constraint_prob=prob_at_opt)

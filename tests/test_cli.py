@@ -1,11 +1,13 @@
 """CLI surface: artifacts, headers, determinism, error mapping."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from brakeopt import cli
+from brakeopt import ConstraintSpec, DesignBox, RobustWeights, ValidationError, cli
 from brakeopt.cli import main
 from brakeopt.config import config_to_text, default_config, default_config_path
 
@@ -215,3 +217,26 @@ def test_unusable_output_dir_fails_before_any_model_work(tmp_path, capsys, monke
     assert (err["error"], err["exit_code"]) == ("ValidationError", 11)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("key, cls, field, value", [
+    ("design.beta4", RobustWeights, "beta4", math.nan),
+    ("design.a_max_mm", DesignBox, "a_max", math.inf),
+    ("design.c_min_mm", DesignBox, "c_min", -math.inf),
+    ("design.y_star_kN", ConstraintSpec, "y_star", math.nan),
+    ("design.y_star_kN", ConstraintSpec, "y_star", math.inf),
+])
+def test_non_finite_design_inputs_are_rejected_where_built(tmp_path, capsys, key, cls, field,
+                                                           value):
+    with pytest.raises(ValidationError):
+        cls(**{field: value})
+    spelling = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}[repr(value)]
+    doc, n = re.subn(rf"^{re.escape(key)}: .*$", f"{key}: {spelling}",
+                     config_to_text(default_config()), flags=re.M)
+    assert n == 1
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(doc)
+    assert run(["opt-robust", "--config", bad, "--out", tmp_path / "o", "--nu", 64,
+                "--grid", "5x3"]) == 11
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "o").exists()  # rejected while the config is built

@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brakeopt import (
     MeanOutOfSupport,
@@ -214,3 +216,27 @@ def test_invalid_support_and_uniform_draw():
     dist = fit_truncexp(0.0, 18.0, 6.0)
     with pytest.raises(ValidationError):
         sample_inverse_cdf(dist, 1.5)
+
+
+EPS = 2.0 ** -52
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+       z=st.one_of(st.floats(-2000.0, 2000.0), st.floats(-1.0, 1.0, allow_subnormal=False)),
+       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(lo=0.0, width=18.0, z=-1800.0, us=[0.3])  # the fit for mean 17.99 on [0, 18]
+@example(lo=0.0, width=1.0, z=-709.8, us=[1e-300, 0.5])  # just past the expm1 overflow
+def test_sampler_and_cdf_on_extreme_rates(lo, width, z, us):
+    """|rate * width| from 0 past 1000: in the support, monotone in u, exact
+    end points, and the cdf inverts the sampler."""
+    dist = TruncatedExponential.from_rate(lo, lo + width, z / width)
+    us = sorted({0.0, 1.0, *us})
+    xs = [sample_inverse_cdf(dist, u) for u in us]
+    assert xs[0] == dist.lo and xs[-1] == dist.hi
+    assert all(dist.lo <= x <= dist.hi for x in xs)
+    assert xs == sorted(xs)
+    # a rounding of x moves the cdf by up to pdf * ulp(x)
+    scale = 1.0 + (abs(dist.rate) + 1.0 / width) * max(abs(dist.lo), abs(dist.hi))
+    for u, x in zip(us, xs):
+        assert abs(cdf(dist, x) - u) <= 8.0 * EPS * scale

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from brakeopt import (
+    AllStartsFailed,
     ConstraintSpec,
     DegenerateEnsemble,
     DesignBox,
@@ -16,7 +17,6 @@ from brakeopt import (
     ValidationError,
     classical_objective,
     draw_uniform_matrix,
-    empirical_constraint,
     grid_scan,
     optimize_classical,
     optimize_robust,
@@ -24,6 +24,7 @@ from brakeopt import (
     robust_objective,
 )
 from brakeopt import mc_uq, optimizer
+from brakeopt.optimizer import OptimizationResult
 
 NOMINAL_FH = 7.2693735011397308  # braking force at (55, 52.7), nominal loads
 
@@ -120,16 +121,23 @@ def test_robust_objective_degenerate_ensemble(setup, input_model):
     assert math.isfinite(robust_objective(s, mean_only, flat, input_model, setup))
 
 
-def test_empirical_constraint_trivial_levels(setup, input_model, uniforms):
-    s = DesignPoint(a=55.0, c=52.7)
-    assert empirical_constraint(s, ConstraintSpec(y_star=0.0), uniforms, input_model, setup) == 1.0
-    assert empirical_constraint(s, ConstraintSpec(y_star=1e3), uniforms, input_model, setup) == 0.0
+SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
+
+
+def constraint_at_shipped_design(setup, input_model, cspec, nu):
+    scan = grid_scan(SHIPPED_POINT, 2, 2, "constraint", setup, input_model=input_model,
+                     cspec=cspec, seed=0, nu=nu)
+    assert np.all(scan.values == scan.values[0, 0])
+    return scan.values[0, 0]
+
+
+def test_empirical_constraint_trivial_levels(setup, input_model):
+    assert constraint_at_shipped_design(setup, input_model, ConstraintSpec(y_star=0.0), 1024) == 1.0
+    assert constraint_at_shipped_design(setup, input_model, ConstraintSpec(y_star=1e3), 1024) == 0.0
 
 
 def test_empirical_constraint_at_shipped_design(setup, input_model):
-    uniforms = draw_uniform_matrix(0, 4096)
-    prob = empirical_constraint(DesignPoint(a=55.0, c=52.7), ConstraintSpec(),
-                                uniforms, input_model, setup)
+    prob = constraint_at_shipped_design(setup, input_model, ConstraintSpec(), 4096)
     assert prob >= 0.95
     assert prob == pytest.approx(0.97998046875, abs=1e-12)  # frozen: seed 0, nu 4096
 
@@ -254,3 +262,53 @@ def test_ascent_on_a_flat_objective_evaluates_one_stencil():
     u, value = optimizer._ascend(evaluate, (0.5, 0.5))
     assert (tuple(u), value) == ((0.5, 0.5), 0.0)
     assert len(points) == 1 + 4  # the start and its four stencil points
+
+
+def frozen(a, c, objective, evaluations, cert_value, cert_a, cert_c, prob=None):
+    return OptimizationResult(
+        s_opt=DesignPoint(a=a, c=c), objective=objective, feasible=True,
+        evaluations=evaluations, certificate_value=cert_value,
+        certificate_point=DesignPoint(a=cert_a, c=cert_c), constraint_prob=prob)
+
+
+def test_classical_result_is_frozen(setup):
+    res = optimize_classical(DesignBox(), setup, grid=(21, 11))
+    assert res == frozen(60.0, 50.0, 8.74341728968971, 3170, 8.74341728968971, 60.0, 50.0)
+
+
+STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
+
+
+@pytest.mark.parametrize("weights, y_star, expected", [
+    # shipped weights: the ascent reaches the certificate's corner
+    (RobustWeights(), 0.5,
+     frozen(60.0, 55.0, 3.1813046036893007, 4740, 3.1813046036893007, 60.0, 55.0, 0.9833984375)),
+    # the certificate cell beats every ascent and is returned
+    (STD_ONLY, 1.0,
+     frozen(51.0, 54.5, 0.25236206290740454, 2728, 0.25236206290740454, 51.0, 54.5,
+            0.9501953125)),
+    # an ascent ends between cells, above the best feasible cell
+    (STD_ONLY, 1.1,
+     frozen(53.893279403860134, 55.0, 0.240514004512616, 1768, 0.2400386770833939, 54.0, 55.0,
+            0.951171875)),
+])
+def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
+    res = optimize_robust(DesignBox(), weights, ConstraintSpec(y_star=y_star), 0, setup,
+                          input_model, nu=1024, grid=(21, 11))
+    assert res == expected
+
+
+def test_singular_design_space_fails_every_start(setup):
+    # m = 9.975 mm puts den4 at 0 for every (a, c): no start can be evaluated
+    dead = dataclasses.replace(setup, geom=dataclasses.replace(setup.geom, m=9.975))
+    with pytest.raises(AllStartsFailed):
+        optimize_classical(DesignBox(), dead, grid=(5, 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ascent_rejects_non_finite_values(bad):
+    assert optimizer._ascend(lambda ua, uc: bad, (0.5, 0.5)) is None
+
+    # increasing in ua, but not evaluable beyond ua = 0.7
+    u, value = optimizer._ascend(lambda ua, uc: ua if ua <= 0.7 else bad, (0.5, 0.5))
+    assert 0.69 < u[0] <= 0.7 and value == u[0]

@@ -20,7 +20,6 @@ from .mechmodel import (  # noqa: F401
     FrictionSet,
     LoadCase,
     braking_force,
-    normal_forces,
     solve_equilibrium,
 )
 from .maxent import (  # noqa: F401

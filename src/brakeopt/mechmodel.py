@@ -118,47 +118,45 @@ class EquilibriumSolution:
     valid: bool
 
 
-def _denominators(sin_a, cos_a, geom: BrakeGeometry, fric: FrictionSet):
+def _denominators(sin_a, cos_a, c, geom: BrakeGeometry, fric: FrictionSet):
     """``(den1, den4, dwe)``: the two closed-form denominators and the
     cam-wedge lever d + e*mu2, elementwise over scalars or arrays of sin/cos
-    alpha.  The scalar check and the ensemble mask both read them from here.
+    alpha and of the length c, which stands in for ``geom.c``.  The scalar
+    check and the ensemble mask both read them from here.
     """
     dwe = geom.d + geom.e * fric.mu2
-    den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - geom.c) / dwe
+    den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     return den1, den4, dwe
 
 
-def _normals(sin_a, cos_a, Fs, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, den1, den4, dwe):
-    """Closed-form normals, elementwise over scalars or equally-shaped arrays.
+def _normals(sin_a, cos_a, Fs, a, c, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb,
+             den1, den4, dwe):
+    """Closed-form normals, elementwise over scalars or broadcastable arrays;
+    the lengths a and c stand in for ``geom.a`` and ``geom.c``.
 
     Evaluation order N4 -> N1 -> N2 -> N3, dividing by the values of
     :func:`_denominators`; the caller handles singular ones.  One code path
     for the scalar and the ensemble route keeps them bitwise identical.
     """
-    n4 = ((Fg + Fb) * geom.l / 2 - Fs * geom.a) / den4
-    n1 = (n4 - geom.a * fric.mu2 * Fs / dwe) / den1
-    n2 = (geom.a * Fs + (geom.b * fric.mu1 - geom.c) * n1) / dwe
+    n4 = ((Fg + Fb) * geom.l / 2 - Fs * a) / den4
+    n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
+    n2 = (a * Fs + (geom.b * fric.mu1 - c) * n1) / dwe
     n3 = fric.mu2 * n2 + (fric.mu1 * sin_a + cos_a) * n1
     return n1, n2, n3, n4
-
-
-def normal_forces(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase):
-    """Return the four closed-form contact normals (kN)."""
-    sol = braking_force(geom, fric, load)
-    return sol.N1, sol.N2, sol.N3, sol.N4
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh.
     Raises SingularDenominator, before any division, at a singular denominator."""
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
-    den1, den4, dwe = _denominators(sin_a, cos_a, geom, fric)
+    den1, den4, dwe = _denominators(sin_a, cos_a, geom.c, geom, fric)
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
     if abs(den1) <= SINGULAR_TOL:
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
-    n1, n2, n3, n4 = _normals(sin_a, cos_a, load.Fs, geom, fric, load.Fg, load.Fb, den1, den4, dwe)
+    n1, n2, n3, n4 = _normals(sin_a, cos_a, load.Fs, geom.a, geom.c, geom, fric,
+                              load.Fg, load.Fb, den1, den4, dwe)
     t1 = fric.mu1 * n1
     t2 = fric.mu2 * n2
     t3 = (geom.f / geom.R) * n3
@@ -237,20 +235,24 @@ def trig_arrays(alpha_rad):
     return sin_a, cos_a
 
 
-def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs):
-    """Vectorized closed form over sample arrays of cam angle and spring force.
+def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
+    """Vectorized closed form over sample arrays of cam angle and spring force
+    and of the design lengths ``a`` and ``c`` (default ``geom.a``, ``geom.c``),
+    all broadcast together.
 
     Returns ``(fh, valid, ok)``.  ``ok[i]`` is False where a denominator is
-    singular for that sample; such entries carry ``fh = nan`` and
+    singular for that entry; such entries carry ``fh = nan`` and
     ``valid = False`` instead of aborting the batch.
     """
     sin_a = np.asarray(sin_a, dtype=float)
     cos_a = np.asarray(cos_a, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
-    den1, den4, dwe = _denominators(sin_a, cos_a, geom, fric)
+    a = geom.a if a is None else a
+    c = geom.c if c is None else c
+    den1, den4, dwe = _denominators(sin_a, cos_a, c, geom, fric)
     ok = (np.abs(den1) > SINGULAR_TOL) & (abs(den4) > SINGULAR_TOL)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n1, n2, n3, n4 = _normals(sin_a, cos_a, Fs, geom, fric, Fg, Fb, den1, den4, dwe)
+        n1, n2, n3, n4 = _normals(sin_a, cos_a, Fs, a, c, geom, fric, Fg, Fb, den1, den4, dwe)
         fh = fric.mu1 * n1 + fric.mu2 * n2 + (geom.f / geom.R) * n3 + fric.mu4 * n4
         fh = np.where(ok, fh, np.nan)
         valid = ok & (n1 >= 0) & (n2 >= 0) & (n3 >= 0) & (n4 >= 0)

@@ -15,7 +15,8 @@ gradients, run in box-normalized coordinates.  Every optimization is
 cross-checked against a dense grid scan whose best (feasible) cell is
 returned as a certificate; the reported optimum always dominates it.
 Ascent, certificate and contour maps share one convention: a design's value
-is a float, and a non-finite value means rejected or not evaluable.
+is a float, and a non-finite value means rejected or not evaluable.  Designs
+are evaluated one lattice row at a time, ``row_at(a, c_values) -> values``.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mc_uq, mechmodel
-from .errors import (
-    AllStartsFailed,
-    DegenerateEnsemble,
-    NoFeasiblePoint,
-    SingularDenominator,
-    ValidationError,
-)
+from .errors import AllStartsFailed, DegenerateEnsemble, NoFeasiblePoint, ValidationError
 
 GRID_KINDS = ("classical", "robust", "constraint")
+_STARTS = np.linspace(0.0, 1.0, 5)  # ascent starts per axis of the unit square
 
 
 @dataclass(frozen=True)
@@ -55,6 +51,8 @@ class DesignBox:
         bounds = (self.a_min, self.a_max, self.c_min, self.c_max)
         if not all(math.isfinite(v) for v in bounds):
             raise ValidationError("design box bounds must be finite", bounds)
+        if not (self.a_min > 0 and self.c_min > 0):
+            raise ValidationError("design box lower bounds must be > 0 mm", bounds)
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
@@ -127,40 +125,45 @@ class GridScan:
     values: np.ndarray  # shape (len(a_values), len(c_values)), nan = failed cell
 
 
-def _geometry_at(setup: ModelSetup, s: DesignPoint) -> mechmodel.BrakeGeometry:
-    return dataclasses.replace(setup.geom, a=s.a, c=s.c)
-
-
 def _nominal_load(setup: ModelSetup) -> mechmodel.LoadCase:
     return mechmodel.LoadCase.from_degrees(
         setup.Fg, setup.Fb, setup.fs_nominal_kn, setup.alpha_nominal_deg)
 
 
 def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
-    """Braking force (kN) at the nominal loads with a, c overridden by s."""
-    return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, _nominal_load(setup)).Fh
+    """Braking force (kN) at the nominal loads with a, c overridden by s (scalar route)."""
+    geom = dataclasses.replace(setup.geom, a=s.a, c=s.c)
+    return mechmodel.braking_force(geom, setup.fric, _nominal_load(setup)).Fh
 
 
-def _classical_value(setup: ModelSetup):
-    """Value function of the classical problem: :func:`classical_objective`,
-    nan where a denominator is singular; the load case is built once."""
+def _classical_row(setup: ModelSetup):
+    """Row function of the classical problem: :func:`classical_objective`
+    as one kernel call per row, nan where a denominator is singular."""
     load = _nominal_load(setup)
+    sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
 
-    def value_at(s: DesignPoint) -> float:
-        try:
-            return mechmodel.braking_force(_geometry_at(setup, s), setup.fric, load).Fh
-        except SingularDenominator:
-            return math.nan
-    return value_at
+    def row_at(a: float, c_values: np.ndarray) -> np.ndarray:
+        fh, _, _ = mechmodel.braking_force_ensemble(
+            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, load.Fs, a=a, c=c_values)
+        return fh
+    return row_at
 
 
-def _ensemble_fh(setup: ModelSetup, crn, s: DesignPoint) -> np.ndarray:
+def _ensemble_fh(setup: ModelSetup, crn, a: float, c: float) -> np.ndarray:
     """Braking force over the common-random-numbers ensemble ``crn`` (the
-    tuple returned by :func:`mc_uq.sample_inputs`) at design s."""
+    tuple returned by :func:`mc_uq.sample_inputs`) at design (a, c)."""
     _, fs, sin_a, cos_a = crn
     fh, _, _ = mechmodel.braking_force_ensemble(
-        _geometry_at(setup, s), setup.fric, setup.Fg, setup.Fb, sin_a, cos_a, fs)
+        setup.geom, setup.fric, setup.Fg, setup.Fb, sin_a, cos_a, fs, a=a, c=c)
     return fh
+
+
+def _per_cell_row(setup: ModelSetup, crn, value_of):
+    """Row function that makes one ensemble call per design and maps its
+    braking forces to a value with ``value_of(fh)``."""
+    def row_at(a: float, c_values: np.ndarray) -> np.ndarray:
+        return np.array([value_of(_ensemble_fh(setup, crn, a, c)) for c in c_values])
+    return row_at
 
 
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
@@ -206,7 +209,7 @@ def robust_objective(
     :func:`optimize_robust`; this entry transforms the uniforms on each call.
     """
     crn = mc_uq.sample_inputs(input_model, uniforms)
-    return _robust_value(weights, _ensemble_fh(setup, crn, s))
+    return _robust_value(weights, _ensemble_fh(setup, crn, s.a, s.c))
 
 
 def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: float = 1e-8,
@@ -257,17 +260,16 @@ def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: fl
     return u, fx
 
 
-def _lattice(box: DesignBox, nx: int, ny: int, value_at):
-    """(a_values, c_values, values): ``value_at`` on the row-major nx x ny
-    lattice spanning the box, written into one preallocated array."""
+def _lattice(box: DesignBox, nx: int, ny: int, row_at):
+    """(a_values, c_values, values): ``row_at`` row by row on the row-major
+    nx x ny lattice spanning the box, written into one preallocated array."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
     a_values = np.linspace(box.a_min, box.a_max, nx)
     c_values = np.linspace(box.c_min, box.c_max, ny)
     values = np.empty((nx, ny))
     for i, a in enumerate(a_values):
-        for j, c in enumerate(c_values):
-            values[i, j] = value_at(DesignPoint(a=float(a), c=float(c)))
+        values[i] = row_at(float(a), c_values)
     return a_values, c_values, values
 
 
@@ -302,7 +304,7 @@ def grid_scan(
     if kind not in GRID_KINDS:
         raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
     if kind == "classical":
-        return GridScan(kind, *_lattice(box, nx, ny, _classical_value(setup)))
+        return GridScan(kind, *_lattice(box, nx, ny, _classical_row(setup)))
 
     if input_model is None:
         raise ValidationError("robust/constraint grid scan needs an input model", kind)
@@ -310,36 +312,35 @@ def grid_scan(
     weights = weights if weights is not None else RobustWeights()
     cspec = cspec if cspec is not None else ConstraintSpec()
 
-    def value_at(s: DesignPoint) -> float:
-        fh = _ensemble_fh(setup, crn, s)
+    def value_of(fh: np.ndarray) -> float:
         if kind == "constraint":
             return _constraint_value(cspec, fh)
         return _robust_or_nan(weights, fh)
-    return GridScan(kind, *_lattice(box, nx, ny, value_at))
+    return GridScan(kind, *_lattice(box, nx, ny, _per_cell_row(setup, crn, value_of)))
 
 
-def _optimize(box: DesignBox, value_at, grid: tuple[int, int], starts: int):
-    """Ascents from a starts x starts lattice on the unit square (the first
-    start wins ties) and the dense-grid certificate of ``value_at``.
+def _optimize(box: DesignBox, row_at, grid: tuple[int, int]):
+    """Ascents from the _STARTS x _STARTS lattice on the unit square, each point
+    a row of one (the first start wins ties), and the certificate of ``row_at``.
 
     Returns (best, cert, evaluations): the (point, value) of the best ascent
     and of the best grid cell, each None if every candidate is rejected, and
-    the number of ``value_at`` calls.
+    the number of designs evaluated.
     """
     evaluations = 0
 
-    def counted(s: DesignPoint) -> float:
+    def counted(a: float, c_values: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
-        return value_at(s)
+        evaluations += len(c_values)
+        return row_at(a, c_values)
 
     def evaluate(ua, uc):
-        return counted(box.unmap(ua, uc))
+        s = box.unmap(ua, uc)
+        return float(counted(s.a, np.array([s.c]))[0])
 
     best = None
-    pts = np.linspace(0.0, 1.0, starts)
-    for ua in pts:
-        for uc in pts:
+    for ua in _STARTS:
+        for uc in _STARTS:
             res = _ascend(evaluate, (ua, uc))
             if res is not None and (best is None or res[1] > best[1]):
                 best = box.unmap(*res[0]), res[1]
@@ -359,16 +360,15 @@ def optimize_classical(
     box: DesignBox,
     setup: ModelSetup,
     grid: tuple[int, int] = (101, 51),
-    starts: int = 5,
 ) -> OptimizationResult:
     """Maximize the nominal braking force over the box.
 
-    Multi-start projected ascent from a starts x starts lattice, then the
+    Multi-start projected ascent from a 5 x 5 lattice, then the
     result is checked against (and never undercuts) a dense grid certificate.
     Raises AllStartsFailed when every start is singular; with no finite grid
     cell the ascent is its own certificate.
     """
-    best, cert, evaluations = _optimize(box, _classical_value(setup), grid, starts)
+    best, cert, evaluations = _optimize(box, _classical_row(setup), grid)
     if best is None:
         raise AllStartsFailed("every ascent start hit a singular evaluation")
     return _settle(best, cert or best, evaluations)
@@ -383,7 +383,6 @@ def optimize_robust(
     input_model: maxent.InputModel,
     nu: int = 4096,
     grid: tuple[int, int] = (101, 51),
-    starts: int = 5,
 ) -> OptimizationResult:
     """Maximize the robust objective subject to the chance constraint.
 
@@ -396,17 +395,16 @@ def optimize_robust(
     crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
     threshold = 1.0 - cspec.p_r
 
-    def value_at(s: DesignPoint) -> float:
-        fh = _ensemble_fh(setup, crn, s)
+    def value_of(fh: np.ndarray) -> float:
         if _constraint_value(cspec, fh) < threshold:
             return math.nan
         return _robust_or_nan(weights, fh)
 
-    best, cert, evaluations = _optimize(box, value_at, grid, starts)
+    best, cert, evaluations = _optimize(box, _per_cell_row(setup, crn, value_of), grid)
     if cert is None:
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
             f"P(|Fh| > {cspec.y_star}) >= {threshold}")
     result = _settle(best, cert, evaluations)
-    prob_at_opt = _constraint_value(cspec, _ensemble_fh(setup, crn, result.s_opt))
-    return dataclasses.replace(result, constraint_prob=prob_at_opt)
+    fh_opt = _ensemble_fh(setup, crn, result.s_opt.a, result.s_opt.c)
+    return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt))

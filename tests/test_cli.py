@@ -223,6 +223,8 @@ def test_unusable_output_dir_fails_before_any_model_work(tmp_path, capsys, monke
     ("design.beta4", RobustWeights, "beta4", math.nan),
     ("design.a_max_mm", DesignBox, "a_max", math.inf),
     ("design.c_min_mm", DesignBox, "c_min", -math.inf),
+    ("design.a_min_mm", DesignBox, "a_min", 0.0),
+    ("design.c_min_mm", DesignBox, "c_min", -1.0),
     ("design.y_star_kN", ConstraintSpec, "y_star", math.nan),
     ("design.y_star_kN", ConstraintSpec, "y_star", math.inf),
 ])
@@ -230,7 +232,7 @@ def test_non_finite_design_inputs_are_rejected_where_built(tmp_path, capsys, key
                                                            value):
     with pytest.raises(ValidationError):
         cls(**{field: value})
-    spelling = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}[repr(value)]
+    spelling = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(repr(value), repr(value))
     doc, n = re.subn(rf"^{re.escape(key)}: .*$", f"{key}: {spelling}",
                      config_to_text(default_config()), flags=re.M)
     assert n == 1

@@ -16,7 +16,6 @@ from brakeopt import (
     SingularDenominator,
     ValidationError,
     braking_force,
-    normal_forces,
     solve_equilibrium,
 )
 from brakeopt.mechmodel import braking_force_ensemble, trig_arrays
@@ -80,7 +79,8 @@ def test_zero_loads_give_zero_everything(geom, fric):
 
 def test_spring_force_that_zeroes_n4(geom, fric):
     load = LoadCase(Fg=50.0, Fb=30.0, Fs=FS_ZERO_N4, alpha=math.radians(6.0))
-    n1, n2, n3, n4 = normal_forces(geom, fric, load)
+    sol = braking_force(geom, fric, load)
+    n1, n2, n3, n4 = sol.N1, sol.N2, sol.N3, sol.N4
     assert abs(n4) < 1e-12
     assert abs(n3 - n4) < 1e-12
 
@@ -157,7 +157,7 @@ def test_singular_n4_denominator_raises(fric):
     geom = BrakeGeometry(a=55.0, b=16.6, c=52.7, d=34.5, e=60.7, f=0.005,
                          l=62.5, m=12.0, n=17.5, R=29.0)
     with pytest.raises(SingularDenominator) as err:
-        normal_forces(geom, fric, LoadCase(**NOMINAL))
+        braking_force(geom, fric, LoadCase(**NOMINAL))
     assert "n+l" in err.value.name
 
 
@@ -168,7 +168,7 @@ def test_singular_n1_denominator_raises(fric):
     geom = BrakeGeometry(a=55.0, b=16.6, c=c_sing, d=34.5, e=60.7, f=0.005,
                          l=49.0, m=40.0, n=17.5, R=29.0)
     with pytest.raises(SingularDenominator) as err:
-        normal_forces(geom, fric, LoadCase(Fg=50.0, Fb=30.0, Fs=42.0, alpha=0.0))
+        braking_force(geom, fric, LoadCase(Fg=50.0, Fb=30.0, Fs=42.0, alpha=0.0))
     assert "cos(alpha)" in err.value.name
 
 

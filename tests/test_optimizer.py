@@ -226,7 +226,8 @@ def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
     ens = propagate(input_model, uniforms, cfg.geometry, cfg.friction,
                     cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     shipped = DesignPoint(a=cfg.geometry.a, c=cfg.geometry.c)
-    fh = optimizer._ensemble_fh(setup, mc_uq.sample_inputs(input_model, uniforms), shipped)
+    fh = optimizer._ensemble_fh(setup, mc_uq.sample_inputs(input_model, uniforms),
+                                 shipped.a, shipped.c)
     assert fh.tobytes() == ens.outputs.tobytes()
     weights = cfg.design.weights
     assert robust_objective(shipped, weights, uniforms, input_model, setup) \

@@ -108,13 +108,13 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
         model, uniforms, cfg.geometry, cfg.friction,
         cfg.loads.Fg_kN, cfg.loads.Fb_kN,
         freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs)
+    # summarized before the first write, so a failing run leaves no artifact
+    finite = ens.outputs[np.isfinite(ens.outputs)]
+    stats = mc_uq.summarize(finite)
 
     _write_csv(out / "ensemble.csv", cfg, seed,
                ["index", "alpha_deg", "fs_kN", "fh_kN", "valid"],
                [range(ens.nu), ens.inputs[:, 0], ens.inputs[:, 1], ens.outputs, ens.valid])
-
-    finite = ens.outputs[np.isfinite(ens.outputs)]
-    stats = mc_uq.summarize(finite)
     _write_json(out / "stats.json", cfg, seed, {
         "nu": ens.nu,
         "evaluated": int(finite.size),
@@ -165,11 +165,17 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
     return payload
 
 
-def _write_contour(cfg, seed, scan: optimizer.GridScan, out: Path) -> Path:
+def _write_contour(cfg, kind: str, setup: optimizer.ModelSetup, model, out: Path) -> Path:
+    """Scan the ``kind`` map on the config's grid and write it as CSV;
+    ``model`` is the input model (None for the classical map)."""
+    scan = optimizer.grid_scan(
+        cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, kind, setup,
+        input_model=model, weights=cfg.design.weights,
+        cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
     value_col = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
     a, c = scan.a_values, scan.c_values
-    path = out / f"contour_{scan.kind}.csv"
-    _write_csv(path, cfg, seed, ["a_mm", "c_mm", value_col[scan.kind]],
+    path = out / f"contour_{kind}.csv"
+    _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", value_col[kind]],
                [np.repeat(a, len(c)), np.tile(c, len(a)), scan.values.ravel()])
     return path
 
@@ -190,18 +196,13 @@ def cmd_opt_robust(cfg) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg)
-    grid = (cfg.output.grid_nx, cfg.output.grid_ny)
     result = optimizer.optimize_robust(
         cfg.design.box, cfg.design.weights, cfg.design.constraint,
-        cfg.mc.seed, setup, model, nu=cfg.mc.nu, grid=grid)
+        cfg.mc.seed, setup, model, nu=cfg.mc.nu, grid=(cfg.output.grid_nx, cfg.output.grid_ny))
     _write_json(out / "optimum.json", cfg, cfg.mc.seed,
                 {"command": "opt-robust", **_optimum_payload(result, "weighted")})
     for kind in ("robust", "constraint"):
-        scan = optimizer.grid_scan(
-            cfg.design.box, grid[0], grid[1], kind, setup,
-            input_model=model, weights=cfg.design.weights,
-            cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
-        _write_contour(cfg, cfg.mc.seed, scan, out)
+        _write_contour(cfg, kind, setup, model, out)
     print(f"opt-robust: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
           f"objective={result.objective:.6g} feasible={result.feasible} -> {out}")
     return 0
@@ -211,11 +212,7 @@ def cmd_contour(cfg, kind: str) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg) if kind != "classical" else None
-    scan = optimizer.grid_scan(
-        cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, kind, setup,
-        input_model=model, weights=cfg.design.weights,
-        cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
-    path = _write_contour(cfg, cfg.mc.seed, scan, out)
+    path = _write_contour(cfg, kind, setup, model, out)
     print(f"contour: kind={kind} grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
     return 0
 

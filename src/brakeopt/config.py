@@ -313,11 +313,7 @@ def input_model_from(cfg: Config) -> maxent.InputModel:
 
 
 def setup_from(cfg: Config) -> optimizer.ModelSetup:
-    return optimizer.ModelSetup(
-        geom=cfg.geometry, fric=cfg.friction,
-        Fg=cfg.loads.Fg_kN, Fb=cfg.loads.Fb_kN,
-        alpha_nominal_deg=cfg.random.alpha_mean_deg,
-        fs_nominal_kn=cfg.random.fs_mean_kN)
+    return optimizer.ModelSetup(geom=cfg.geometry, fric=cfg.friction, nominal=nominal_load(cfg))
 
 
 def nominal_load(cfg: Config) -> mechmodel.LoadCase:

@@ -177,11 +177,8 @@ def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
     return min(max(x, dist.lo), dist.hi)
 
 
-def build_input_model(
-    alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
-    fs_lo=0.0, fs_hi=56.0, fs_mean=42.0,
-) -> InputModel:
-    """Fit both marginals; defaults are the shipped operating assumptions."""
+def build_input_model(alpha_lo, alpha_hi, alpha_mean, fs_lo, fs_hi, fs_mean) -> InputModel:
+    """Fit both marginals: the cam angle (deg) and the spring force (kN)."""
     return InputModel(
         alpha_dist=fit_truncexp(alpha_lo, alpha_hi, alpha_mean),
         fs_dist=fit_truncexp(fs_lo, fs_hi, fs_mean),

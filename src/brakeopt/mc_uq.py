@@ -89,8 +89,13 @@ def sample_inputs(
     angle (deg), the spring force (kN) and the sine and cosine of the angle.
     ``freeze_alpha_deg`` / ``freeze_fs_kn`` replace one input by a constant
     (the other keeps consuming its own uniform column, so its samples are
-    unchanged against the unfrozen run).
+    unchanged against the unfrozen run).  A frozen value must lie in the
+    domain of :class:`mechmodel.LoadCase`: alpha in [0, 90) deg, Fs >= 0 kN.
     """
+    if freeze_alpha_deg is not None and not 0.0 <= freeze_alpha_deg < 90.0:
+        raise ValidationError("frozen cam angle must lie in [0, 90) deg", freeze_alpha_deg)
+    if freeze_fs_kn is not None and not (math.isfinite(freeze_fs_kn) and freeze_fs_kn >= 0.0):
+        raise ValidationError("frozen spring force must be finite and >= 0 kN", freeze_fs_kn)
     u = uniforms.values
     if freeze_alpha_deg is None:
         alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v) for v in u[:, 0]])
@@ -162,7 +167,7 @@ def sturges_bins(n: int) -> int:
     return int(math.ceil(math.log2(n))) + 1
 
 
-def summarize(samples, grid_size: int = 256) -> SummaryStats:
+def summarize(samples) -> SummaryStats:
     """Mean, unbiased std, range, empirical 95% band, histogram and KDE.
 
     The 95% interval is the empirical 2.5%/97.5% quantile pair (linear
@@ -180,7 +185,7 @@ def summarize(samples, grid_size: int = 256) -> SummaryStats:
     lo_q, hi_q = (float(v) for v in np.quantile(x, [0.025, 0.975]))
     counts, edges = np.histogram(x, bins=sturges_bins(x.size))
     if std > 0.0:
-        grid, density = kde(x, grid_size)
+        grid, density = kde(x)
     else:
         grid, density = None, None
     return SummaryStats(

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mc_uq, mechmodel
-from .errors import AllStartsFailed, DegenerateEnsemble, NoFeasiblePoint, ValidationError
+from .errors import (
+    AllStartsFailed, DegenerateEnsemble, InsufficientSamples, NoFeasiblePoint, ValidationError)
 
 GRID_KINDS = ("classical", "robust", "constraint")
 _STARTS = np.linspace(0.0, 1.0, 5)  # ascent starts per axis of the unit square
+# ascent steps and the FD stencil are fractions of the box width
+_MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = 200, 0.25, 1e-8, 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,6 @@ class DesignBox:
             raise ValidationError("design box lower bounds must be > 0 mm", bounds)
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
-
-    def contains(self, s: DesignPoint) -> bool:
-        return self.a_min <= s.a <= self.a_max and self.c_min <= s.c <= self.c_max
 
     def unmap(self, ua: float, uc: float) -> DesignPoint:
         """Map unit-square coordinates to a design point."""
@@ -100,10 +100,7 @@ class ModelSetup:
 
     geom: mechmodel.BrakeGeometry
     fric: mechmodel.FrictionSet
-    Fg: float
-    Fb: float
-    alpha_nominal_deg: float
-    fs_nominal_kn: float
+    nominal: mechmodel.LoadCase
 
 
 @dataclass(frozen=True)
@@ -125,21 +122,16 @@ class GridScan:
     values: np.ndarray  # shape (len(a_values), len(c_values)), nan = failed cell
 
 
-def _nominal_load(setup: ModelSetup) -> mechmodel.LoadCase:
-    return mechmodel.LoadCase.from_degrees(
-        setup.Fg, setup.Fb, setup.fs_nominal_kn, setup.alpha_nominal_deg)
-
-
 def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
     """Braking force (kN) at the nominal loads with a, c overridden by s (scalar route)."""
     geom = dataclasses.replace(setup.geom, a=s.a, c=s.c)
-    return mechmodel.braking_force(geom, setup.fric, _nominal_load(setup)).Fh
+    return mechmodel.braking_force(geom, setup.fric, setup.nominal).Fh
 
 
 def _classical_row(setup: ModelSetup):
     """Row function of the classical problem: :func:`classical_objective`
     as one kernel call per row, nan where a denominator is singular."""
-    load = _nominal_load(setup)
+    load = setup.nominal
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
 
     def row_at(a: float, c_values: np.ndarray) -> np.ndarray:
@@ -154,7 +146,7 @@ def _ensemble_fh(setup: ModelSetup, crn, a: float, c: float) -> np.ndarray:
     tuple returned by :func:`mc_uq.sample_inputs`) at design (a, c)."""
     _, fs, sin_a, cos_a = crn
     fh, _, _ = mechmodel.braking_force_ensemble(
-        setup.geom, setup.fric, setup.Fg, setup.Fb, sin_a, cos_a, fs, a=a, c=c)
+        setup.geom, setup.fric, setup.nominal.Fg, setup.nominal.Fb, sin_a, cos_a, fs, a=a, c=c)
     return fh
 
 
@@ -168,7 +160,9 @@ def _per_cell_row(setup: ModelSetup, crn, value_of):
 
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     """beta1*min + beta2*max + beta3*mean + beta4/std over the sample; nan if
-    any sample failed to evaluate."""
+    any sample failed to evaluate.  The std term needs two samples."""
+    if weights.beta4 > 0.0 and fh.shape[0] < 2:
+        raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {fh.shape[0]}")
     if not np.all(np.isfinite(fh)):
         return float("nan")
     value = (weights.beta1 * float(np.min(fh))
@@ -212,32 +206,30 @@ def robust_objective(
     return _robust_value(weights, _ensemble_fh(setup, crn, s.a, s.c))
 
 
-def _ascend(evaluate, u0, max_iter: int = 200, step0: float = 0.25, step_min: float = 1e-8,
-            fd_step: float = 1e-4):
+def _ascend(evaluate, u0):
     """Projected finite-difference ascent on the unit square.
 
     ``evaluate(ua, uc)`` returns the objective; a non-finite value marks a
-    rejected or failed point.  Steps and the FD stencil are fractions of the
-    box width; the search stops when the step underflows ``step_min`` or
-    after ``max_iter`` iterations.  Returns (u, value) or None if even the
-    start is rejected.
+    rejected or failed point.  The search stops when the step underflows
+    ``_STEP_MIN`` or after ``_MAX_ITER`` iterations.  Returns (u, value) or
+    None if even the start is rejected.
     """
     u = np.array(u0, dtype=float)
     fx = evaluate(u[0], u[1])
     if not math.isfinite(fx):
         return None
 
-    step = step0
+    step = _STEP0
     norm = None  # the gradient is kept until a step is accepted
-    for _ in range(max_iter):
-        if step < step_min:
+    for _ in range(_MAX_ITER):
+        if step < _STEP_MIN:
             break
         if norm is None:
             grad = np.zeros(2)
             for ax in range(2):
                 up, um = u.copy(), u.copy()
-                up[ax] = min(up[ax] + fd_step, 1.0)
-                um[ax] = max(um[ax] - fd_step, 0.0)
+                up[ax] = min(up[ax] + _FD_STEP, 1.0)
+                um[ax] = max(um[ax] - _FD_STEP, 0.0)
                 if up[ax] == um[ax]:
                     continue
                 fp = evaluate(up[0], up[1])
@@ -292,25 +284,25 @@ def grid_scan(
     input_model: maxent.InputModel | None = None,
     weights: RobustWeights | None = None,
     cspec: ConstraintSpec | None = None,
-    seed: int = 0,
-    nu: int = 4096,
+    seed: int | None = None,
+    nu: int | None = None,
 ) -> GridScan:
     """Evaluate one of the three maps on a dense row-major lattice.
 
-    kind 'classical' needs only the setup; 'robust' and 'constraint' draw a
-    single uniform matrix from (seed, nu) and reuse it at every cell.
-    Failed cells are recorded as nan, never raised.
+    kind 'classical' needs only the setup.  'robust' and 'constraint' also
+    need the input model, the seed, nu and, in turn, the weights or the
+    constraint spec; they draw a single uniform matrix from (seed, nu) and
+    reuse it at every cell.  Failed cells are recorded as nan, never raised.
     """
     if kind not in GRID_KINDS:
         raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
     if kind == "classical":
         return GridScan(kind, *_lattice(box, nx, ny, _classical_row(setup)))
 
-    if input_model is None:
-        raise ValidationError("robust/constraint grid scan needs an input model", kind)
+    if any(v is None for v in (input_model, seed, nu, weights if kind == "robust" else cspec)):
+        raise ValidationError("a robust (constraint) grid scan needs input_model, seed, nu "
+                              "and weights (cspec)", kind)
     crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
-    weights = weights if weights is not None else RobustWeights()
-    cspec = cspec if cspec is not None else ConstraintSpec()
 
     def value_of(fh: np.ndarray) -> float:
         if kind == "constraint":
@@ -359,7 +351,7 @@ def _settle(best, cert, evaluations: int) -> OptimizationResult:
 def optimize_classical(
     box: DesignBox,
     setup: ModelSetup,
-    grid: tuple[int, int] = (101, 51),
+    grid: tuple[int, int],
 ) -> OptimizationResult:
     """Maximize the nominal braking force over the box.
 
@@ -381,8 +373,8 @@ def optimize_robust(
     seed: int,
     setup: ModelSetup,
     input_model: maxent.InputModel,
-    nu: int = 4096,
-    grid: tuple[int, int] = (101, 51),
+    nu: int,
+    grid: tuple[int, int],
 ) -> OptimizationResult:
     """Maximize the robust objective subject to the chance constraint.
 

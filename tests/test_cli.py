@@ -202,6 +202,23 @@ def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["uq", "--nu", 1], 15),
+    (["uq", "--freeze-alpha", 95], 11),
+    (["uq", "--freeze-alpha", -10], 11),
+    (["uq", "--freeze-alpha", "nan"], 11),
+    (["uq", "--freeze-fs", -5], 11),
+    (["uq", "--freeze-fs", "inf"], 11),
+    (["opt-robust", "--nu", 1, "--grid", "3x2"], 15),
+    (["contour", "--kind", "robust", "--nu", 1, "--grid", "3x2"], 15),
+])
+def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == code
+    assert json.loads(capsys.readouterr().err)["exit_code"] == code
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["uq", "--nu", 8], ["opt-classical"], ["opt-robust"],
                                      ["contour", "--kind", "classical"]])
 def test_unusable_output_dir_fails_before_any_model_work(tmp_path, capsys, monkeypatch, command):

@@ -197,17 +197,21 @@ def test_sampler_kolmogorov_distance_under_critical():
     assert d_stat < 1.6276 / math.sqrt(n)  # 1% critical value
 
 
+SHIPPED_INPUTS = dict(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
+                      fs_lo=0.0, fs_hi=56.0, fs_mean=42.0)
+
+
 def test_build_input_model_default_shapes():
-    model = build_input_model()
+    model = build_input_model(**SHIPPED_INPUTS)
     assert model.alpha_dist.rate > 0  # decaying over [0, 18]
     assert model.fs_dist.rate < 0     # increasing over [0, 56]
 
 
 def test_build_input_model_uniform_and_error_cases():
-    model = build_input_model(fs_mean=28.0)
+    model = build_input_model(**{**SHIPPED_INPUTS, "fs_mean": 28.0})
     assert model.fs_dist.rate == 0.0
     with pytest.raises(MeanOutOfSupport):
-        build_input_model(fs_mean=60.0)
+        build_input_model(**{**SHIPPED_INPUTS, "fs_mean": 60.0})
 
 
 def test_invalid_support_and_uniform_draw():

@@ -114,7 +114,8 @@ def test_standardized_outputs_track_spring_force_when_alpha_frozen(cfg, input_mo
 def test_uniform_spring_force_gives_flat_topped_output(cfg):
     # with the spring-force marginal degenerated to uniform and the angle
     # frozen, the affine response keeps the output density flat
-    model = build_input_model(fs_mean=28.0)
+    model = build_input_model(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
+                              fs_lo=0.0, fs_hi=56.0, fs_mean=28.0)
     ens = propagate(model, draw_uniform_matrix(13, 8192),
                     cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN,
                     freeze_alpha_deg=6.0)

@@ -123,9 +123,9 @@ def classical_maps(draw):
                     c_min=c - k * h, c_max=c + (ny - 1 - k) * h)
     geom = BrakeGeometry(a=draw(lengths), b=b, c=draw(lengths), d=d, e=e,
                          f=R * draw(st.floats(0.01, 0.99)), l=l, m=m, n=n, R=R)
-    setup = ModelSetup(geom=geom, fric=FrictionSet(mu1, mu2, mu4), Fg=draw(lengths),
-                       Fb=draw(lengths), alpha_nominal_deg=alpha_deg,
-                       fs_nominal_kn=draw(st.floats(0.0, 100.0)))
+    nominal = LoadCase.from_degrees(Fg=draw(lengths), Fb=draw(lengths),
+                                    Fs=draw(st.floats(0.0, 100.0)), alpha_deg=alpha_deg)
+    setup = ModelSetup(geom=geom, fric=FrictionSet(mu1, mu2, mu4), nominal=nominal)
     return setup, box, nx, ny
 
 

@@ -12,6 +12,7 @@ from brakeopt import (
     DegenerateEnsemble,
     DesignBox,
     DesignPoint,
+    InsufficientSamples,
     NoFeasiblePoint,
     RobustWeights,
     ValidationError,
@@ -40,7 +41,8 @@ def test_classical_objective_at_shipped_design(setup):
 
 
 def test_classical_objective_zero_loads(setup):
-    dead = dataclasses.replace(setup, Fg=0.0, Fb=0.0, fs_nominal_kn=0.0)
+    dead = dataclasses.replace(
+        setup, nominal=dataclasses.replace(setup.nominal, Fg=0.0, Fb=0.0, Fs=0.0))
     assert classical_objective(DesignPoint(a=55.0, c=52.7), dead) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -200,6 +202,27 @@ def test_grid_scan_rejects_bad_kind_and_resolution(setup):
         grid_scan(DesignBox(), 1, 2, "classical", setup)
 
 
+@pytest.mark.parametrize("kind, kwargs", [
+    ("robust", dict(seed=0, nu=8)),                  # no weights
+    ("constraint", dict(seed=0, nu=8)),              # no constraint spec
+    ("constraint", dict(cspec=ConstraintSpec(), seed=0)),  # no nu
+])
+def test_sampled_scans_take_every_setting_from_the_caller(setup, input_model, kind, kwargs):
+    with pytest.raises(ValidationError):
+        grid_scan(DesignBox(), 2, 2, kind, setup, input_model=input_model, **kwargs)
+
+
+def test_one_sample_ensemble(setup, input_model):
+    one = dict(input_model=input_model, seed=0, nu=1)
+    with pytest.raises(InsufficientSamples):
+        grid_scan(DesignBox(), 2, 2, "robust", setup, weights=RobustWeights(), **one)
+    no_std = RobustWeights(beta1=0.25, beta2=0.25, beta3=0.5, beta4=0.0)
+    assert np.all(np.isfinite(grid_scan(DesignBox(), 2, 2, "robust", setup, weights=no_std,
+                                        **one).values))
+    constraint = grid_scan(DesignBox(), 2, 2, "constraint", setup, cspec=ConstraintSpec(), **one)
+    assert set(constraint.values.ravel()) <= {0.0, 1.0}
+
+
 def test_weights_and_constraint_validation():
     with pytest.raises(ValidationError):
         RobustWeights(beta1=0.5, beta2=0.5, beta3=0.5, beta4=-0.5)
@@ -213,10 +236,8 @@ def test_weights_and_constraint_validation():
         DesignBox(a_min=60.0, a_max=50.0)
 
 
-def test_design_box_membership_and_mapping():
+def test_design_box_unmap():
     box = DesignBox()
-    assert box.contains(DesignPoint(a=55.0, c=52.7))
-    assert not box.contains(DesignPoint(a=61.0, c=52.7))
     corner = box.unmap(1.0, 0.0)
     assert (corner.a, corner.c) == (60.0, 50.0)
 

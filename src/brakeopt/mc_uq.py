@@ -17,6 +17,8 @@ import numpy as np
 from . import maxent, mechmodel
 from .errors import DegenerateSample, InsufficientSamples, ValidationError
 
+_KDE_BINS = 2048  # lattice points of the binned KDE
+
 
 @dataclass(frozen=True)
 class UniformMatrix:
@@ -158,11 +160,6 @@ class SummaryStats:
     kde_density: np.ndarray | None
 
 
-def _sequential_mean(x: np.ndarray) -> float:
-    # left-to-right summation, so the convergence trace terminus matches exactly
-    return float(np.cumsum(x)[-1] / x.size)
-
-
 def sturges_bins(n: int) -> int:
     return int(math.ceil(math.log2(n))) + 1
 
@@ -180,14 +177,12 @@ def summarize(samples) -> SummaryStats:
     if not np.all(np.isfinite(x)):
         raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
 
-    mean = _sequential_mean(x)
+    # left-to-right summation, so the convergence trace terminus matches exactly
+    mean = float(np.cumsum(x)[-1] / x.size)
     std = float(np.std(x, ddof=1))
     lo_q, hi_q = (float(v) for v in np.quantile(x, [0.025, 0.975]))
     counts, edges = np.histogram(x, bins=sturges_bins(x.size))
-    if std > 0.0:
-        grid, density = kde(x)
-    else:
-        grid, density = None, None
+    grid, density = kde(x) if std > 0.0 else (None, None)
     return SummaryStats(
         mean=mean,
         std=std,
@@ -223,11 +218,14 @@ def kde(samples, grid_size: int = 256):
 
     Bandwidth is the normal-reference rule h = 1.06 * std * nu^(-1/5); the
     grid spans [min - 3h, max + 3h] so the curve decays to ~0 at the ends
-    and its trapezoid integral stays within 1e-3 of one.
+    and its trapezoid integral stays within 1e-3 of one.  The kernels sit on
+    the samples linearly binned onto ``_KDE_BINS`` points (Wand, JCGS 1994).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InsufficientSamples(f"need at least 2 samples in a flat array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
     std = float(np.std(x, ddof=1))
     if std == 0.0:
         raise DegenerateSample("all samples identical, bandwidth would be zero")
@@ -235,11 +233,13 @@ def kde(samples, grid_size: int = 256):
         raise ValidationError("kde grid_size must be >= 2", grid_size)
 
     h = 1.06 * std * x.size ** (-0.2)
-    grid = np.linspace(np.min(x) - 3.0 * h, np.max(x) + 3.0 * h, grid_size)
-    density = np.zeros(grid_size)
+    lo, hi = np.min(x), np.max(x)
+    grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, grid_size)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
-    # chunk the sample axis to bound the broadcast buffer
-    for k in range(0, x.size, 8192):
-        dev = (grid[:, None] - x[None, k:k + 8192]) / h
-        density += norm * np.sum(np.exp(-0.5 * dev * dev), axis=1)
-    return grid, density
+    centres, delta = np.linspace(lo, hi, _KDE_BINS, retstep=True)
+    pos = (x - lo) / delta
+    left = np.minimum(pos.astype(np.intp), _KDE_BINS - 2)
+    w = pos - left
+    weights = np.bincount(left, 1.0 - w, _KDE_BINS) + np.bincount(left + 1, w, _KDE_BINS)
+    dev = (grid[:, None] - centres) / h  # a row sum, not BLAS, so the bytes do not depend on its build
+    return grid, norm * np.sum(weights * np.exp(-0.5 * dev * dev), axis=1)

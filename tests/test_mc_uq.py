@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brakeopt import (
     DegenerateSample,
     InsufficientSamples,
     LoadCase,
+    ValidationError,
     braking_force,
     build_input_model,
     convergence_trace,
@@ -203,3 +206,74 @@ def test_kde_degenerate_and_tiny_inputs():
         kde([0.0, 0.0])
     with pytest.raises(InsufficientSamples):
         kde([1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kde_rejects_non_finite_samples(bad):
+    with pytest.raises(ValidationError):
+        kde([0.0, bad, 1.0])
+
+
+def exact_kde(samples, grid_size: int = 256):
+    """Oracle: the exact Gaussian sum over every sample, with no binning."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise InsufficientSamples(f"need at least 2 samples in a flat array, got shape {x.shape}")
+    std = float(np.std(x, ddof=1))
+    if std == 0.0:
+        raise DegenerateSample("all samples identical, bandwidth would be zero")
+    if grid_size < 2:
+        raise ValidationError("kde grid_size must be >= 2", grid_size)
+
+    h = 1.06 * std * x.size ** (-0.2)
+    grid = np.linspace(np.min(x) - 3.0 * h, np.max(x) + 3.0 * h, grid_size)
+    density = np.zeros(grid_size)
+    norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
+    # chunk the sample axis to bound the broadcast buffer
+    for k in range(0, x.size, 8192):
+        dev = (grid[:, None] - x[None, k:k + 8192]) / h
+        density += norm * np.sum(np.exp(-0.5 * dev * dev), axis=1)
+    return grid, density
+
+
+def assert_within_binning_bound(x):
+    """Linear binning replaces each kernel exp(-(g - t)^2 / 2h^2), as a function
+    of the sample t, by its linear interpolant between lattice points; its
+    second derivative is at most 1/h^2 in size, so each density value moves by
+    at most delta^2 / (8 sqrt(2 pi) h^3), plus float slack."""
+    grid, density = kde(x)
+    grid_exact, exact = exact_kde(x)
+    assert np.array_equal(grid, grid_exact)
+    h = 1.06 * np.std(x, ddof=1) * x.size ** (-0.2)
+    delta = (np.max(x) - np.min(x)) / (mc_uq._KDE_BINS - 1)
+    bound = delta ** 2 / (8.0 * math.sqrt(2.0 * math.pi) * h ** 3) + 1e-12 * np.max(exact)
+    assert np.max(np.abs(density - exact)) <= bound
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(nu=st.one_of(st.integers(3, 64), st.integers(3, 20_000)),
+       kind=st.sampled_from(["normal", "exponential", "two-cluster"]),
+       shift=st.floats(-1e4, 1e4), scale=st.floats(0.01, 100.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(nu=3, kind="normal", shift=0.0, scale=1.0, seed=0)
+@example(nu=5, kind="exponential", shift=1e4, scale=1.0, seed=1)
+@example(nu=16, kind="two-cluster", shift=-1e4, scale=0.01, seed=2)
+@example(nu=20_000, kind="two-cluster", shift=0.0, scale=100.0, seed=3)
+def test_binned_kde_stays_within_the_binning_bound(nu, kind, shift, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.standard_normal(nu)
+    elif kind == "exponential":
+        x = rng.exponential(size=nu)
+    else:
+        x = rng.standard_normal(nu) + np.where(rng.random(nu) < 0.5, 0.0, 8.0)
+    assert_within_binning_bound(shift + scale * x)
+
+
+def test_kde_bytes_do_not_depend_on_array_layout(cfg, input_model):
+    x = propagate(input_model, draw_uniform_matrix(0, 65536),
+                  cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN).outputs
+    misaligned = np.concatenate([[0.0], x])[1:]
+    for a, b in zip(kde(x), kde(misaligned)):
+        assert a.tobytes() == b.tobytes()
+    assert_within_binning_bound(x)

@@ -204,6 +204,10 @@ def convergence_trace(samples):
     use plain left-to-right summation).  ``running_std[0]`` is defined as 0.
     """
     x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise InsufficientSamples(f"need at least 1 sample in a flat array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
     k = np.arange(1, x.size + 1, dtype=float)
     cs = np.cumsum(x)
     css = np.cumsum(x * x)

@@ -119,46 +119,52 @@ class EquilibriumSolution:
 
 
 def _denominators(sin_a, cos_a, c, geom: BrakeGeometry, fric: FrictionSet):
-    """``(den1, den4, dwe)``: the two closed-form denominators and the
-    cam-wedge lever d + e*mu2, elementwise over scalars or arrays of sin/cos
-    alpha and of the length c, which stands in for ``geom.c``.  The scalar
-    check and the ensemble mask both read them from here.
+    """``(axial, den1, den4, dwe)``: the cam's axial factor mu1*sin(alpha) +
+    cos(alpha), the two closed-form denominators and the cam-wedge lever
+    d + e*mu2, elementwise over scalars or arrays of sin/cos alpha and of the
+    length c, which stands in for ``geom.c``.  den4 is always a scalar.  The
+    scalar check and the ensemble mask both read them from here.
     """
     dwe = geom.d + geom.e * fric.mu2
-    den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
+    axial = fric.mu1 * sin_a + cos_a
+    den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    return den1, den4, dwe
+    return axial, den1, den4, dwe
 
 
-def _normals(sin_a, cos_a, Fs, a, c, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb,
+def _normals(axial, Fs, a, c, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb,
              den1, den4, dwe):
-    """Closed-form normals, elementwise over scalars or broadcastable arrays;
-    the lengths a and c stand in for ``geom.a`` and ``geom.c``.
+    """Closed-form normals and the wedge friction T2 = mu2*N2, elementwise
+    over scalars or broadcastable arrays; the lengths a and c stand in for
+    ``geom.a`` and ``geom.c``.
 
     Evaluation order N4 -> N1 -> N2 -> N3, dividing by the values of
     :func:`_denominators`; the caller handles singular ones.  One code path
     for the scalar and the ensemble route keeps them bitwise identical.
     """
-    n4 = ((Fg + Fb) * geom.l / 2 - Fs * a) / den4
+    fsa = Fs * a
+    n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
     n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
-    n2 = (a * Fs + (geom.b * fric.mu1 - c) * n1) / dwe
-    n3 = fric.mu2 * n2 + (fric.mu1 * sin_a + cos_a) * n1
-    return n1, n2, n3, n4
+    n2 = (fsa + (geom.b * fric.mu1 - c) * n1) / dwe
+    del fsa
+    t2 = fric.mu2 * n2
+    n3 = axial * n1
+    n3 += t2  # = T2 + axial*N1: addition commutes, and in place spares a temporary
+    return n1, n2, n3, n4, t2
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh.
     Raises SingularDenominator, before any division, at a singular denominator."""
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
-    den1, den4, dwe = _denominators(sin_a, cos_a, geom.c, geom, fric)
+    axial, den1, den4, dwe = _denominators(sin_a, cos_a, geom.c, geom, fric)
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
     if abs(den1) <= SINGULAR_TOL:
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
-    n1, n2, n3, n4 = _normals(sin_a, cos_a, load.Fs, geom.a, geom.c, geom, fric,
-                              load.Fg, load.Fb, den1, den4, dwe)
+    n1, n2, n3, n4, t2 = _normals(axial, load.Fs, geom.a, geom.c, geom, fric,
+                                  load.Fg, load.Fb, den1, den4, dwe)
     t1 = fric.mu1 * n1
-    t2 = fric.mu2 * n2
     t3 = (geom.f / geom.R) * n3
     t4 = fric.mu4 * n4
     return EquilibriumSolution(
@@ -249,11 +255,21 @@ def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=No
     Fs = np.asarray(Fs, dtype=float)
     a = geom.a if a is None else a
     c = geom.c if c is None else c
-    den1, den4, dwe = _denominators(sin_a, cos_a, c, geom, fric)
-    ok = (np.abs(den1) > SINGULAR_TOL) & (abs(den4) > SINGULAR_TOL)
+    axial, den1, den4, dwe = _denominators(sin_a, cos_a, c, geom, fric)
+    ok = np.abs(den1) > SINGULAR_TOL
+    if abs(den4) <= SINGULAR_TOL:  # den4 is one number: every entry fails
+        ok = ok & False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n1, n2, n3, n4 = _normals(sin_a, cos_a, Fs, a, c, geom, fric, Fg, Fb, den1, den4, dwe)
-        fh = fric.mu1 * n1 + fric.mu2 * n2 + (geom.f / geom.R) * n3 + fric.mu4 * n4
-        fh = np.where(ok, fh, np.nan)
-        valid = ok & (n1 >= 0) & (n2 >= 0) & (n3 >= 0) & (n4 >= 0)
+        n1, n2, n3, n4, t2 = _normals(axial, Fs, a, c, geom, fric, Fg, Fb, den1, den4, dwe)
+        # Fh = T1 + T2 + T3 + T4 summed in place, left to right; the
+        # temporaries go first, which keeps the peak memory of large runs down
+        del den1, axial
+        fh = fric.mu1 * n1
+        fh += t2
+        del t2
+        fh += (geom.f / geom.R) * n3
+        fh += fric.mu4 * n4
+        if not ok.all():
+            fh = np.where(ok, fh, np.nan)
+        valid = ok & (np.minimum(np.minimum(np.minimum(n1, n2), n3), n4) >= 0)
     return fh, valid, ok

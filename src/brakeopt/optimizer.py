@@ -158,18 +158,36 @@ def _per_cell_row(setup: ModelSetup, crn, value_of):
     return row_at
 
 
+def _extremes(fh: np.ndarray) -> tuple[float, float]:
+    """``np.min`` and ``np.max`` of the sample, bit for bit.  Both
+    reductions propagate nan and an infinity lands in one of them, so they
+    are finite exactly when every sample is."""
+    return float(np.minimum.reduce(fh)), float(np.maximum.reduce(fh))
+
+
+def _mean_std(fh: np.ndarray, with_std: bool) -> tuple[float, float | None]:
+    """``np.mean`` and, if asked, ``np.std(ddof=1)`` of the sample, bit for
+    bit: numpy's own two-pass algorithm, with the sum taken once."""
+    n = fh.shape[0]
+    mean = np.add.reduce(fh) / n
+    if not with_std:
+        return float(mean), None
+    dev = fh - mean
+    dev *= dev
+    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)))
+
+
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     """beta1*min + beta2*max + beta3*mean + beta4/std over the sample; nan if
     any sample failed to evaluate.  The std term needs two samples."""
     if weights.beta4 > 0.0 and fh.shape[0] < 2:
         raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {fh.shape[0]}")
-    if not np.all(np.isfinite(fh)):
+    lo, hi = _extremes(fh)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return float("nan")
-    value = (weights.beta1 * float(np.min(fh))
-             + weights.beta2 * float(np.max(fh))
-             + weights.beta3 * float(np.mean(fh)))
-    if weights.beta4 > 0.0:
-        std = float(np.std(fh, ddof=1))
+    mean, std = _mean_std(fh, weights.beta4 > 0.0)
+    value = weights.beta1 * lo + weights.beta2 * hi + weights.beta3 * mean
+    if std is not None:
         if std == 0.0:
             raise DegenerateEnsemble("ensemble std is zero while beta4 > 0")
         value += weights.beta4 / std

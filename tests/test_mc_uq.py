@@ -168,6 +168,18 @@ def test_trace_small_sample():
     assert running_std[2] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_samples(bad):
+    with pytest.raises(ValidationError):
+        convergence_trace([0.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (0,)])
+def test_trace_needs_a_non_empty_flat_sample(shape):
+    with pytest.raises(InsufficientSamples):
+        convergence_trace(np.ones(shape))
+
+
 def test_trace_constant_sample_is_flat():
     running_mean, running_std = convergence_trace([7.25] * 512)
     assert np.all(running_mean == 7.25)

@@ -7,6 +7,8 @@ everywhere else, bit for bit.  Both must agree with the independent 6x6
 solve to within a tolerance scaled by how ill-conditioned the closed-form
 denominators are.  The same holds for a classical design map, which passes
 the design lengths to the ensemble route one lattice row at a time.
+Finally, the ensemble route must keep the bits of its first, plain
+spelling, which is kept below as the oracle, in every call shape it takes.
 """
 
 import math
@@ -143,3 +145,100 @@ def test_classical_map_cells_equal_the_scalar_route(case):
                 assert math.isnan(scan.values[i, j])
                 continue
             assert scan.values[i, j:j + 1].tobytes() == np.array([ref]).tobytes()
+
+
+def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
+    """Oracle: the ensemble kernel as first written, one expression per
+    normal and no shared terms; the kernel must return its bits."""
+    sin_a = np.asarray(sin_a, dtype=float)
+    cos_a = np.asarray(cos_a, dtype=float)
+    Fs = np.asarray(Fs, dtype=float)
+    a = geom.a if a is None else a
+    c = geom.c if c is None else c
+    dwe = geom.d + geom.e * fric.mu2
+    den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
+    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    ok = (np.abs(den1) > SINGULAR_TOL) & (abs(den4) > SINGULAR_TOL)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n4 = ((Fg + Fb) * geom.l / 2 - Fs * a) / den4
+        n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
+        n2 = (a * Fs + (geom.b * fric.mu1 - c) * n1) / dwe
+        n3 = fric.mu2 * n2 + (fric.mu1 * sin_a + cos_a) * n1
+        fh = fric.mu1 * n1 + fric.mu2 * n2 + (geom.f / geom.R) * n3 + fric.mu4 * n4
+        fh = np.where(ok, fh, np.nan)
+        valid = ok & (n1 >= 0) & (n2 >= 0) & (n3 >= 0) & (n4 >= 0)
+    return fh, valid, ok
+
+
+KERNEL_SHAPES = ("batch of one", "classical row", "samples")
+
+
+@st.composite
+def kernel_calls(draw):
+    """(geom, fric, Fg, Fb, sin_a, cos_a, Fs, design) for one call shape:
+    0-d angle, force and c (a batch of one); a scalar angle and force with a
+    row of c that holds the plant's own, possibly near-singular, c (a
+    classical row); or (n,) samples with a scalar c.  ``design`` holds the
+    design lengths a and c passed to the kernel, if any."""
+    geom, fric, Fg, Fb, alphas, forces = draw(brake_cases())
+    shape = draw(st.sampled_from(KERNEL_SHAPES))
+    design = {}
+    if draw(st.booleans()):
+        design["a"] = draw(lengths)
+    if shape == "samples":
+        sin_a, cos_a = trig_arrays(alphas)
+        if draw(st.booleans()):
+            design["c"] = draw(lengths)
+        return geom, fric, Fg, Fb, sin_a, cos_a, np.array(forces), design
+    sin_a, cos_a = np.array(math.sin(alphas[0])), np.array(math.cos(alphas[0]))
+    if shape == "classical row":
+        others = draw(st.lists(lengths, max_size=4))
+        design["c"] = np.array([geom.c, *others, geom.c * (1 + 1e-12)])
+        return geom, fric, Fg, Fb, float(sin_a), float(cos_a), forces[0], design
+    if draw(st.booleans()):
+        design["c"] = draw(lengths)
+    return geom, fric, Fg, Fb, sin_a, cos_a, np.array(forces[0]), design
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kernel_calls())
+def test_kernel_keeps_the_bits_of_the_plain_formula(call):
+    geom, fric, Fg, Fb, sin_a, cos_a, Fs, design = call
+    got = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    for name, x, y in zip(("fh", "valid", "ok"), got, want):
+        assert same_bits(x, y), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(brake_cases())
+def test_scalar_route_is_the_kernel_on_a_batch_of_one(case):
+    geom, fric, Fg, Fb, alphas, forces = case
+    alpha, Fs = alphas[0], forces[0]
+    fh, valid, ok = braking_force_ensemble(
+        geom, fric, Fg, Fb, np.array(math.sin(alpha)), np.array(math.cos(alpha)), np.array(Fs))
+    assert np.shape(fh) == np.shape(valid) == np.shape(ok) == ()
+    try:
+        sol = braking_force(geom, fric, LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha))
+    except SingularDenominator:
+        assert not ok and not valid and math.isnan(fh)
+        return
+    assert ok and same_bits(fh, sol.Fh) and bool(valid) == sol.valid
+
+
+def test_singular_den4_fails_every_entry_in_the_broadcast_shape():
+    fric = FrictionSet(0.1, 0.1, 0.15)
+    geom = BrakeGeometry(a=55.0, b=16.6, c=52.7, d=34.5, e=60.7, f=0.005,
+                         l=49.0, m=0.15 * (17.5 + 49.0), n=17.5, R=29.0)
+    sin_a, cos_a = trig_arrays([0.0, 0.1, 0.2])
+    for args, shape in (((sin_a, cos_a, np.array([40.0, 41.0, 42.0])), (3,)),
+                        ((0.0, 1.0, 40.0), (4,))):
+        design = {"c": np.linspace(50.0, 55.0, 4)} if shape == (4,) else {}
+        fh, valid, ok = braking_force_ensemble(geom, fric, 50.0, 30.0, *args, **design)
+        assert fh.shape == valid.shape == ok.shape == shape
+        assert np.all(np.isnan(fh)) and not valid.any() and not ok.any()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brakeopt import (
     AllStartsFailed,
@@ -334,3 +336,55 @@ def test_ascent_rejects_non_finite_values(bad):
     # increasing in ua, but not evaluable beyond ua = 0.7
     u, value = optimizer._ascend(lambda ua, uc: ua if ua <= 0.7 else bad, (0.5, 0.5))
     assert 0.69 < u[0] <= 0.7 and value == u[0]
+
+
+@st.composite
+def stat_samples(draw):
+    """A sample of 2..10,000 values: random or constant, at magnitudes up to
+    1e300, with at most one nan or infinity injected, and maybe misaligned
+    by one element."""
+    n = draw(st.integers(2, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-300, 1e-3, 1.0, 7.25, 1e150, 1e300)))
+    if draw(st.booleans()):
+        x = np.full(n, scale * draw(st.sampled_from((-1.0, 0.3, 1.0))))
+    else:
+        x = scale * (draw(st.floats(-3.0, 3.0)) + rng.standard_normal(n))
+    bad = draw(st.sampled_from((None, math.nan, math.inf, -math.inf)))
+    if bad is not None:
+        x[draw(st.integers(0, n - 1))] = bad
+    if draw(st.booleans()):
+        x = np.concatenate([[0.0], x])[1:]
+    return x
+
+
+def same_float(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stat_samples())
+def test_one_statistics_pass_has_the_bits_of_numpy(x):
+    with np.errstate(all="ignore"):  # nan, inf and 1e300**2 are part of the domain
+        lo, hi = optimizer._extremes(x)
+        mean, std = optimizer._mean_std(x, True)
+        assert same_float(lo, np.min(x)) and same_float(hi, np.max(x))
+        assert same_float(mean, np.mean(x)) and same_float(std, np.std(x, ddof=1))
+        mean_only, no_std = optimizer._mean_std(x, False)
+        assert same_float(mean_only, mean) and no_std is None
+    finite = bool(np.all(np.isfinite(x)))
+    assert finite == (math.isfinite(lo) and math.isfinite(hi))
+
+    weights = RobustWeights()
+    with np.errstate(over="ignore"):
+        if not finite:
+            assert math.isnan(optimizer._robust_value(weights, x))
+        elif std == 0.0:
+            with pytest.raises(DegenerateEnsemble):
+                optimizer._robust_value(weights, x)
+        else:
+            want = (weights.beta1 * float(np.min(x)) + weights.beta2 * float(np.max(x))
+                    + weights.beta3 * float(np.mean(x)) + weights.beta4 / float(np.std(x, ddof=1)))
+            assert same_float(optimizer._robust_value(weights, x), want)
+    with pytest.raises(InsufficientSamples):
+        optimizer._robust_value(weights, x[:1])

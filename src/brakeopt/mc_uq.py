@@ -98,17 +98,19 @@ def sample_inputs(
         raise ValidationError("frozen cam angle must lie in [0, 90) deg", freeze_alpha_deg)
     if freeze_fs_kn is not None and not (math.isfinite(freeze_fs_kn) and freeze_fs_kn >= 0.0):
         raise ValidationError("frozen spring force must be finite and >= 0 kN", freeze_fs_kn)
+    # per element on Python floats: scalar math on numpy scalars is slower
     u = uniforms.values
     if freeze_alpha_deg is None:
-        alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v) for v in u[:, 0]])
+        alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v)
+                              for v in u[:, 0].tolist()])
     else:
         alpha_deg = np.full(uniforms.nu, float(freeze_alpha_deg))
     if freeze_fs_kn is None:
-        fs = np.array([maxent.sample_inverse_cdf(input_model.fs_dist, v) for v in u[:, 1]])
+        fs = np.array([maxent.sample_inverse_cdf(input_model.fs_dist, v) for v in u[:, 1].tolist()])
     else:
         fs = np.full(uniforms.nu, float(freeze_fs_kn))
 
-    alpha_rad = np.array([math.radians(v) for v in alpha_deg])
+    alpha_rad = np.array([math.radians(v) for v in alpha_deg.tolist()])
     sin_a, cos_a = mechmodel.trig_arrays(alpha_rad)
     return alpha_deg, fs, sin_a, cos_a
 

@@ -236,8 +236,9 @@ def trig_arrays(alpha_rad):
     bitwise identical to the scalar route regardless of array layout,
     chunking or thread count.
     """
-    sin_a = np.array([math.sin(float(v)) for v in np.asarray(alpha_rad).ravel()])
-    cos_a = np.array([math.cos(float(v)) for v in np.asarray(alpha_rad).ravel()])
+    values = np.asarray(alpha_rad, dtype=float).ravel().tolist()
+    sin_a = np.array([math.sin(v) for v in values])
+    cos_a = np.array([math.cos(v) for v in values])
     return sin_a, cos_a
 
 

@@ -16,7 +16,8 @@ cross-checked against a dense grid scan whose best (feasible) cell is
 returned as a certificate; the reported optimum always dominates it.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
-are evaluated one lattice row at a time, ``row_at(a, c_values) -> values``.
+are evaluated in batches, ``values_at(a, c) -> values`` over equal-shape
+arrays: a lattice row, or one round of the lockstep ascents.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class DesignBox:
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
-    def unmap(self, ua: float, uc: float) -> DesignPoint:
-        """Map unit-square coordinates to a design point."""
+    def unmap(self, ua, uc) -> DesignPoint:
+        """Map unit-square coordinates to a design point, elementwise over
+        arrays too."""
         return DesignPoint(
             a=self.a_min + ua * (self.a_max - self.a_min),
             c=self.c_min + uc * (self.c_max - self.c_min),
@@ -128,17 +130,17 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
     return mechmodel.braking_force(geom, setup.fric, setup.nominal).Fh
 
 
-def _classical_row(setup: ModelSetup):
-    """Row function of the classical problem: :func:`classical_objective`
-    as one kernel call per row, nan where a denominator is singular."""
+def _classical_values(setup: ModelSetup):
+    """Design function of the classical problem: :func:`classical_objective`
+    as one kernel call per batch, nan where a denominator is singular."""
     load = setup.nominal
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
 
-    def row_at(a: float, c_values: np.ndarray) -> np.ndarray:
+    def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         fh, _, _ = mechmodel.braking_force_ensemble(
-            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, load.Fs, a=a, c=c_values)
+            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, load.Fs, a=a, c=c)
         return fh
-    return row_at
+    return values_at
 
 
 def _ensemble_fh(setup: ModelSetup, crn, a: float, c: float) -> np.ndarray:
@@ -150,12 +152,13 @@ def _ensemble_fh(setup: ModelSetup, crn, a: float, c: float) -> np.ndarray:
     return fh
 
 
-def _per_cell_row(setup: ModelSetup, crn, value_of):
-    """Row function that makes one ensemble call per design and maps its
+def _per_design_values(setup: ModelSetup, crn, value_of):
+    """Design function that makes one ensemble call per design and maps its
     braking forces to a value with ``value_of(fh)``."""
-    def row_at(a: float, c_values: np.ndarray) -> np.ndarray:
-        return np.array([value_of(_ensemble_fh(setup, crn, a, c)) for c in c_values])
-    return row_at
+    def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return np.array([value_of(_ensemble_fh(setup, crn, x, y))
+                         for x, y in zip(a.tolist(), c.tolist())])
+    return values_at
 
 
 def _extremes(fh: np.ndarray) -> tuple[float, float]:
@@ -224,16 +227,17 @@ def robust_objective(
     return _robust_value(weights, _ensemble_fh(setup, crn, s.a, s.c))
 
 
-def _ascend(evaluate, u0):
-    """Projected finite-difference ascent on the unit square.
+def _ascent(u0):
+    """Projected finite-difference ascent on the unit square, as a generator.
 
-    ``evaluate(ua, uc)`` returns the objective; a non-finite value marks a
-    rejected or failed point.  The search stops when the step underflows
-    ``_STEP_MIN`` or after ``_MAX_ITER`` iterations.  Returns (u, value) or
-    None if even the start is rejected.
+    It yields the list of points (ua, uc) it needs next, the start, its
+    finite-difference stencil or one candidate, and is sent their values; a
+    non-finite value marks a rejected or failed point.  The search stops
+    when the step underflows ``_STEP_MIN`` or after ``_MAX_ITER``
+    iterations.  Returns (u, value), or None if even the start is rejected.
     """
     u = np.array(u0, dtype=float)
-    fx = evaluate(u[0], u[1])
+    [fx] = yield [u]
     if not math.isfinite(fx):
         return None
 
@@ -243,24 +247,24 @@ def _ascend(evaluate, u0):
         if step < _STEP_MIN:
             break
         if norm is None:
-            grad = np.zeros(2)
+            stencil = []
             for ax in range(2):
                 up, um = u.copy(), u.copy()
                 up[ax] = min(up[ax] + _FD_STEP, 1.0)
                 um[ax] = max(um[ax] - _FD_STEP, 0.0)
-                if up[ax] == um[ax]:
-                    continue
-                fp = evaluate(up[0], up[1])
-                fm = evaluate(um[0], um[1])
-                if not (math.isfinite(fp) and math.isfinite(fm)):
-                    continue
-                grad[ax] = (fp - fm) / (up[ax] - um[ax])
+                if up[ax] != um[ax]:
+                    stencil.append((ax, up, um))
+            values = yield [p for _, up, um in stencil for p in (up, um)]
+            grad = np.zeros(2)
+            for (ax, up, um), fp, fm in zip(stencil, values[0::2], values[1::2]):
+                if math.isfinite(fp) and math.isfinite(fm):
+                    grad[ax] = (fp - fm) / (up[ax] - um[ax])
             norm = math.hypot(grad[0], grad[1])
         if norm == 0.0:
             step *= 0.5
             continue
         cand = np.clip(u + step * grad / norm, 0.0, 1.0)
-        fc = evaluate(cand[0], cand[1])
+        [fc] = yield [cand]
         if math.isfinite(fc) and fc > fx:
             u, fx = cand, fc
             step = min(step * 2.0, 0.5)
@@ -270,16 +274,45 @@ def _ascend(evaluate, u0):
     return u, fx
 
 
-def _lattice(box: DesignBox, nx: int, ny: int, row_at):
-    """(a_values, c_values, values): ``row_at`` row by row on the row-major
-    nx x ny lattice spanning the box, written into one preallocated array."""
+def _lockstep(evaluate, starts):
+    """One :func:`_ascent` per start, run in lockstep: each round, the points
+    that every running ascent asks for go, in start order, to one call of
+    ``evaluate(ua, uc) -> values`` over equal-shape arrays.  Returns each
+    start's (u, value), or None, in start order."""
+    ascents = [_ascent(u0) for u0 in starts]
+    results = [None] * len(ascents)
+    asks = [(k, next(ascent)) for k, ascent in enumerate(ascents)]
+    while asks:
+        points = np.array([p for _, ask in asks for p in ask]).reshape(-1, 2)
+        values = np.asarray(evaluate(points[:, 0], points[:, 1]), dtype=float).tolist()
+        running, i = [], 0
+        for k, ask in asks:
+            try:
+                running.append((k, ascents[k].send(values[i:i + len(ask)])))
+            except StopIteration as stop:
+                results[k] = stop.value
+            i += len(ask)
+        asks = running
+    return results
+
+
+def _ascend(evaluate, u0):
+    """One ascent with a scalar ``evaluate(ua, uc)``: a lockstep of one."""
+    [result] = _lockstep(lambda ua, uc: [evaluate(x, y) for x, y in zip(ua, uc)], [u0])
+    return result
+
+
+def _lattice(box: DesignBox, nx: int, ny: int, values_at):
+    """(a_values, c_values, values): ``values_at`` row by row on the
+    row-major nx x ny lattice spanning the box, written into one
+    preallocated array."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
     a_values = np.linspace(box.a_min, box.a_max, nx)
     c_values = np.linspace(box.c_min, box.c_max, ny)
     values = np.empty((nx, ny))
     for i, a in enumerate(a_values):
-        values[i] = row_at(float(a), c_values)
+        values[i] = values_at(np.full(ny, a), c_values)
     return a_values, c_values, values
 
 
@@ -315,7 +348,7 @@ def grid_scan(
     if kind not in GRID_KINDS:
         raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
     if kind == "classical":
-        return GridScan(kind, *_lattice(box, nx, ny, _classical_row(setup)))
+        return GridScan(kind, *_lattice(box, nx, ny, _classical_values(setup)))
 
     if any(v is None for v in (input_model, seed, nu, weights if kind == "robust" else cspec)):
         raise ValidationError("a robust (constraint) grid scan needs input_model, seed, nu "
@@ -326,12 +359,12 @@ def grid_scan(
         if kind == "constraint":
             return _constraint_value(cspec, fh)
         return _robust_or_nan(weights, fh)
-    return GridScan(kind, *_lattice(box, nx, ny, _per_cell_row(setup, crn, value_of)))
+    return GridScan(kind, *_lattice(box, nx, ny, _per_design_values(setup, crn, value_of)))
 
 
-def _optimize(box: DesignBox, row_at, grid: tuple[int, int]):
-    """Ascents from the _STARTS x _STARTS lattice on the unit square, each point
-    a row of one (the first start wins ties), and the certificate of ``row_at``.
+def _optimize(box: DesignBox, values_at, grid: tuple[int, int]):
+    """Lockstep ascents from the _STARTS x _STARTS lattice on the unit square
+    (the first start wins ties), and the certificate of ``values_at``.
 
     Returns (best, cert, evaluations): the (point, value) of the best ascent
     and of the best grid cell, each None if every candidate is rejected, and
@@ -339,21 +372,19 @@ def _optimize(box: DesignBox, row_at, grid: tuple[int, int]):
     """
     evaluations = 0
 
-    def counted(a: float, c_values: np.ndarray) -> np.ndarray:
+    def counted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         nonlocal evaluations
-        evaluations += len(c_values)
-        return row_at(a, c_values)
+        evaluations += c.size
+        return values_at(a, c)
 
-    def evaluate(ua, uc):
+    def evaluate(ua: np.ndarray, uc: np.ndarray) -> np.ndarray:
         s = box.unmap(ua, uc)
-        return float(counted(s.a, np.array([s.c]))[0])
+        return counted(s.a, s.c)
 
     best = None
-    for ua in _STARTS:
-        for uc in _STARTS:
-            res = _ascend(evaluate, (ua, uc))
-            if res is not None and (best is None or res[1] > best[1]):
-                best = box.unmap(*res[0]), res[1]
+    for res in _lockstep(evaluate, [(ua, uc) for ua in _STARTS for uc in _STARTS]):
+        if res is not None and (best is None or res[1] > best[1]):
+            best = box.unmap(*res[0]), res[1]
     cert = _grid_argmax(*_lattice(box, grid[0], grid[1], counted))
     return best, cert, evaluations
 
@@ -378,7 +409,7 @@ def optimize_classical(
     Raises AllStartsFailed when every start is singular; with no finite grid
     cell the ascent is its own certificate.
     """
-    best, cert, evaluations = _optimize(box, _classical_row(setup), grid)
+    best, cert, evaluations = _optimize(box, _classical_values(setup), grid)
     if best is None:
         raise AllStartsFailed("every ascent start hit a singular evaluation")
     return _settle(best, cert or best, evaluations)
@@ -410,7 +441,7 @@ def optimize_robust(
             return math.nan
         return _robust_or_nan(weights, fh)
 
-    best, cert, evaluations = _optimize(box, _per_cell_row(setup, crn, value_of), grid)
+    best, cert, evaluations = _optimize(box, _per_design_values(setup, crn, value_of), grid)
     if cert is None:
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "

@@ -8,7 +8,8 @@ solve to within a tolerance scaled by how ill-conditioned the closed-form
 denominators are.  The same holds for a classical design map, which passes
 the design lengths to the ensemble route one lattice row at a time.
 Finally, the ensemble route must keep the bits of its first, plain
-spelling, which is kept below as the oracle, in every call shape it takes.
+spelling, which is kept below as the oracle, in every call shape it takes,
+and a batch of designs must give each design the bits of its own call.
 """
 
 import math
@@ -170,7 +171,16 @@ def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
     return fh, valid, ok
 
 
-KERNEL_SHAPES = ("batch of one", "classical row", "samples")
+KERNEL_SHAPES = ("batch of one", "classical row", "design batch", "samples")
+
+
+@st.composite
+def design_batches(draw, geom):
+    """{"a": (n,), "c": (n,)}: n designs, whose c row holds the plant's own,
+    possibly near-singular, c and a neighbour one relative 1e-12 away."""
+    others = draw(st.lists(lengths, max_size=4))
+    c = np.array([geom.c, *others, geom.c * (1 + 1e-12)])
+    return {"a": np.array(draw(st.lists(lengths, min_size=c.size, max_size=c.size))), "c": c}
 
 
 @st.composite
@@ -178,10 +188,15 @@ def kernel_calls(draw):
     """(geom, fric, Fg, Fb, sin_a, cos_a, Fs, design) for one call shape:
     0-d angle, force and c (a batch of one); a scalar angle and force with a
     row of c that holds the plant's own, possibly near-singular, c (a
-    classical row); or (n,) samples with a scalar c.  ``design`` holds the
-    design lengths a and c passed to the kernel, if any."""
+    classical row); a scalar angle and force with (n,) rows of a and c (a
+    design batch, as one round of the lockstep ascents); or (n,) samples
+    with a scalar c.  ``design`` holds the design lengths a and c passed to
+    the kernel, if any."""
     geom, fric, Fg, Fb, alphas, forces = draw(brake_cases())
     shape = draw(st.sampled_from(KERNEL_SHAPES))
+    if shape == "design batch":
+        return (geom, fric, Fg, Fb, math.sin(alphas[0]), math.cos(alphas[0]), forces[0],
+                draw(design_batches(geom)))
     design = {}
     if draw(st.booleans()):
         design["a"] = draw(lengths)
@@ -205,7 +220,7 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(kernel_calls())
 def test_kernel_keeps_the_bits_of_the_plain_formula(call):
     geom, fric, Fg, Fb, sin_a, cos_a, Fs, design = call
@@ -213,6 +228,19 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
     want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
     for name, x, y in zip(("fh", "valid", "ok"), got, want):
         assert same_bits(x, y), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(brake_cases(), st.data())
+def test_design_batch_equals_one_call_per_design(case, data):
+    geom, fric, Fg, Fb, alphas, forces = case
+    design = data.draw(design_batches(geom))
+    sin_a, cos_a, Fs = math.sin(alphas[0]), math.cos(alphas[0]), forces[0]
+    batch = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    for i, (a, c) in enumerate(zip(design["a"].tolist(), design["c"].tolist())):
+        one = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, a=a, c=c)
+        for name, x, y in zip(("fh", "valid", "ok"), batch, one):
+            assert same_bits(x[i:i + 1], np.reshape(y, 1)), name
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -26,7 +26,7 @@ from brakeopt import (
     propagate,
     robust_objective,
 )
-from brakeopt import mc_uq, optimizer
+from brakeopt import mc_uq, mechmodel, optimizer
 from brakeopt.optimizer import OptimizationResult
 
 NOMINAL_FH = 7.2693735011397308  # braking force at (55, 52.7), nominal loads
@@ -286,6 +286,148 @@ def test_ascent_on_a_flat_objective_evaluates_one_stencil():
     u, value = optimizer._ascend(evaluate, (0.5, 0.5))
     assert (tuple(u), value) == ((0.5, 0.5), 0.0)
     assert len(points) == 1 + 4  # the start and its four stencil points
+
+
+def sequential_ascend(evaluate, u0):
+    """Oracle: the ascent as it was before the lockstep, one point per call;
+    kept verbatim.  The lockstep must give each start its results and its
+    sequence of evaluated points."""
+    _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = (
+        optimizer._MAX_ITER, optimizer._STEP0, optimizer._STEP_MIN, optimizer._FD_STEP)
+    u = np.array(u0, dtype=float)
+    fx = evaluate(u[0], u[1])
+    if not math.isfinite(fx):
+        return None
+
+    step = _STEP0
+    norm = None  # the gradient is kept until a step is accepted
+    for _ in range(_MAX_ITER):
+        if step < _STEP_MIN:
+            break
+        if norm is None:
+            grad = np.zeros(2)
+            for ax in range(2):
+                up, um = u.copy(), u.copy()
+                up[ax] = min(up[ax] + _FD_STEP, 1.0)
+                um[ax] = max(um[ax] - _FD_STEP, 0.0)
+                if up[ax] == um[ax]:
+                    continue
+                fp = evaluate(up[0], up[1])
+                fm = evaluate(um[0], um[1])
+                if not (math.isfinite(fp) and math.isfinite(fm)):
+                    continue
+                grad[ax] = (fp - fm) / (up[ax] - um[ax])
+            norm = math.hypot(grad[0], grad[1])
+        if norm == 0.0:
+            step *= 0.5
+            continue
+        cand = np.clip(u + step * grad / norm, 0.0, 1.0)
+        fc = evaluate(cand[0], cand[1])
+        if math.isfinite(fc) and fc > fx:
+            u, fx = cand, fc
+            step = min(step * 2.0, 0.5)
+            norm = None
+        else:
+            step *= 0.5
+    return u, fx
+
+
+def tilted_quadratic(ua, uc, peak=(0.61, 0.43)):
+    da, dc = ua - peak[0], uc - peak[1]
+    return -da * da - 2.0 * dc * dc - 0.5 * da * dc
+
+
+def walled_shelf(ua, uc):
+    """Not finite beyond ua = 0.7, which rejects starts there and holds the
+    climbers of a quadratic peaking at ua = 0.8 on that edge; flat and low
+    above uc = 0.8, where a start stops after its stencil."""
+    if ua > 0.7:
+        return math.nan
+    if uc > 0.8:
+        return -1.0
+    return tilted_quadratic(ua, uc, peak=(0.8, 0.43))
+
+
+# the 5 x 5 lattice of the optimizer, and starts off it
+LOCKSTEP_STARTS = [(ua, uc) for ua in optimizer._STARTS for uc in optimizer._STARTS] + [
+    (0.7, 0.3), (0.69995, 0.81), (0.33, 0.9)]
+
+
+@pytest.mark.parametrize("objective", [tilted_quadratic, walled_shelf])
+def test_lockstep_gives_each_start_its_sequential_ascent(monkeypatch, objective):
+    asks = []  # per start, the list of points of each request, in order
+    ascent = optimizer._ascent
+
+    def recorded(u0):
+        mine = []
+        asks.append(mine)
+        steps = ascent(u0)
+        ask = next(steps)
+        while True:
+            mine.append([(float(ua), float(uc)) for ua, uc in ask])
+            try:
+                ask = steps.send((yield ask))
+            except StopIteration as stop:
+                return stop.value
+
+    batches = []
+
+    def evaluate(ua, uc):
+        batch = list(zip(ua.tolist(), uc.tolist()))
+        batches.append(batch)
+        return np.array([objective(*p) for p in batch])
+
+    monkeypatch.setattr(optimizer, "_ascent", recorded)
+    results = optimizer._lockstep(evaluate, LOCKSTEP_STARTS)
+    assert len(asks) == len(results) == len(LOCKSTEP_STARTS)
+
+    rounds = set()
+    for u0, result, mine in zip(LOCKSTEP_STARTS, results, asks):
+        oracle_evaluate, points = recording(objective)
+        want = sequential_ascend(oracle_evaluate, u0)
+        assert [p for ask in mine for p in ask] == points
+        if want is None:
+            assert result is None
+        else:
+            assert result[0].tobytes() == want[0].tobytes() and same_float(result[1], want[1])
+        rounds.add(len(mine))
+    assert len(rounds) > 3, "the starts should stop in different rounds"
+    # one call per round, which holds the requests of the running starts in start order
+    assert batches == [[p for mine in asks if r < len(mine) for p in mine[r]]
+                       for r in range(max(rounds))]
+
+
+def test_lockstep_of_one_is_the_sequential_ascent():
+    for u0 in LOCKSTEP_STARTS:
+        want = sequential_ascend(walled_shelf, u0)
+        got = optimizer._ascend(walled_shelf, u0)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes() and same_float(got[1], want[1])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = mechmodel.braking_force_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(mechmodel, "braking_force_ensemble", counted)
+    return calls
+
+
+def test_classical_ascents_share_kernel_calls(setup, kernel_calls):
+    res = optimize_classical(DesignBox(), setup, grid=(21, 11))
+    assert res.evaluations == 3170
+    assert len(kernel_calls) < res.evaluations / 4
+
+
+def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), 0, setup, input_model,
+                          nu=256, grid=(21, 11))
+    assert len(kernel_calls) == res.evaluations + 1  # and the recheck of the optimum
 
 
 def frozen(a, c, objective, evaluations, cert_value, cert_a, cert_c, prob=None):

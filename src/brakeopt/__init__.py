@@ -42,7 +42,6 @@ from .optimizer import (  # noqa: F401
     DesignBox,
     DesignPoint,
     RobustWeights,
-    classical_objective,
     grid_scan,
     optimize_classical,
     optimize_robust,

@@ -18,6 +18,7 @@ from . import maxent, mechmodel
 from .errors import DegenerateSample, InsufficientSamples, ValidationError
 
 _KDE_BINS = 2048  # lattice points of the binned KDE
+_KDE_GRID = 256  # points of the returned density curve
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def uniform_row(seed: int, i: int) -> np.ndarray:
 class Ensemble:
     """Propagated samples: inputs[:, 0] is alpha (deg), inputs[:, 1] is Fs (kN).
 
-    ``valid[i]`` is False where the contact normals are not all non-negative
+    ``valid[i]`` is False where N1 < 0 or N2 < 0 (a contact does not press)
     or where the sample could not be evaluated at all (fh = nan there).
     """
 
@@ -110,8 +111,8 @@ def sample_inputs(
     else:
         fs = np.full(uniforms.nu, float(freeze_fs_kn))
 
-    alpha_rad = np.array([math.radians(v) for v in alpha_deg.tolist()])
-    sin_a, cos_a = mechmodel.trig_arrays(alpha_rad)
+    # the bits of math.radians, which is this one multiply
+    sin_a, cos_a = mechmodel.trig_arrays(alpha_deg * (math.pi / 180.0))
     return alpha_deg, fs, sin_a, cos_a
 
 
@@ -166,6 +167,18 @@ def sturges_bins(n: int) -> int:
     return int(math.ceil(math.log2(n))) + 1
 
 
+def _flat_finite(samples, min_size: int) -> np.ndarray:
+    """``samples`` as a flat array of at least ``min_size`` finite floats."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < min_size:
+        raise InsufficientSamples(
+            f"need at least {min_size} sample{'s' * (min_size > 1)} in a flat array, "
+            f"got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
+    return x
+
+
 def summarize(samples) -> SummaryStats:
     """Mean, unbiased std, range, empirical 95% band, histogram and KDE.
 
@@ -173,11 +186,7 @@ def summarize(samples) -> SummaryStats:
     interpolation); a mean +/- 1.96 std companion is reported alongside it.
     The KDE fields are None for zero-spread samples.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InsufficientSamples(f"need at least 2 samples in a flat array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
+    x = _flat_finite(samples, 2)
 
     # left-to-right summation, so the convergence trace terminus matches exactly
     mean = float(np.cumsum(x)[-1] / x.size)
@@ -205,11 +214,7 @@ def convergence_trace(samples):
     ``running_mean[-1]`` equals ``summarize(samples).mean`` exactly (both
     use plain left-to-right summation).  ``running_std[0]`` is defined as 0.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InsufficientSamples(f"need at least 1 sample in a flat array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
+    x = _flat_finite(samples, 1)
     k = np.arange(1, x.size + 1, dtype=float)
     cs = np.cumsum(x)
     css = np.cumsum(x * x)
@@ -219,7 +224,7 @@ def convergence_trace(samples):
     return running_mean, np.sqrt(var)
 
 
-def kde(samples, grid_size: int = 256):
+def kde(samples):
     """Gaussian-kernel density on a uniform grid spanning the padded range.
 
     Bandwidth is the normal-reference rule h = 1.06 * std * nu^(-1/5); the
@@ -227,20 +232,14 @@ def kde(samples, grid_size: int = 256):
     and its trapezoid integral stays within 1e-3 of one.  The kernels sit on
     the samples linearly binned onto ``_KDE_BINS`` points (Wand, JCGS 1994).
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InsufficientSamples(f"need at least 2 samples in a flat array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples must be finite", int(np.count_nonzero(~np.isfinite(x))))
+    x = _flat_finite(samples, 2)
     std = float(np.std(x, ddof=1))
     if std == 0.0:
         raise DegenerateSample("all samples identical, bandwidth would be zero")
-    if grid_size < 2:
-        raise ValidationError("kde grid_size must be >= 2", grid_size)
 
     h = 1.06 * std * x.size ** (-0.2)
     lo, hi = np.min(x), np.max(x)
-    grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, grid_size)
+    grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, _KDE_GRID)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     centres, delta = np.linspace(lo, hi, _KDE_BINS, retstep=True)
     pos = (x - lo) / delta

@@ -99,9 +99,9 @@ class LoadCase:
 class EquilibriumSolution:
     """Complete force state for one load case.
 
-    ``valid`` is True only when all four normals are non-negative, i.e. the
-    contacts actually press.  Negative normals are reported as-is (never
-    clamped) so that optimization can probe infeasible regions.
+    ``valid`` is True only when N1, N2 >= 0 (N3, N4 follow, see _normals),
+    i.e. the contacts actually press.  Negative normals are reported as-is
+    (never clamped) so that optimization can probe infeasible regions.
     """
 
     N1: float
@@ -141,6 +141,12 @@ def _normals(axial, Fs, a, c, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb,
     Evaluation order N4 -> N1 -> N2 -> N3, dividing by the values of
     :func:`_denominators`; the caller handles singular ones.  One code path
     for the scalar and the ensemble route keeps them bitwise identical.
+
+    The contacts press when N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 +
+    T2 with axial > 0 and T2 = mu2*N2, so N3 >= 0 in IEEE arithmetic too.
+    N1 = (N4 - x)/den1 with x = a*mu2*Fs/dwe >= 0, so where den1 > 0 (all of
+    the shipped box) N4 >= x >= 0.  Where den1 < 0, N4 = N3 holds in exact
+    arithmetic; the property tests check the roots of N1 and N2 there.
     """
     fsa = Fs * a
     n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
@@ -173,7 +179,7 @@ def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> Equ
         Rx=n4 - load.Fs,
         Ry=t4 - (load.Fg + load.Fb) / 2,
         Fh=t1 + t2 + t3 + t4,
-        valid=bool(n1 >= 0 and n2 >= 0 and n3 >= 0 and n4 >= 0),
+        valid=bool(n1 >= 0 and n2 >= 0),  # N3, N4 follow, see _normals
     )
 
 
@@ -272,5 +278,5 @@ def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=No
         fh += fric.mu4 * n4
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
-        valid = ok & (np.minimum(np.minimum(np.minimum(n1, n2), n3), n4) >= 0)
+        valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _normals
     return fh, valid, ok

@@ -124,15 +124,10 @@ class GridScan:
     values: np.ndarray  # shape (len(a_values), len(c_values)), nan = failed cell
 
 
-def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
-    """Braking force (kN) at the nominal loads with a, c overridden by s (scalar route)."""
-    geom = dataclasses.replace(setup.geom, a=s.a, c=s.c)
-    return mechmodel.braking_force(geom, setup.fric, setup.nominal).Fh
-
-
 def _classical_values(setup: ModelSetup):
-    """Design function of the classical problem: :func:`classical_objective`
-    as one kernel call per batch, nan where a denominator is singular."""
+    """Design function of the classical problem: the braking force (kN) at
+    the nominal loads, one kernel call per batch, nan where a denominator is
+    singular."""
     load = setup.nominal
     sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
 
@@ -296,12 +291,6 @@ def _lockstep(evaluate, starts):
     return results
 
 
-def _ascend(evaluate, u0):
-    """One ascent with a scalar ``evaluate(ua, uc)``: a lockstep of one."""
-    [result] = _lockstep(lambda ua, uc: [evaluate(x, y) for x, y in zip(ua, uc)], [u0])
-    return result
-
-
 def _lattice(box: DesignBox, nx: int, ny: int, values_at):
     """(a_values, c_values, values): ``values_at`` row by row on the
     row-major nx x ny lattice spanning the box, written into one
@@ -406,12 +395,13 @@ def optimize_classical(
 
     Multi-start projected ascent from a 5 x 5 lattice, then the
     result is checked against (and never undercuts) a dense grid certificate.
-    Raises AllStartsFailed when every start is singular; with no finite grid
-    cell the ascent is its own certificate.
+    Raises AllStartsFailed when no start has a finite value; with no finite
+    grid cell the ascent is its own certificate.
     """
     best, cert, evaluations = _optimize(box, _classical_values(setup), grid)
     if best is None:
-        raise AllStartsFailed("every ascent start hit a singular evaluation")
+        raise AllStartsFailed("no ascent start has a finite braking force "
+                              "(a singular denominator or an overflow)")
     return _settle(best, cert or best, evaluations)
 
 

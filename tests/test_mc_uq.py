@@ -200,13 +200,13 @@ def test_trace_tail_fluctuation_within_clt_scale(ensemble):
 
 def test_kde_recovers_uniform_density():
     draws = draw_uniform_matrix(8, 100_000).values[:, 0]
-    grid, density = kde(draws, grid_size=512)
+    grid, density = kde(draws)
     inner = (grid >= 0.1) & (grid <= 0.9)
     assert np.max(np.abs(density[inner] - 1.0)) < 0.05
 
 
 def test_kde_normalization_and_grid_span(ensemble):
-    grid, density = kde(ensemble.outputs, grid_size=512)
+    grid, density = kde(ensemble.outputs)
     assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
     h = 1.06 * np.std(ensemble.outputs, ddof=1) * ensemble.nu ** (-0.2)
     assert grid[0] == pytest.approx(ensemble.outputs.min() - 3.0 * h, rel=1e-12)

@@ -18,7 +18,6 @@ from brakeopt import (
     NoFeasiblePoint,
     RobustWeights,
     ValidationError,
-    classical_objective,
     draw_uniform_matrix,
     grid_scan,
     optimize_classical,
@@ -28,6 +27,7 @@ from brakeopt import (
 )
 from brakeopt import mc_uq, mechmodel, optimizer
 from brakeopt.optimizer import OptimizationResult
+from test_model_properties import classical_objective
 
 NOMINAL_FH = 7.2693735011397308  # braking force at (55, 52.7), nominal loads
 
@@ -266,6 +266,12 @@ def recording(objective):
     return evaluate, points
 
 
+def ascend(evaluate, u0):
+    """One ascent with a scalar ``evaluate(ua, uc)``: a lockstep of one."""
+    [result] = optimizer._lockstep(lambda ua, uc: [evaluate(x, y) for x, y in zip(ua, uc)], [u0])
+    return result
+
+
 def test_ascent_keeps_its_gradient_through_rejected_steps():
     # tilted, anisotropic peak at (0.61, 0.43): the path never retraces itself,
     # so a repeated point can only be a stencil recomputed where u has not moved
@@ -274,7 +280,7 @@ def test_ascent_keeps_its_gradient_through_rejected_steps():
         return -da * da - 2.0 * dc * dc - 0.5 * da * dc
 
     evaluate, points = recording(objective)
-    u, _ = optimizer._ascend(evaluate, (0.5, 0.5))
+    u, _ = ascend(evaluate, (0.5, 0.5))
     assert u == pytest.approx([0.61, 0.43], abs=1e-4)
     # only a rejected candidate falls this far below the start
     assert min(objective(*p) for p in points) < objective(0.5, 0.5) - 0.01
@@ -283,7 +289,7 @@ def test_ascent_keeps_its_gradient_through_rejected_steps():
 
 def test_ascent_on_a_flat_objective_evaluates_one_stencil():
     evaluate, points = recording(lambda ua, uc: 0.0)
-    u, value = optimizer._ascend(evaluate, (0.5, 0.5))
+    u, value = ascend(evaluate, (0.5, 0.5))
     assert (tuple(u), value) == ((0.5, 0.5), 0.0)
     assert len(points) == 1 + 4  # the start and its four stencil points
 
@@ -400,7 +406,7 @@ def test_lockstep_gives_each_start_its_sequential_ascent(monkeypatch, objective)
 def test_lockstep_of_one_is_the_sequential_ascent():
     for u0 in LOCKSTEP_STARTS:
         want = sequential_ascend(walled_shelf, u0)
-        got = optimizer._ascend(walled_shelf, u0)
+        got = ascend(walled_shelf, u0)
         assert (got is None) == (want is None)
         if want is not None:
             assert got[0].tobytes() == want[0].tobytes() and same_float(got[1], want[1])
@@ -467,16 +473,22 @@ def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
 def test_singular_design_space_fails_every_start(setup):
     # m = 9.975 mm puts den4 at 0 for every (a, c): no start can be evaluated
     dead = dataclasses.replace(setup, geom=dataclasses.replace(setup.geom, m=9.975))
-    with pytest.raises(AllStartsFailed):
-        optimize_classical(DesignBox(), dead, grid=(5, 3))
+    # no denominator is near 0 (den4 = -30, den1 >= 0.85), but the forces
+    # overflow to nan
+    huge = dataclasses.replace(setup, nominal=dataclasses.replace(setup.nominal, Fg=1.0e307))
+    for plant in (dead, huge):
+        with pytest.raises(AllStartsFailed) as failed:
+            optimize_classical(DesignBox(), plant, grid=(5, 3))
+        assert failed.value.exit_code == 19
+        assert "finite" in str(failed.value) and "hit a singular" not in str(failed.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_ascent_rejects_non_finite_values(bad):
-    assert optimizer._ascend(lambda ua, uc: bad, (0.5, 0.5)) is None
+    assert ascend(lambda ua, uc: bad, (0.5, 0.5)) is None
 
     # increasing in ua, but not evaluable beyond ua = 0.7
-    u, value = optimizer._ascend(lambda ua, uc: ua if ua <= 0.7 else bad, (0.5, 0.5))
+    u, value = ascend(lambda ua, uc: ua if ua <= 0.7 else bad, (0.5, 0.5))
     assert 0.69 < u[0] <= 0.7 and value == u[0]
 
 

@@ -30,7 +30,6 @@ from .maxent import (  # noqa: F401
     sample_inverse_cdf,
 )
 from .mc_uq import (  # noqa: F401
-    UniformMatrix,
     convergence_trace,
     draw_uniform_matrix,
     kde,

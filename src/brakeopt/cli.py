@@ -114,7 +114,7 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
 
     _write_csv(out / "ensemble.csv", cfg, seed,
                ["index", "alpha_deg", "fs_kN", "fh_kN", "valid"],
-               [range(ens.nu), ens.inputs[:, 0], ens.inputs[:, 1], ens.outputs, ens.valid])
+               [range(ens.nu), ens.alpha_deg, ens.fs_kN, ens.outputs, ens.valid])
     _write_json(out / "stats.json", cfg, seed, {
         "nu": ens.nu,
         "evaluated": int(finite.size),
@@ -152,7 +152,7 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
         "s_opt": {"a_mm": result.s_opt.a, "c_mm": result.s_opt.c},
         "objective": result.objective,
         "objective_units": units,
-        "feasible": result.feasible,
+        "feasible": True,  # optimize_robust raises NoFeasiblePoint instead
         "evaluations": result.evaluations,
         "certificate": {
             "value": result.certificate_value,
@@ -168,15 +168,14 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
 def _write_contour(cfg, kind: str, setup: optimizer.ModelSetup, model, out: Path) -> Path:
     """Scan the ``kind`` map on the config's grid and write it as CSV;
     ``model`` is the input model (None for the classical map)."""
-    scan = optimizer.grid_scan(
+    a, c, values = optimizer.grid_scan(
         cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, kind, setup,
         input_model=model, weights=cfg.design.weights,
         cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
     value_col = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
-    a, c = scan.a_values, scan.c_values
     path = out / f"contour_{kind}.csv"
     _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", value_col[kind]],
-               [np.repeat(a, len(c)), np.tile(c, len(a)), scan.values.ravel()])
+               [np.repeat(a, len(c)), np.tile(c, len(a)), values.ravel()])
     return path
 
 
@@ -204,7 +203,7 @@ def cmd_opt_robust(cfg) -> int:
     for kind in ("robust", "constraint"):
         _write_contour(cfg, kind, setup, model, out)
     print(f"opt-robust: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
-          f"objective={result.objective:.6g} feasible={result.feasible} -> {out}")
+          f"objective={result.objective:.6g} -> {out}")
     return 0
 
 

@@ -6,10 +6,10 @@ least-biased density is a truncated exponential
     pdf(x) = exp(-log_norm - rate * x)   on [lo, hi],  0 elsewhere.
 
 ``rate`` is the Lagrange multiplier of the mean constraint and ``log_norm``
-the one of the normalization constraint; ``log_norm`` is always derived
-from ``rate`` so the density integrates to one by construction.  When the
-prescribed mean is the midpoint of the support the distribution degenerates
-into a uniform (rate = 0).
+the one of the normalization constraint; ``log_norm`` is not stored but
+derived from ``rate`` inside :func:`pdf`, so the density integrates to one
+by construction.  When the prescribed mean is the midpoint of the support
+the distribution degenerates into a uniform (rate = 0).
 
 With no cross-moment information the joint law of several inputs is the
 plain product of the marginals, held by :class:`InputModel`.
@@ -18,6 +18,7 @@ plain product of the marginals, held by :class:`InputModel`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import MeanOutOfSupport, ValidationError
@@ -25,6 +26,9 @@ from .errors import MeanOutOfSupport, ValidationError
 #: Below this |rate * (hi - lo)| the mean and normalizer switch to series
 #: expansions; direct evaluation loses precision to cancellation there.
 _SERIES_CUTOFF = 0.05
+#: Below this |rate * (hi - lo)| (the smallest normal float) the sampler and
+#: the cdf use the uniform law: expm1 of a subnormal keeps too few bits.
+_TINY = sys.float_info.min
 
 
 def _log_phi(z):
@@ -44,22 +48,12 @@ class TruncatedExponential:
     lo: float
     hi: float
     rate: float
-    log_norm: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValidationError("support requires lo < hi", (self.lo, self.hi))
         if not math.isfinite(self.rate):
             raise ValidationError("rate must be finite", self.rate)
-
-    @classmethod
-    def from_rate(cls, lo, hi, rate):
-        """Build the distribution for a given rate, deriving the normalizer."""
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError("support requires lo < hi", (lo, hi))
-        width = hi - lo
-        log_norm = -rate * lo + math.log(width) + _log_phi(rate * width)
-        return cls(lo=lo, hi=hi, rate=rate, log_norm=log_norm)
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,12 @@ def fit_truncexp(lo, hi, target_mean) -> TruncatedExponential:
     if not lo < target_mean < hi:
         raise MeanOutOfSupport(lo, hi, target_mean)
     if target_mean == (lo + hi) / 2.0:
-        return TruncatedExponential.from_rate(lo, hi, 0.0)
+        return TruncatedExponential(lo, hi, 0.0)
 
     width = hi - lo
 
     def mean_at(rate):
-        return mean_of(TruncatedExponential(lo=lo, hi=hi, rate=rate, log_norm=0.0))
+        return mean_of(TruncatedExponential(lo, hi, rate))
 
     # mean_at is decreasing: bracket with mean_at(r_lo) > target > mean_at(r_hi)
     if target_mean < (lo + hi) / 2.0:
@@ -126,14 +120,16 @@ def fit_truncexp(lo, hi, target_mean) -> TruncatedExponential:
             r_lo = r_mid
         else:
             r_hi = r_mid
-    return TruncatedExponential.from_rate(lo, hi, 0.5 * (r_lo + r_hi))
+    return TruncatedExponential(lo, hi, 0.5 * (r_lo + r_hi))
 
 
 def pdf(dist: TruncatedExponential, x) -> float:
     """Density at x; exactly zero outside the support."""
     if x < dist.lo or x > dist.hi:
         return 0.0
-    return math.exp(-dist.log_norm - dist.rate * x)
+    width = dist.hi - dist.lo
+    log_norm = -dist.rate * dist.lo + math.log(width) + _log_phi(dist.rate * width)
+    return math.exp(-log_norm - dist.rate * x)
 
 
 def cdf(dist: TruncatedExponential, x) -> float:
@@ -142,9 +138,9 @@ def cdf(dist: TruncatedExponential, x) -> float:
         return 0.0
     if x >= dist.hi:
         return 1.0
-    if dist.rate == 0.0:
-        return (x - dist.lo) / (dist.hi - dist.lo)
     z = dist.rate * (dist.hi - dist.lo)
+    if abs(z) < _TINY:
+        return (x - dist.lo) / (dist.hi - dist.lo)
     try:
         return math.expm1(-dist.rate * (x - dist.lo)) / math.expm1(-z)
     except OverflowError:
@@ -165,9 +161,9 @@ def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
         return dist.lo
     if u == 1.0:
         return dist.hi
-    if dist.rate == 0.0:
-        return dist.lo + u * (dist.hi - dist.lo)
     z = dist.rate * (dist.hi - dist.lo)
+    if abs(z) < _TINY:
+        return dist.lo + u * (dist.hi - dist.lo)
     try:
         x = dist.lo - math.log1p(u * math.expm1(-z)) / dist.rate
     except OverflowError:

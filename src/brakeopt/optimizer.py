@@ -113,19 +113,10 @@ class ModelSetup:
 class OptimizationResult:
     s_opt: DesignPoint
     objective: float
-    feasible: bool
     evaluations: int
     certificate_value: float
     certificate_point: DesignPoint
     constraint_prob: float | None = None
-
-
-@dataclass(frozen=True)
-class GridScan:
-    kind: str
-    a_values: np.ndarray
-    c_values: np.ndarray
-    values: np.ndarray  # shape (len(a_values), len(c_values)), nan = failed cell
 
 
 def _classical_values(setup: ModelSetup):
@@ -212,7 +203,7 @@ def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:
 def robust_objective(
     s: DesignPoint,
     weights: RobustWeights,
-    uniforms: mc_uq.UniformMatrix,
+    uniforms: np.ndarray,
     input_model: maxent.InputModel,
     setup: ModelSetup,
 ) -> float:
@@ -337,8 +328,8 @@ def grid_scan(
     cspec: ConstraintSpec | None = None,
     seed: int | None = None,
     nu: int | None = None,
-) -> GridScan:
-    """Evaluate one of the three maps on a dense row-major lattice.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_values, c_values, values)``: one of the three maps on a dense row-major lattice.
 
     kind 'classical' needs only the setup.  'robust' and 'constraint' also
     need the input model, the seed, nu and, in turn, the weights or the
@@ -348,7 +339,7 @@ def grid_scan(
     if kind not in GRID_KINDS:
         raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
     if kind == "classical":
-        return GridScan(kind, *_lattice(box, nx, ny, _classical_values(setup)))
+        return _lattice(box, nx, ny, _classical_values(setup))
 
     if any(v is None for v in (input_model, seed, nu, weights if kind == "robust" else cspec)):
         raise ValidationError("a robust (constraint) grid scan needs input_model, seed, nu "
@@ -359,7 +350,7 @@ def grid_scan(
         if kind == "constraint":
             return _constraint_value(cspec, fh)
         return _robust_or_nan(weights, fh)
-    return GridScan(kind, *_lattice(box, nx, ny, _per_design_values(setup, crn, value_of)))
+    return _lattice(box, nx, ny, _per_design_values(setup, crn, value_of))
 
 
 def _optimize(box: DesignBox, values_at, grid: tuple[int, int]):
@@ -393,7 +384,7 @@ def _settle(best, cert, evaluations: int) -> OptimizationResult:
     """The ascent's best point, unless the certificate cell beats it."""
     s_opt, objective = best if best is not None and best[1] >= cert[1] else cert
     return OptimizationResult(
-        s_opt=s_opt, objective=objective, feasible=True, evaluations=evaluations,
+        s_opt=s_opt, objective=objective, evaluations=evaluations,
         certificate_value=cert[1], certificate_point=cert[0])
 
 

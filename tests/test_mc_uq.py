@@ -27,24 +27,24 @@ from brakeopt.mc_uq import sturges_bins, uniform_row
 def test_draw_is_deterministic():
     a = draw_uniform_matrix(42, 1)
     b = draw_uniform_matrix(42, 1)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_draw_prefix_property():
     small = draw_uniform_matrix(42, 4096)
     large = draw_uniform_matrix(42, 8192)
-    assert np.array_equal(small.values, large.values[:4096])
+    assert np.array_equal(small, large[:4096])
 
 
 def test_rows_derive_from_index_alone():
     mat = draw_uniform_matrix(42, 64)
     for i in (0, 1, 2, 31, 63):
-        assert np.array_equal(uniform_row(42, i), mat.values[i])
+        assert np.array_equal(uniform_row(42, i), mat[i])
 
 
 def test_column_means_near_half():
     for seed in (1, 2):
-        values = draw_uniform_matrix(seed, 4096).values
+        values = draw_uniform_matrix(seed, 4096)
         assert np.all(np.abs(values.mean(axis=0) - 0.5) < 0.03)
 
 
@@ -65,7 +65,7 @@ def ensemble(cfg, input_model):
 def test_propagate_outputs_match_scalar_route_bitwise(cfg, ensemble):
     for i in range(0, ensemble.nu, 97):
         load = LoadCase.from_degrees(cfg.loads.Fg_kN, cfg.loads.Fb_kN,
-                                     ensemble.inputs[i, 1], ensemble.inputs[i, 0])
+                                     ensemble.fs_kN[i], ensemble.alpha_deg[i])
         sol = braking_force(cfg.geometry, cfg.friction, load)
         assert ensemble.outputs[i] == sol.Fh
         assert bool(ensemble.valid[i]) == sol.valid
@@ -98,20 +98,39 @@ def test_propagate_freeze_fs_keeps_alpha_column(cfg, input_model, ensemble):
     frozen = propagate(input_model, draw_uniform_matrix(0, 4096),
                        cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN,
                        freeze_fs_kn=42.0)
-    assert np.array_equal(frozen.inputs[:, 0], ensemble.inputs[:, 0])
-    assert np.all(frozen.inputs[:, 1] == 42.0)
+    assert np.array_equal(frozen.alpha_deg, ensemble.alpha_deg)
+    assert np.all(frozen.fs_kN == 42.0)
 
 
 def test_standardized_outputs_track_spring_force_when_alpha_frozen(cfg, input_model, ensemble):
     frozen = propagate(input_model, draw_uniform_matrix(0, 4096),
                        cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN,
                        freeze_alpha_deg=6.0)
-    assert np.array_equal(frozen.inputs[:, 1], ensemble.inputs[:, 1])
+    assert np.array_equal(frozen.fs_kN, ensemble.fs_kN)
     y = frozen.outputs
-    fs = frozen.inputs[:, 1]
+    fs = frozen.fs_kN
     std_y = (y - y.mean()) / y.std(ddof=1)
     std_fs = (fs - fs.mean()) / fs.std(ddof=1)
     assert np.max(np.abs(std_y - std_fs)) < 1e-10
+
+
+def test_draw_returns_a_read_only_float_matrix():
+    values = draw_uniform_matrix(3, 100)
+    assert values.dtype == np.float64 and values.shape == (100, 2)
+    assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("freeze", [{}, {"freeze_alpha_deg": 6.0}, {"freeze_fs_kn": 42.0}])
+def test_propagate_columns_are_read_only_and_equal_sample_inputs(cfg, input_model, freeze):
+    uniforms = draw_uniform_matrix(0, 512)
+    ens = propagate(input_model, uniforms, cfg.geometry, cfg.friction,
+                    cfg.loads.Fg_kN, cfg.loads.Fb_kN, **freeze)
+    alpha_deg, fs, _, _ = mc_uq.sample_inputs(input_model, uniforms, **freeze)
+    for got, want in ((ens.alpha_deg, alpha_deg), (ens.fs_kN, fs)):
+        assert got.dtype == want.dtype and got.shape == want.shape == (512,)
+        assert got.tobytes() == want.tobytes()
+    for arr in (ens.alpha_deg, ens.fs_kN, ens.outputs, ens.valid):
+        assert not arr.flags.writeable
 
 
 def test_uniform_spring_force_gives_flat_topped_output(cfg):
@@ -199,7 +218,7 @@ def test_trace_tail_fluctuation_within_clt_scale(ensemble):
 
 
 def test_kde_recovers_uniform_density():
-    draws = draw_uniform_matrix(8, 100_000).values[:, 0]
+    draws = draw_uniform_matrix(8, 100_000)[:, 0]
     grid, density = kde(draws)
     inner = (grid >= 0.1) & (grid <= 0.9)
     assert np.max(np.abs(density[inner] - 1.0)) < 0.05

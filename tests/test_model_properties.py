@@ -249,16 +249,16 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
 @given(classical_maps())
 def test_classical_map_cells_equal_the_scalar_route(case):
     setup, box, nx, ny = case
-    scan = grid_scan(box, nx, ny, "classical", setup)
-    for i, a in enumerate(scan.a_values):
-        for j, c in enumerate(scan.c_values):
+    a_values, c_values, values = grid_scan(box, nx, ny, "classical", setup)
+    for i, a in enumerate(a_values):
+        for j, c in enumerate(c_values):
             s = DesignPoint(a=float(a), c=float(c))
             try:
                 ref = classical_objective(s, setup)
             except SingularDenominator:
-                assert math.isnan(scan.values[i, j])
+                assert math.isnan(values[i, j])
                 continue
-            assert scan.values[i, j:j + 1].tobytes() == np.array([ref]).tobytes()
+            assert values[i, j:j + 1].tobytes() == np.array([ref]).tobytes()
 
 
 def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):

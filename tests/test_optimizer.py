@@ -55,17 +55,17 @@ def test_classical_objective_zero_loads(setup):
 
 def test_two_by_two_grid_equals_direct_calls(setup):
     box = DesignBox(a_min=50.0, a_max=60.0, c_min=50.0, c_max=55.0)
-    scan = grid_scan(box, 2, 2, "classical", setup)
-    for i, a in enumerate(scan.a_values):
-        for j, c in enumerate(scan.c_values):
-            assert scan.values[i, j] == classical_objective(DesignPoint(a=float(a), c=float(c)), setup)
+    a_values, c_values, values = grid_scan(box, 2, 2, "classical", setup)
+    for i, a in enumerate(a_values):
+        for j, c in enumerate(c_values):
+            assert values[i, j] == classical_objective(DesignPoint(a=float(a), c=float(c)), setup)
 
 
 def test_optimize_classical_dominates_grid_and_is_deterministic(setup):
     box = DesignBox()
     first = optimize_classical(box, setup, grid=(101, 51))
-    scan = grid_scan(box, 101, 51, "classical", setup)
-    assert first.objective >= np.nanmax(scan.values) - 1e-6
+    _, _, values = grid_scan(box, 101, 51, "classical", setup)
+    assert first.objective >= np.nanmax(values) - 1e-6
     assert first.objective >= first.certificate_value - 1e-6
     # shipped box: best design sits at the (a_max, c_min) corner
     assert (first.s_opt.a, first.s_opt.c) == (60.0, 50.0)
@@ -84,8 +84,8 @@ def test_optimize_classical_monotone_slice_ends_at_boundary(setup):
     box = DesignBox(a_min=50.0, a_max=60.0, c_min=52.7, c_max=52.7)
     res = optimize_classical(box, setup, grid=(101, 2))
     # the 1-D scan over a is monotone increasing on this slice
-    scan = grid_scan(box, 101, 2, "classical", setup)
-    line = scan.values[:, 0]
+    _, _, values = grid_scan(box, 101, 2, "classical", setup)
+    line = values[:, 0]
     assert np.all(np.diff(line) > 0)
     assert res.s_opt.a == 60.0
 
@@ -120,8 +120,7 @@ def test_robust_objective_bit_identical_across_calls(setup, input_model, uniform
 
 def test_robust_objective_degenerate_ensemble(setup, input_model):
     # identical uniforms on every row collapse the ensemble to one point
-    from brakeopt import UniformMatrix
-    flat = UniformMatrix(seed=0, nu=16, values=np.full((16, 2), 0.25))
+    flat = np.full((16, 2), 0.25)
     s = DesignPoint(a=55.0, c=52.7)
     with pytest.raises(DegenerateEnsemble):
         robust_objective(s, RobustWeights(), flat, input_model, setup)
@@ -134,10 +133,10 @@ SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
 
 
 def constraint_at_shipped_design(setup, input_model, cspec, nu):
-    scan = grid_scan(SHIPPED_POINT, 2, 2, "constraint", setup, input_model=input_model,
-                     cspec=cspec, seed=0, nu=nu)
-    assert np.all(scan.values == scan.values[0, 0])
-    return scan.values[0, 0]
+    _, _, values = grid_scan(SHIPPED_POINT, 2, 2, "constraint", setup, input_model=input_model,
+                             cspec=cspec, seed=0, nu=nu)
+    assert np.all(values == values[0, 0])
+    return values[0, 0]
 
 
 def test_empirical_constraint_trivial_levels(setup, input_model):
@@ -155,7 +154,6 @@ def test_optimize_robust_shipped_settings(setup, input_model):
     box = DesignBox()
     res = optimize_robust(box, RobustWeights(), ConstraintSpec(), 0, setup, input_model,
                           nu=1024, grid=(21, 11))
-    assert res.feasible
     assert res.constraint_prob >= 0.95
     assert res.objective >= res.certificate_value - 1e-6
     classical = optimize_classical(box, setup, grid=(21, 11))
@@ -169,10 +167,10 @@ def test_optimize_robust_vacuous_constraint_matches_grid_max(setup, input_model)
     cspec = ConstraintSpec(y_star=0.0, p_r=1.0 - 1e-9)
     res = optimize_robust(box, RobustWeights(), cspec, 0, setup, input_model,
                           nu=1024, grid=(21, 11))
-    scan = grid_scan(box, 21, 11, "robust", setup, input_model=input_model,
-                     weights=RobustWeights(), cspec=cspec, seed=0, nu=1024)
-    assert res.certificate_value == np.nanmax(scan.values)
-    assert res.objective >= np.nanmax(scan.values) - 1e-6
+    _, _, values = grid_scan(box, 21, 11, "robust", setup, input_model=input_model,
+                             weights=RobustWeights(), cspec=cspec, seed=0, nu=1024)
+    assert res.certificate_value == np.nanmax(values)
+    assert res.objective >= np.nanmax(values) - 1e-6
 
 
 def test_optimize_robust_impossible_level_raises(setup, input_model):
@@ -183,10 +181,10 @@ def test_optimize_robust_impossible_level_raises(setup, input_model):
 
 def test_tight_level_splits_grid_into_both_classes(setup, input_model):
     # y* = 1.1 kN makes the chance constraint genuinely active inside the box
-    scan = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
-                     cspec=ConstraintSpec(y_star=1.1), seed=0, nu=4096)
-    feasible = np.count_nonzero(scan.values >= 0.95)
-    assert 0 < feasible < scan.values.size
+    _, _, values = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
+                             cspec=ConstraintSpec(y_star=1.1), seed=0, nu=4096)
+    feasible = np.count_nonzero(values >= 0.95)
+    assert 0 < feasible < values.size
     res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1), 0,
                           setup, input_model, nu=4096, grid=(21, 11))
     assert res.constraint_prob >= 0.95
@@ -195,11 +193,11 @@ def test_tight_level_splits_grid_into_both_classes(setup, input_model):
 
 def test_shipped_constraint_level_leaves_whole_box_feasible(setup, input_model):
     # at y* = 0.5, P_r = 5% every cell of the shipped box passes the constraint
-    scan = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
-                     cspec=ConstraintSpec(), seed=0, nu=4096)
-    assert np.all(scan.values >= 0.95)
-    assert np.all(scan.values <= 1.0)
-    assert scan.values.min() < scan.values.max()  # map is not flat
+    _, _, values = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
+                             cspec=ConstraintSpec(), seed=0, nu=4096)
+    assert np.all(values >= 0.95)
+    assert np.all(values <= 1.0)
+    assert values.min() < values.max()  # map is not flat
 
 
 def test_grid_scan_rejects_bad_kind_and_resolution(setup):
@@ -224,10 +222,11 @@ def test_one_sample_ensemble(setup, input_model):
     with pytest.raises(InsufficientSamples):
         grid_scan(DesignBox(), 2, 2, "robust", setup, weights=RobustWeights(), **one)
     no_std = RobustWeights(beta1=0.25, beta2=0.25, beta3=0.5, beta4=0.0)
-    assert np.all(np.isfinite(grid_scan(DesignBox(), 2, 2, "robust", setup, weights=no_std,
-                                        **one).values))
-    constraint = grid_scan(DesignBox(), 2, 2, "constraint", setup, cspec=ConstraintSpec(), **one)
-    assert set(constraint.values.ravel()) <= {0.0, 1.0}
+    _, _, robust = grid_scan(DesignBox(), 2, 2, "robust", setup, weights=no_std, **one)
+    assert np.all(np.isfinite(robust))
+    _, _, constraint = grid_scan(DesignBox(), 2, 2, "constraint", setup, cspec=ConstraintSpec(),
+                                 **one)
+    assert set(constraint.ravel()) <= {0.0, 1.0}
 
 
 def test_weights_and_constraint_validation():
@@ -502,9 +501,7 @@ def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, monke
                for _, kw in kernel_calls)
     monkeypatch.setattr(optimizer, "_lattice", row_by_row)
     want = grid_scan(*args, **kwargs)
-    assert all(same_bits(x, y) for x, y in
-               zip((got.a_values, got.c_values, got.values),
-                   (want.a_values, want.c_values, want.values)))
+    assert all(same_bits(x, y) for x, y in zip(got, want))
 
 
 @st.composite
@@ -562,7 +559,7 @@ def test_classical_optimum_is_the_best_corner_when_the_pole_is_outside(case):
 
 def frozen(a, c, objective, evaluations, cert_value, cert_a, cert_c, prob=None):
     return OptimizationResult(
-        s_opt=DesignPoint(a=a, c=c), objective=objective, feasible=True,
+        s_opt=DesignPoint(a=a, c=c), objective=objective,
         evaluations=evaluations, certificate_value=cert_value,
         certificate_point=DesignPoint(a=cert_a, c=cert_c), constraint_prob=prob)
 

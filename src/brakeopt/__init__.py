@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (  # noqa: F401
     AllStartsFailed,
     BrakeOptError,
-    DegenerateEnsemble,
     DegenerateSample,
     InsufficientSamples,
     MeanOutOfSupport,
@@ -41,8 +40,11 @@ from .optimizer import (  # noqa: F401
     DesignBox,
     DesignPoint,
     RobustWeights,
+    classical_values,
+    constraint_values,
     grid_scan,
     optimize_classical,
     optimize_robust,
     robust_objective,
+    robust_values,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as cfgmod, mc_uq, mechmodel, optimizer
-from .errors import BrakeOptError, ParseError, ValidationError
+from .errors import BrakeOptError, ValidationError
 
 
 def _header(cfg, seed) -> str:
@@ -165,16 +165,17 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
     return payload
 
 
-def _write_contour(cfg, kind: str, setup: optimizer.ModelSetup, model, out: Path) -> Path:
-    """Scan the ``kind`` map on the config's grid and write it as CSV;
-    ``model`` is the input model (None for the classical map)."""
+# contour kind -> the value column of its CSV
+_VALUE_COLUMNS = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
+
+
+def _write_contour(cfg, kind: str, values_at, out: Path) -> Path:
+    """Scan the design function ``values_at`` of the ``kind`` map on the
+    config's grid and write it as CSV."""
     a, c, values = optimizer.grid_scan(
-        cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, kind, setup,
-        input_model=model, weights=cfg.design.weights,
-        cspec=cfg.design.constraint, seed=cfg.mc.seed, nu=cfg.mc.nu)
-    value_col = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
+        cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, values_at)
     path = out / f"contour_{kind}.csv"
-    _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", value_col[kind]],
+    _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", _VALUE_COLUMNS[kind]],
                [np.repeat(a, len(c)), np.tile(c, len(a)), values.ravel()])
     return path
 
@@ -195,13 +196,17 @@ def cmd_opt_robust(cfg) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg)
+    # one ensemble for the optimizer and both maps
+    uniforms = mc_uq.draw_uniform_matrix(cfg.mc.seed, cfg.mc.nu)
+    weights, cspec = cfg.design.weights, cfg.design.constraint
     result = optimizer.optimize_robust(
-        cfg.design.box, cfg.design.weights, cfg.design.constraint,
-        cfg.mc.seed, setup, model, nu=cfg.mc.nu, grid=(cfg.output.grid_nx, cfg.output.grid_ny))
+        cfg.design.box, weights, cspec, setup, model, uniforms,
+        (cfg.output.grid_nx, cfg.output.grid_ny))
     _write_json(out / "optimum.json", cfg, cfg.mc.seed,
                 {"command": "opt-robust", **_optimum_payload(result, "weighted")})
-    for kind in ("robust", "constraint"):
-        _write_contour(cfg, kind, setup, model, out)
+    _write_contour(cfg, "robust", optimizer.robust_values(setup, model, uniforms, weights), out)
+    _write_contour(cfg, "constraint",
+                   optimizer.constraint_values(setup, model, uniforms, cspec), out)
     print(f"opt-robust: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
           f"objective={result.objective:.6g} -> {out}")
     return 0
@@ -210,8 +215,16 @@ def cmd_opt_robust(cfg) -> int:
 def cmd_contour(cfg, kind: str) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
-    model = cfgmod.input_model_from(cfg) if kind != "classical" else None
-    path = _write_contour(cfg, kind, setup, model, out)
+    if kind == "classical":
+        values_at = optimizer.classical_values(setup)
+    else:
+        model = cfgmod.input_model_from(cfg)
+        uniforms = mc_uq.draw_uniform_matrix(cfg.mc.seed, cfg.mc.nu)
+        if kind == "robust":
+            values_at = optimizer.robust_values(setup, model, uniforms, cfg.design.weights)
+        else:
+            values_at = optimizer.constraint_values(setup, model, uniforms, cfg.design.constraint)
+    path = _write_contour(cfg, kind, values_at, out)
     print(f"contour: kind={kind} grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
     return 0
 
@@ -245,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ct = sub.add_parser("contour", help="write one dense grid map as CSV")
     common(p_ct)
-    p_ct.add_argument("--kind", choices=optimizer.GRID_KINDS, required=True)
+    p_ct.add_argument("--kind", choices=tuple(_VALUE_COLUMNS), required=True)
     return parser
 
 
@@ -267,9 +280,7 @@ def main(argv=None) -> int:
             return cmd_opt_classical(cfg)
         if args.command == "opt-robust":
             return cmd_opt_robust(cfg)
-        if args.command == "contour":
-            return cmd_contour(cfg, args.kind)
-        raise ParseError(f"unknown command {args.command!r}")
+        return cmd_contour(cfg, args.kind)
     except BrakeOptError as exc:
         json.dump({"error": type(exc).__name__,
                    "exit_code": exc.exit_code,

@@ -76,12 +76,6 @@ class DegenerateSample(BrakeOptError):
     exit_code = 16
 
 
-class DegenerateEnsemble(BrakeOptError):
-    """Ensemble has zero dispersion while the objective divides by it."""
-
-    exit_code = 17
-
-
 class NoFeasiblePoint(BrakeOptError):
     """No design in the search grid satisfies the probabilistic constraint."""
 

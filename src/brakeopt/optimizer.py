@@ -16,8 +16,11 @@ cross-checked against a dense grid scan whose best (feasible) cell is
 returned as a certificate; the reported optimum always dominates it.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
-are evaluated in batches, ``values_at(a, c) -> values`` over equal-shape
-arrays: a block of whole lattice rows, or one round of the lockstep ascents.
+are evaluated in batches by a design function ``values_at(a, c) -> values``
+over equal-shape arrays: a block of whole lattice rows, or one round of the
+lockstep ascents.  :func:`classical_values`, :func:`robust_values` and
+:func:`constraint_values` build the three maps' design functions; the
+sampled ones take the run's drawn ``(nu, 2)`` uniform matrix.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mc_uq, mechmodel
-from .errors import (
-    AllStartsFailed, DegenerateEnsemble, InsufficientSamples, NoFeasiblePoint, ValidationError)
+from .errors import AllStartsFailed, InsufficientSamples, NoFeasiblePoint, ValidationError
 
-GRID_KINDS = ("classical", "robust", "constraint")
 _STARTS = np.linspace(0.0, 1.0, 5)  # ascent starts per axis of the unit square
 # ascent steps and the FD stencil are fractions of the box width
 _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = 200, 0.25, 1e-8, 1e-4
@@ -119,7 +120,7 @@ class OptimizationResult:
     constraint_prob: float | None = None
 
 
-def _classical_values(setup: ModelSetup):
+def classical_values(setup: ModelSetup):
     """Design function of the classical problem: the braking force (kN) at
     the nominal loads, one kernel call per batch, nan where a denominator is
     singular."""
@@ -133,20 +134,25 @@ def _classical_values(setup: ModelSetup):
     return values_at
 
 
-def _ensemble_fh(setup: ModelSetup, crn, a: float, c: float) -> np.ndarray:
-    """Braking force over the common-random-numbers ensemble ``crn`` (the
-    tuple returned by :func:`mc_uq.sample_inputs`) at design (a, c)."""
-    _, fs, sin_a, cos_a = crn
-    fh, _, _ = mechmodel.braking_force_ensemble(
-        setup.geom, setup.fric, setup.nominal.Fg, setup.nominal.Fb, sin_a, cos_a, fs, a=a, c=c)
-    return fh
+def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
+    """``fh_at(a, c)``: the braking forces over the common-random-numbers
+    ensemble of the drawn ``uniforms`` at design (a, c).  The uniforms go
+    through :func:`mc_uq.sample_inputs` once, here."""
+    _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
+    load = setup.nominal
+
+    def fh_at(a: float, c: float) -> np.ndarray:
+        fh, _, _ = mechmodel.braking_force_ensemble(
+            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, fs, a=a, c=c)
+        return fh
+    return fh_at
 
 
-def _per_design_values(setup: ModelSetup, crn, value_of):
-    """Design function that makes one ensemble call per design and maps its
-    braking forces to a value with ``value_of(fh)``."""
+def _per_design_values(fh_at, value_of):
+    """Design function that makes one ensemble call ``fh_at`` per design and
+    maps its braking forces to a value with ``value_of(fh)``."""
     def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.fromiter((value_of(_ensemble_fh(setup, crn, x, y))
+        return np.fromiter((value_of(fh_at(x, y))
                             for x, y in zip(map(float, a), map(float, c))), float, a.size)
     return values_at
 
@@ -172,7 +178,8 @@ def _mean_std(fh: np.ndarray, with_std: bool) -> tuple[float, float | None]:
 
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     """beta1*min + beta2*max + beta3*mean + beta4/std over the sample; nan if
-    any sample failed to evaluate.  The std term needs two samples."""
+    any sample failed to evaluate or, with beta4 > 0, the sample has zero
+    spread.  The std term needs two samples."""
     if weights.beta4 > 0.0 and fh.shape[0] < 2:
         raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {fh.shape[0]}")
     lo, hi = _extremes(fh)
@@ -182,22 +189,31 @@ def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     value = weights.beta1 * lo + weights.beta2 * hi + weights.beta3 * mean
     if std is not None:
         if std == 0.0:
-            raise DegenerateEnsemble("ensemble std is zero while beta4 > 0")
+            return math.nan
         value += weights.beta4 / std
     return value
-
-
-def _robust_or_nan(weights: RobustWeights, fh: np.ndarray) -> float:
-    try:
-        return _robust_value(weights, fh)
-    except DegenerateEnsemble:
-        return math.nan
 
 
 def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:
     # non-evaluable samples count as violations
     hits = np.count_nonzero(np.isfinite(fh) & (np.abs(fh) > cspec.y_star))
     return hits / fh.shape[0]
+
+
+def robust_values(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray,
+                  weights: RobustWeights):
+    """Design function of the robust map: the robust objective over the
+    ensemble of the drawn ``uniforms``, nan where :func:`_robust_value` is."""
+    return _per_design_values(_ensemble_fh(setup, input_model, uniforms),
+                              lambda fh: _robust_value(weights, fh))
+
+
+def constraint_values(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray,
+                      cspec: ConstraintSpec):
+    """Design function of the constraint map: the empirical probability
+    P{|Fh| > y*} over the ensemble of the drawn ``uniforms``."""
+    return _per_design_values(_ensemble_fh(setup, input_model, uniforms),
+                              lambda fh: _constraint_value(cspec, fh))
 
 
 def robust_objective(
@@ -207,15 +223,9 @@ def robust_objective(
     input_model: maxent.InputModel,
     setup: ModelSetup,
 ) -> float:
-    """Robust objective at one design under common random numbers.
-
-    Bit-identical for identical (s, uniforms, model, setup).  It scores
-    the ensemble that :func:`grid_scan` and :func:`optimize_robust` score,
-    but those transform the uniforms once per run and this entry on each
-    call.
-    """
-    crn = mc_uq.sample_inputs(input_model, uniforms)
-    return _robust_value(weights, _ensemble_fh(setup, crn, s.a, s.c))
+    """The robust map at one design: bit-identical to its cell of
+    :func:`robust_values` and to the optimizer's value of a feasible design."""
+    return _robust_value(weights, _ensemble_fh(setup, input_model, uniforms)(s.a, s.c))
 
 
 def _ascent(u0):
@@ -317,40 +327,11 @@ def _grid_argmax(a_values, c_values, values):
     return DesignPoint(a=float(a_values[i]), c=float(c_values[j])), float(values[i, j])
 
 
-def grid_scan(
-    box: DesignBox,
-    nx: int,
-    ny: int,
-    kind: str,
-    setup: ModelSetup,
-    input_model: maxent.InputModel | None = None,
-    weights: RobustWeights | None = None,
-    cspec: ConstraintSpec | None = None,
-    seed: int | None = None,
-    nu: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a_values, c_values, values)``: one of the three maps on a dense row-major lattice.
-
-    kind 'classical' needs only the setup.  'robust' and 'constraint' also
-    need the input model, the seed, nu and, in turn, the weights or the
-    constraint spec; they draw a single uniform matrix from (seed, nu) and
-    reuse it at every cell.  Failed cells are recorded as nan, never raised.
-    """
-    if kind not in GRID_KINDS:
-        raise ValidationError(f"grid kind must be one of {GRID_KINDS}", kind)
-    if kind == "classical":
-        return _lattice(box, nx, ny, _classical_values(setup))
-
-    if any(v is None for v in (input_model, seed, nu, weights if kind == "robust" else cspec)):
-        raise ValidationError("a robust (constraint) grid scan needs input_model, seed, nu "
-                              "and weights (cspec)", kind)
-    crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
-
-    def value_of(fh: np.ndarray) -> float:
-        if kind == "constraint":
-            return _constraint_value(cspec, fh)
-        return _robust_or_nan(weights, fh)
-    return _lattice(box, nx, ny, _per_design_values(setup, crn, value_of))
+def grid_scan(box: DesignBox, nx: int, ny: int,
+              values_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_values, c_values, values)``: the design function ``values_at`` on
+    the dense row-major nx x ny lattice of the box; see :func:`_lattice`."""
+    return _lattice(box, nx, ny, values_at)
 
 
 def _optimize(box: DesignBox, values_at, grid: tuple[int, int]):
@@ -400,7 +381,7 @@ def optimize_classical(
     Raises AllStartsFailed when no start has a finite value; with no finite
     grid cell the ascent is its own certificate.
     """
-    best, cert, evaluations = _optimize(box, _classical_values(setup), grid)
+    best, cert, evaluations = _optimize(box, classical_values(setup), grid)
     if best is None:
         raise AllStartsFailed("no ascent start has a finite braking force "
                               "(a singular denominator or an overflow)")
@@ -411,33 +392,32 @@ def optimize_robust(
     box: DesignBox,
     weights: RobustWeights,
     cspec: ConstraintSpec,
-    seed: int,
     setup: ModelSetup,
     input_model: maxent.InputModel,
-    nu: int,
+    uniforms: np.ndarray,
     grid: tuple[int, int],
 ) -> OptimizationResult:
     """Maximize the robust objective subject to the chance constraint.
 
-    One uniform matrix is drawn from (seed, nu) and reused at every design
-    point, so the whole optimization is a pure function of its arguments.
+    The drawn ``uniforms`` are reused at every design point, so the whole
+    optimization is a pure function of its arguments.
     A design violating the constraint has the value nan, so the ascent
     rejects it and the certificate is the best feasible cell of the dense
     grid.  Raises NoFeasiblePoint when no certificate cell is feasible.
     """
-    crn = mc_uq.sample_inputs(input_model, mc_uq.draw_uniform_matrix(seed, nu))
+    fh_at = _ensemble_fh(setup, input_model, uniforms)
     threshold = 1.0 - cspec.p_r
 
     def value_of(fh: np.ndarray) -> float:
         if _constraint_value(cspec, fh) < threshold:
             return math.nan
-        return _robust_or_nan(weights, fh)
+        return _robust_value(weights, fh)
 
-    best, cert, evaluations = _optimize(box, _per_design_values(setup, crn, value_of), grid)
+    best, cert, evaluations = _optimize(box, _per_design_values(fh_at, value_of), grid)
     if cert is None:
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
             f"P(|Fh| > {cspec.y_star}) >= {threshold}")
     result = _settle(best, cert, evaluations)
-    fh_opt = _ensemble_fh(setup, crn, result.s_opt.a, result.s_opt.c)
+    fh_opt = fh_at(result.s_opt.a, result.s_opt.c)
     return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt))

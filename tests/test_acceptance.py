@@ -17,6 +17,7 @@ from brakeopt import (
     LoadCase,
     RobustWeights,
     braking_force,
+    classical_values,
     draw_uniform_matrix,
     fit_truncexp,
     grid_scan,
@@ -139,7 +140,7 @@ def test_criterion_6_classical_optimum_dominates_grid(cfg, setup):
     with budget(6, "classical optimum >= 101x51 grid max - 1e-6, deterministic", 10.0):
         box = cfg.design.box
         res = optimize_classical(box, setup, grid=(101, 51))
-        _, _, values = grid_scan(box, 101, 51, "classical", setup)
+        _, _, values = grid_scan(box, 101, 51, classical_values(setup))
         assert res.objective >= float(np.nanmax(values)) - 1e-6
         assert res == optimize_classical(box, setup, grid=(101, 51))
 
@@ -147,12 +148,12 @@ def test_criterion_6_classical_optimum_dominates_grid(cfg, setup):
 def test_criterion_7_robust_optimum_feasible_reproducible_distinct(cfg, setup, input_model):
     with budget(7, "robust optimum: feasible, certified, reproducible, distinct", 300.0):
         box, w, cs = cfg.design.box, cfg.design.weights, cfg.design.constraint
-        res = optimize_robust(box, w, cs, cfg.mc.seed, setup, input_model,
-                              nu=4096, grid=(101, 51))
+        uniforms = draw_uniform_matrix(cfg.mc.seed, 4096)
+        res = optimize_robust(box, w, cs, setup, input_model, uniforms, (101, 51))
         assert res.constraint_prob >= 1.0 - cs.p_r
         assert res.objective >= res.certificate_value - 1e-6
-        repeat = optimize_robust(box, w, cs, cfg.mc.seed, setup, input_model,
-                                 nu=4096, grid=(101, 51))
+        repeat = optimize_robust(box, w, cs, setup, input_model,
+                                 draw_uniform_matrix(cfg.mc.seed, 4096), (101, 51))
         assert res == repeat, "robust optimization is not bit-reproducible"
         classical = optimize_classical(box, setup, grid=(101, 51))
         assert (res.s_opt.a, res.s_opt.c) != (classical.s_opt.a, classical.s_opt.c)

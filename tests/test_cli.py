@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from brakeopt import ConstraintSpec, DesignBox, RobustWeights, ValidationError, cli
+from brakeopt import (
+    ConstraintSpec, DesignBox, RobustWeights, ValidationError, cli, mc_uq, optimizer)
 from brakeopt.cli import main
 from brakeopt.config import config_to_text, default_config, default_config_path
 
@@ -89,6 +90,31 @@ def test_opt_robust_contours_match_contour_command(tmp_path):
         assert (tmp_path / "orb" / name).read_bytes() == (tmp_path / kind / name).read_bytes()
 
 
+def test_opt_robust_draws_one_uniform_matrix_for_the_optimizer_and_both_maps(
+        tmp_path, monkeypatch):
+    drawn, received = [], {}
+    draw = mc_uq.draw_uniform_matrix
+
+    def recorded_draw(seed, nu):
+        drawn.append(draw(seed, nu))
+        return drawn[-1]
+
+    def receiving(name, fn, position):
+        def wrapper(*args):
+            received[name] = args[position]
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mc_uq, "draw_uniform_matrix", recorded_draw)
+    for name, position in (("optimize_robust", 5), ("robust_values", 2),
+                           ("constraint_values", 2)):
+        monkeypatch.setattr(optimizer, name, receiving(name, getattr(optimizer, name), position))
+    assert run(["opt-robust", "--out", tmp_path, "--nu", 64, "--grid", "5x3"]) == 0
+    assert len(drawn) == 1
+    assert sorted(received) == ["constraint_values", "optimize_robust", "robust_values"]
+    assert all(uniforms is drawn[0] for uniforms in received.values())
+
+
 def _reference_fmt(value) -> str:
     # the per-value spelling rules the artifacts have always followed
     if isinstance(value, (bool, np.bool_)):
@@ -144,6 +170,14 @@ def test_contour_grid_shape_and_values(tmp_path, capsys):
     assert len(lines) == 2 + 5 * 3
     first = lines[2].split(",")
     assert (float(first[0]), float(first[1])) == (50.0, 50.0)
+
+
+def test_unknown_contour_kind_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as usage:
+        run(["contour", "--kind", "nonsense", "--out", tmp_path / "ct"])
+    assert usage.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validation_error_maps_to_exit_code_and_json(tmp_path, capsys):

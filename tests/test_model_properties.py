@@ -33,6 +33,7 @@ from brakeopt import (
     LoadCase,
     SingularDenominator,
     braking_force,
+    classical_values,
     grid_scan,
     solve_equilibrium,
 )
@@ -207,6 +208,30 @@ def test_closed_form_at_a_contact_root_with_both_denominators_near_singular():
     assert abs(sol.Fh - exact) <= RTOL * max(k1, k4) * scale
 
 
+def test_linear_solve_at_a_regular_contact_root_errs_on_the_scale_of_its_largest_unknown():
+    # A regular input (kappa1 = 1, kappa4 = 1.14) at the root of N1.  The
+    # closed form meets the 50-digit value within RTOL*kappa*sum|T| (0.0012
+    # of it).  An LU solve errs in each unknown by a few ulps of the largest
+    # (39 here, against sum|T| = 0.37): the 6x6 solve misses the term-scale
+    # bound 1.45-fold and uses 0.014 of one scaled by its largest unknown.
+    geom = BrakeGeometry(a=124.93287605865405, b=149.06309805646686, c=1.0,
+                         d=152.37343763941374, e=11.78520814544127, f=0.0794816652335112,
+                         l=42.81874770965843, m=1.0, n=1.9, R=7.94816652335112)
+    fric = FrictionSet(0.5722719229682395, 0.025, 1 / 3)
+    Fg, Fb, alpha = 77.31543945152394, 1.0, 1.021151778758241
+    Fs = contact_roots(geom, fric, Fg, Fb, alpha)[0]
+    assert Fs == 13.390190780775871
+    load = LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha)
+    kappa = max(conditioning(geom, fric, alpha))
+    exact = exact_equilibrium(geom, fric, load)["Fh"]
+    sol = braking_force(geom, fric, load)
+    scale = abs(sol.T1) + abs(sol.T2) + abs(sol.T3) + abs(sol.T4)
+    assert abs(sol.Fh - exact) <= RTOL * kappa * scale
+    ref = solve_equilibrium(geom, fric, load)
+    largest = max(abs(getattr(ref, k)) for k in ("N1", "N2", "N3", "N4", "Rx", "Ry"))
+    assert abs(ref.Fh - exact) <= RTOL * kappa * largest
+
+
 @st.composite
 def classical_maps(draw):
     """(setup, box, nx, ny).  With an offset drawn, m is solved for so that
@@ -249,7 +274,7 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
 @given(classical_maps())
 def test_classical_map_cells_equal_the_scalar_route(case):
     setup, box, nx, ny = case
-    a_values, c_values, values = grid_scan(box, nx, ny, "classical", setup)
+    a_values, c_values, values = grid_scan(box, nx, ny, classical_values(setup))
     for i, a in enumerate(a_values):
         for j, c in enumerate(c_values):
             s = DesignPoint(a=float(a), c=float(c))

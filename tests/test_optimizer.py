@@ -12,7 +12,6 @@ from brakeopt import (
     AllStartsFailed,
     BrakeGeometry,
     ConstraintSpec,
-    DegenerateEnsemble,
     DesignBox,
     DesignPoint,
     FrictionSet,
@@ -23,14 +22,17 @@ from brakeopt import (
     SingularDenominator,
     ValidationError,
     braking_force,
+    classical_values,
+    constraint_values,
     draw_uniform_matrix,
     grid_scan,
     optimize_classical,
     optimize_robust,
     propagate,
     robust_objective,
+    robust_values,
 )
-from brakeopt import mc_uq, mechmodel, optimizer
+from brakeopt import mechmodel, optimizer
 from brakeopt.optimizer import ModelSetup, OptimizationResult
 from test_model_properties import classical_objective, frictions, lengths, same_bits
 
@@ -55,7 +57,7 @@ def test_classical_objective_zero_loads(setup):
 
 def test_two_by_two_grid_equals_direct_calls(setup):
     box = DesignBox(a_min=50.0, a_max=60.0, c_min=50.0, c_max=55.0)
-    a_values, c_values, values = grid_scan(box, 2, 2, "classical", setup)
+    a_values, c_values, values = grid_scan(box, 2, 2, classical_values(setup))
     for i, a in enumerate(a_values):
         for j, c in enumerate(c_values):
             assert values[i, j] == classical_objective(DesignPoint(a=float(a), c=float(c)), setup)
@@ -64,7 +66,7 @@ def test_two_by_two_grid_equals_direct_calls(setup):
 def test_optimize_classical_dominates_grid_and_is_deterministic(setup):
     box = DesignBox()
     first = optimize_classical(box, setup, grid=(101, 51))
-    _, _, values = grid_scan(box, 101, 51, "classical", setup)
+    _, _, values = grid_scan(box, 101, 51, classical_values(setup))
     assert first.objective >= np.nanmax(values) - 1e-6
     assert first.objective >= first.certificate_value - 1e-6
     # shipped box: best design sits at the (a_max, c_min) corner
@@ -84,7 +86,7 @@ def test_optimize_classical_monotone_slice_ends_at_boundary(setup):
     box = DesignBox(a_min=50.0, a_max=60.0, c_min=52.7, c_max=52.7)
     res = optimize_classical(box, setup, grid=(101, 2))
     # the 1-D scan over a is monotone increasing on this slice
-    _, _, values = grid_scan(box, 101, 2, "classical", setup)
+    _, _, values = grid_scan(box, 101, 2, classical_values(setup))
     line = values[:, 0]
     assert np.all(np.diff(line) > 0)
     assert res.s_opt.a == 60.0
@@ -122,8 +124,7 @@ def test_robust_objective_degenerate_ensemble(setup, input_model):
     # identical uniforms on every row collapse the ensemble to one point
     flat = np.full((16, 2), 0.25)
     s = DesignPoint(a=55.0, c=52.7)
-    with pytest.raises(DegenerateEnsemble):
-        robust_objective(s, RobustWeights(), flat, input_model, setup)
+    assert math.isnan(robust_objective(s, RobustWeights(), flat, input_model, setup))
     # without the dispersion term the same ensemble is fine
     mean_only = RobustWeights(beta1=0.0, beta2=0.0, beta3=1.0, beta4=0.0)
     assert math.isfinite(robust_objective(s, mean_only, flat, input_model, setup))
@@ -133,8 +134,8 @@ SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
 
 
 def constraint_at_shipped_design(setup, input_model, cspec, nu):
-    _, _, values = grid_scan(SHIPPED_POINT, 2, 2, "constraint", setup, input_model=input_model,
-                             cspec=cspec, seed=0, nu=nu)
+    _, _, values = grid_scan(SHIPPED_POINT, 2, 2, constraint_values(
+        setup, input_model, draw_uniform_matrix(0, nu), cspec))
     assert np.all(values == values[0, 0])
     return values[0, 0]
 
@@ -152,80 +153,70 @@ def test_empirical_constraint_at_shipped_design(setup, input_model):
 
 def test_optimize_robust_shipped_settings(setup, input_model):
     box = DesignBox()
-    res = optimize_robust(box, RobustWeights(), ConstraintSpec(), 0, setup, input_model,
-                          nu=1024, grid=(21, 11))
+    uniforms = draw_uniform_matrix(0, 1024)
+    res = optimize_robust(box, RobustWeights(), ConstraintSpec(), setup, input_model, uniforms,
+                          (21, 11))
     assert res.constraint_prob >= 0.95
     assert res.objective >= res.certificate_value - 1e-6
     classical = optimize_classical(box, setup, grid=(21, 11))
     assert (res.s_opt.a, res.s_opt.c) != (classical.s_opt.a, classical.s_opt.c)
-    assert res == optimize_robust(box, RobustWeights(), ConstraintSpec(), 0, setup, input_model,
-                                  nu=1024, grid=(21, 11))
+    assert res == optimize_robust(box, RobustWeights(), ConstraintSpec(), setup, input_model,
+                                  draw_uniform_matrix(0, 1024), (21, 11))
 
 
 def test_optimize_robust_vacuous_constraint_matches_grid_max(setup, input_model):
     box = DesignBox()
     cspec = ConstraintSpec(y_star=0.0, p_r=1.0 - 1e-9)
-    res = optimize_robust(box, RobustWeights(), cspec, 0, setup, input_model,
-                          nu=1024, grid=(21, 11))
-    _, _, values = grid_scan(box, 21, 11, "robust", setup, input_model=input_model,
-                             weights=RobustWeights(), cspec=cspec, seed=0, nu=1024)
+    uniforms = draw_uniform_matrix(0, 1024)
+    res = optimize_robust(box, RobustWeights(), cspec, setup, input_model, uniforms, (21, 11))
+    _, _, values = grid_scan(box, 21, 11,
+                             robust_values(setup, input_model, uniforms, RobustWeights()))
     assert res.certificate_value == np.nanmax(values)
     assert res.objective >= np.nanmax(values) - 1e-6
 
 
 def test_optimize_robust_impossible_level_raises(setup, input_model):
     with pytest.raises(NoFeasiblePoint):
-        optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3), 0,
-                        setup, input_model, nu=512, grid=(11, 6))
+        optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3),
+                        setup, input_model, draw_uniform_matrix(0, 512), (11, 6))
 
 
 def test_tight_level_splits_grid_into_both_classes(setup, input_model):
     # y* = 1.1 kN makes the chance constraint genuinely active inside the box
-    _, _, values = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
-                             cspec=ConstraintSpec(y_star=1.1), seed=0, nu=4096)
+    uniforms = draw_uniform_matrix(0, 4096)
+    _, _, values = grid_scan(DesignBox(), 21, 11, constraint_values(
+        setup, input_model, uniforms, ConstraintSpec(y_star=1.1)))
     feasible = np.count_nonzero(values >= 0.95)
     assert 0 < feasible < values.size
-    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1), 0,
-                          setup, input_model, nu=4096, grid=(21, 11))
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1),
+                          setup, input_model, uniforms, (21, 11))
     assert res.constraint_prob >= 0.95
     assert res.objective >= res.certificate_value - 1e-6
 
 
 def test_shipped_constraint_level_leaves_whole_box_feasible(setup, input_model):
     # at y* = 0.5, P_r = 5% every cell of the shipped box passes the constraint
-    _, _, values = grid_scan(DesignBox(), 21, 11, "constraint", setup, input_model=input_model,
-                             cspec=ConstraintSpec(), seed=0, nu=4096)
+    _, _, values = grid_scan(DesignBox(), 21, 11, constraint_values(
+        setup, input_model, draw_uniform_matrix(0, 4096), ConstraintSpec()))
     assert np.all(values >= 0.95)
     assert np.all(values <= 1.0)
     assert values.min() < values.max()  # map is not flat
 
 
-def test_grid_scan_rejects_bad_kind_and_resolution(setup):
+def test_grid_scan_rejects_bad_resolution(setup):
     with pytest.raises(ValidationError):
-        grid_scan(DesignBox(), 2, 2, "nonsense", setup)
-    with pytest.raises(ValidationError):
-        grid_scan(DesignBox(), 1, 2, "classical", setup)
-
-
-@pytest.mark.parametrize("kind, kwargs", [
-    ("robust", dict(seed=0, nu=8)),                  # no weights
-    ("constraint", dict(seed=0, nu=8)),              # no constraint spec
-    ("constraint", dict(cspec=ConstraintSpec(), seed=0)),  # no nu
-])
-def test_sampled_scans_take_every_setting_from_the_caller(setup, input_model, kind, kwargs):
-    with pytest.raises(ValidationError):
-        grid_scan(DesignBox(), 2, 2, kind, setup, input_model=input_model, **kwargs)
+        grid_scan(DesignBox(), 1, 2, classical_values(setup))
 
 
 def test_one_sample_ensemble(setup, input_model):
-    one = dict(input_model=input_model, seed=0, nu=1)
+    one = draw_uniform_matrix(0, 1)
     with pytest.raises(InsufficientSamples):
-        grid_scan(DesignBox(), 2, 2, "robust", setup, weights=RobustWeights(), **one)
+        grid_scan(DesignBox(), 2, 2, robust_values(setup, input_model, one, RobustWeights()))
     no_std = RobustWeights(beta1=0.25, beta2=0.25, beta3=0.5, beta4=0.0)
-    _, _, robust = grid_scan(DesignBox(), 2, 2, "robust", setup, weights=no_std, **one)
+    _, _, robust = grid_scan(DesignBox(), 2, 2, robust_values(setup, input_model, one, no_std))
     assert np.all(np.isfinite(robust))
-    _, _, constraint = grid_scan(DesignBox(), 2, 2, "constraint", setup, cspec=ConstraintSpec(),
-                                 **one)
+    _, _, constraint = grid_scan(DesignBox(), 2, 2, constraint_values(
+        setup, input_model, one, ConstraintSpec()))
     assert set(constraint.ravel()) <= {0.0, 1.0}
 
 
@@ -253,8 +244,7 @@ def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
     ens = propagate(input_model, uniforms, cfg.geometry, cfg.friction,
                     cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     shipped = DesignPoint(a=cfg.geometry.a, c=cfg.geometry.c)
-    fh = optimizer._ensemble_fh(setup, mc_uq.sample_inputs(input_model, uniforms),
-                                 shipped.a, shipped.c)
+    fh = optimizer._ensemble_fh(setup, input_model, uniforms)(shipped.a, shipped.c)
     assert fh.tobytes() == ens.outputs.tobytes()
     weights = cfg.design.weights
     assert robust_objective(shipped, weights, uniforms, input_model, setup) \
@@ -435,8 +425,8 @@ def test_classical_ascents_share_kernel_calls(setup, kernel_calls):
 
 
 def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
-    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), 0, setup, input_model,
-                          nu=256, grid=(21, 11))
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), setup, input_model,
+                          draw_uniform_matrix(0, 256), (21, 11))
     assert len(kernel_calls) == res.evaluations + 1  # and the recheck of the optimum
 
 
@@ -471,7 +461,7 @@ def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole)
     if at_pole:  # the last column sits on the den1 pole, so its cells are nan
         box = DesignBox(a_min=50.0, a_max=60.0, c_min=den1_pole(setup) - 10.0,
                         c_max=den1_pole(setup))
-    values_at = optimizer._classical_values(setup)
+    values_at = classical_values(setup)
     sizes = []
 
     def spy(a, c):
@@ -487,20 +477,21 @@ def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole)
     assert sizes == [min(rows, nx - i) * ny for i in range(0, nx, rows)]
 
 
-@pytest.mark.parametrize("kind", ["robust", "constraint"])
-def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, monkeypatch,
-                                                       kernel_calls, kind):
-    args = (DesignBox(), 21, 11, kind, setup)
+@pytest.mark.parametrize("build, setting", [
+    (robust_values, RobustWeights()),
     # y* = 1.1 kN puts the constraint map's cells on both sides of 0.95
-    kwargs = dict(input_model=input_model, weights=RobustWeights(),
-                  cspec=ConstraintSpec(y_star=1.1), seed=0, nu=256)
-    got = grid_scan(*args, **kwargs)
+    (constraint_values, ConstraintSpec(y_star=1.1)),
+], ids=["robust", "constraint"])
+def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, monkeypatch,
+                                                       kernel_calls, build, setting):
+    args = (DesignBox(), 21, 11, build(setup, input_model, draw_uniform_matrix(0, 256), setting))
+    got = grid_scan(*args)
     # one ensemble call per cell, at a design of two Python floats
     assert len(kernel_calls) == 21 * 11
     assert all(type(kw["a"]) is float and type(kw["c"]) is float
                for _, kw in kernel_calls)
     monkeypatch.setattr(optimizer, "_lattice", row_by_row)
-    want = grid_scan(*args, **kwargs)
+    want = grid_scan(*args)
     assert all(same_bits(x, y) for x, y in zip(got, want))
 
 
@@ -586,8 +577,8 @@ STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
             0.951171875)),
 ])
 def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
-    res = optimize_robust(DesignBox(), weights, ConstraintSpec(y_star=y_star), 0, setup,
-                          input_model, nu=1024, grid=(21, 11))
+    res = optimize_robust(DesignBox(), weights, ConstraintSpec(y_star=y_star), setup,
+                          input_model, draw_uniform_matrix(0, 1024), (21, 11))
     assert res == expected
 
 
@@ -655,8 +646,7 @@ def test_one_statistics_pass_has_the_bits_of_numpy(x):
         if not finite:
             assert math.isnan(optimizer._robust_value(weights, x))
         elif std == 0.0:
-            with pytest.raises(DegenerateEnsemble):
-                optimizer._robust_value(weights, x)
+            assert math.isnan(optimizer._robust_value(weights, x))
         else:
             want = (weights.beta1 * float(np.min(x)) + weights.beta2 * float(np.max(x))
                     + weights.beta3 * float(np.mean(x)) + weights.beta4 / float(np.std(x, ddof=1)))

@@ -108,6 +108,7 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
         model, uniforms, cfg.geometry, cfg.friction,
         cfg.loads.Fg_kN, cfg.loads.Fb_kN,
         freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs)
+    del uniforms  # no artifact needs them, and they are 2 floats a sample
     # summarized before the first write, so a failing run leaves no artifact
     finite = ens.outputs[np.isfinite(ens.outputs)]
     stats = mc_uq.summarize(finite)

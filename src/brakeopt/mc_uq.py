@@ -9,6 +9,7 @@ optimizer, so both see one ensemble.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,10 @@ import numpy as np
 from . import maxent, mechmodel
 from .errors import DegenerateSample, InsufficientSamples, ValidationError
 
+_BLOCK = 4096  # samples per kernel call in propagate
 _KDE_BINS = 2048  # lattice points of the binned KDE
 _KDE_GRID = 256  # points of the returned density curve
+_KDE_ROWS = 16  # density points summed per (rows, _KDE_BINS) matrix
 
 
 def draw_uniform_matrix(seed: int, nu: int) -> np.ndarray:
@@ -74,6 +77,19 @@ class Ensemble:
         return int(np.count_nonzero(~self.valid))
 
 
+def _inverse_cdf_column(dist: maxent.TruncatedExponential, column: np.ndarray,
+                        frozen: float | None) -> np.ndarray:
+    """``dist``'s inverse CDF of each uniform of ``column``, or ``frozen``
+    everywhere.  Per element on Python floats, which a ``memoryview`` of the
+    column yields one at a time (scalar math on numpy scalars is slower), so
+    no list of the column is built."""
+    if frozen is not None:
+        return np.full(len(column), float(frozen))
+    values = memoryview(np.asarray(column, dtype=float))
+    return np.fromiter(map(maxent.sample_inverse_cdf, itertools.repeat(dist), values),
+                       float, len(values))
+
+
 def sample_inputs(
     input_model: maxent.InputModel,
     uniforms: np.ndarray,
@@ -94,17 +110,8 @@ def sample_inputs(
         raise ValidationError("frozen cam angle must lie in [0, 90) deg", freeze_alpha_deg)
     if freeze_fs_kn is not None and not (math.isfinite(freeze_fs_kn) and freeze_fs_kn >= 0.0):
         raise ValidationError("frozen spring force must be finite and >= 0 kN", freeze_fs_kn)
-    # per element on Python floats: scalar math on numpy scalars is slower
-    if freeze_alpha_deg is None:
-        alpha_deg = np.array([maxent.sample_inverse_cdf(input_model.alpha_dist, v)
-                              for v in uniforms[:, 0].tolist()])
-    else:
-        alpha_deg = np.full(len(uniforms), float(freeze_alpha_deg))
-    if freeze_fs_kn is None:
-        fs = np.array([maxent.sample_inverse_cdf(input_model.fs_dist, v)
-                       for v in uniforms[:, 1].tolist()])
-    else:
-        fs = np.full(len(uniforms), float(freeze_fs_kn))
+    alpha_deg = _inverse_cdf_column(input_model.alpha_dist, uniforms[:, 0], freeze_alpha_deg)
+    fs = _inverse_cdf_column(input_model.fs_dist, uniforms[:, 1], freeze_fs_kn)
 
     # the bits of math.radians, which is this one multiply
     sin_a, cos_a = mechmodel.trig_arrays(alpha_deg * (math.pi / 180.0))
@@ -130,11 +137,15 @@ def propagate(
     alpha_deg, fs, sin_a, cos_a = sample_inputs(
         input_model, uniforms, freeze_alpha_deg=freeze_alpha_deg, freeze_fs_kn=freeze_fs_kn)
 
-    # filled in place into arrays allocated before the kernel runs; binding
-    # the kernel's own result arrays measured 0.5-2 MB more peak RSS at 2^18
+    # the kernel runs on slices of _BLOCK samples, filled into arrays
+    # allocated before it, so its temporaries stay a few slices long; it is
+    # elementwise, so no sample's bits depend on its slice
     fh = np.empty(len(uniforms))
     valid = np.empty(len(uniforms), dtype=bool)
-    fh[:], valid[:], _ = mechmodel.braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, fs)
+    for i in range(0, len(uniforms), _BLOCK):
+        part = slice(i, i + _BLOCK)
+        fh[part], valid[part], _ = mechmodel.braking_force_ensemble(
+            geom, fric, Fg, Fb, sin_a[part], cos_a[part], fs[part])
 
     for arr in (alpha_deg, fs, fh, valid):
         arr.setflags(write=False)
@@ -211,11 +222,20 @@ def convergence_trace(samples):
     x = _flat_finite(samples, 1)
     k = np.arange(1, x.size + 1, dtype=float)
     cs = np.cumsum(x)
-    css = np.cumsum(x * x)
+    var = np.multiply(x, x)
+    np.cumsum(var, out=var)
     running_mean = cs / k
-    var = np.zeros_like(x)
-    var[1:] = np.maximum(css[1:] - cs[1:] ** 2 / k[1:], 0.0) / (k[1:] - 1.0)
-    return running_mean, np.sqrt(var)
+    # var[1:] = max(css - cs**2 / k, 0) / (k - 1), in place on the cumsum
+    # buffers: the same operations in the same order
+    cs2, css, k1 = cs[1:], var[1:], k[1:]
+    cs2 *= cs2
+    cs2 /= k1
+    css -= cs2
+    np.maximum(css, 0.0, out=css)
+    k1 -= 1.0
+    css /= k1
+    var[0] = 0.0
+    return running_mean, np.sqrt(var, out=var)
 
 
 def kde(samples):
@@ -240,5 +260,9 @@ def kde(samples):
     left = np.minimum(pos.astype(np.intp), _KDE_BINS - 2)
     w = pos - left
     weights = np.bincount(left, 1.0 - w, _KDE_BINS) + np.bincount(left + 1, w, _KDE_BINS)
-    dev = (grid[:, None] - centres) / h  # a row sum, not BLAS, so the bytes do not depend on its build
-    return grid, norm * np.sum(weights * np.exp(-0.5 * dev * dev), axis=1)
+    density = np.empty(_KDE_GRID)
+    for i in range(0, _KDE_GRID, _KDE_ROWS):
+        dev = (grid[i:i + _KDE_ROWS, None] - centres) / h
+        # a row sum, not BLAS, so the bytes do not depend on its build or on the block
+        density[i:i + _KDE_ROWS] = np.sum(weights * np.exp(-0.5 * dev * dev), axis=1)
+    return grid, norm * density

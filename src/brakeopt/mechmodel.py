@@ -240,12 +240,12 @@ def trig_arrays(alpha_rad):
 
     Using ``math.sin``/``math.cos`` per element keeps ensemble evaluation
     bitwise identical to the scalar route regardless of array layout,
-    chunking or thread count.
+    chunking or thread count.  A ``memoryview`` hands the angles over as
+    Python floats one at a time, so no list of them is built.
     """
-    values = np.asarray(alpha_rad, dtype=float).ravel().tolist()
-    sin_a = np.array([math.sin(v) for v in values])
-    cos_a = np.array([math.cos(v) for v in values])
-    return sin_a, cos_a
+    values = memoryview(np.asarray(alpha_rad, dtype=float).ravel())
+    return (np.fromiter(map(math.sin, values), float, len(values)),
+            np.fromiter(map(math.cos, values), float, len(values)))
 
 
 def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):

@@ -176,12 +176,17 @@ def _mean_std(fh: np.ndarray, with_std: bool) -> tuple[float, float | None]:
     return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)))
 
 
+def _check_sample_count(weights: RobustWeights, nu: int) -> None:
+    """The std term of the robust objective needs two samples."""
+    if weights.beta4 > 0.0 and nu < 2:
+        raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {nu}")
+
+
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     """beta1*min + beta2*max + beta3*mean + beta4/std over the sample; nan if
     any sample failed to evaluate or, with beta4 > 0, the sample has zero
-    spread.  The std term needs two samples."""
-    if weights.beta4 > 0.0 and fh.shape[0] < 2:
-        raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {fh.shape[0]}")
+    spread."""
+    _check_sample_count(weights, fh.shape[0])
     lo, hi = _extremes(fh)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return float("nan")
@@ -403,8 +408,11 @@ def optimize_robust(
     optimization is a pure function of its arguments.
     A design violating the constraint has the value nan, so the ascent
     rejects it and the certificate is the best feasible cell of the dense
-    grid.  Raises NoFeasiblePoint when no certificate cell is feasible.
+    grid.  Raises InsufficientSamples, before any design is evaluated, when
+    beta4 > 0 and there is one sample, and NoFeasiblePoint when no
+    certificate cell is feasible.
     """
+    _check_sample_count(weights, len(uniforms))
     fh_at = _ensemble_fh(setup, input_model, uniforms)
     threshold = 1.0 - cspec.p_r
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,26 @@ def test_uq_freeze_flags(tmp_path):
     assert run(["uq", "--out", out, "--nu", 128, "--freeze-fs", 42.0]) == 0
     rows = (out / "ensemble.csv").read_text().splitlines()[2:]
     assert all(row.split(",")[2] == "42.0" for row in rows)
+
+
+def test_uq_holds_few_sample_long_arrays(tmp_path):
+    # the ensemble's columns and the statistics' scratch, with no sample-long
+    # list or whole-ensemble temporary: at most 12 floats a sample on the
+    # Python heap at once
+    nu = 65536
+    assert run(["uq", "--out", tmp_path / "warm", "--nu", 64]) == 0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run(["uq", "--out", tmp_path / "uq", "--nu", nu]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 12 * 8 * nu
 
 
 def test_opt_classical_writes_optimum(tmp_path):
@@ -236,6 +257,11 @@ def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+# a config edit in an argv of the table below: the argument is replaced by the
+# path of the shipped config with ``old`` replaced by ``new``
+UNREACHABLE_Y_STAR = ("design.y_star_kN: 0.5\n", "design.y_star_kN: 1000.0\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["uq", "--nu", 1], 15),
     (["uq", "--freeze-alpha", 95], 11),
@@ -245,8 +271,18 @@ def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
     (["uq", "--freeze-fs", "inf"], 11),
     (["opt-robust", "--nu", 1, "--grid", "3x2"], 15),
     (["contour", "--kind", "robust", "--nu", 1, "--grid", "3x2"], 15),
+    # no design meets the constraint: the sample count is still checked first
+    (["opt-robust", "--config", UNREACHABLE_Y_STAR, "--nu", 1, "--grid", "3x2"], 15),
 ])
 def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
+    def edited_config(old, new):
+        doc = config_to_text(default_config())
+        assert old in doc
+        path = tmp_path / "edited.yaml"
+        path.write_text(doc.replace(old, new))
+        return path
+
+    argv = [edited_config(*arg) if isinstance(arg, tuple) else arg for arg in argv]
     out = tmp_path / "o"
     assert run([*argv, "--out", out]) == code
     assert json.loads(capsys.readouterr().err)["exit_code"] == code

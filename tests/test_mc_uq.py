@@ -20,7 +20,7 @@ from brakeopt import (
     propagate,
     summarize,
 )
-from brakeopt import mc_uq
+from brakeopt import maxent, mc_uq, mechmodel
 from brakeopt.mc_uq import sturges_bins, uniform_row
 
 
@@ -308,3 +308,115 @@ def test_kde_bytes_do_not_depend_on_array_layout(cfg, input_model):
     for a, b in zip(kde(x), kde(misaligned)):
         assert a.tobytes() == b.tobytes()
     assert_within_binning_bound(x)
+
+
+# two full blocks of the sliced kernel and a partial one
+NU_BLOCKS = 2 * mc_uq._BLOCK + 3
+
+
+def listed_sample_inputs(input_model, uniforms, *, freeze_alpha_deg=None, freeze_fs_kn=None):
+    """Oracle: the transform with one Python list per column, per element."""
+    def column(dist, values, frozen):
+        if frozen is not None:
+            return np.full(len(values), float(frozen))
+        return np.array([maxent.sample_inverse_cdf(dist, v) for v in values.tolist()])
+
+    alpha_deg = column(input_model.alpha_dist, uniforms[:, 0], freeze_alpha_deg)
+    fs = column(input_model.fs_dist, uniforms[:, 1], freeze_fs_kn)
+    alpha_rad = (alpha_deg * (math.pi / 180.0)).tolist()
+    return (alpha_deg, fs, np.array([math.sin(v) for v in alpha_rad]),
+            np.array([math.cos(v) for v in alpha_rad]))
+
+
+FREEZES = [{}, {"freeze_alpha_deg": 6.0}, {"freeze_fs_kn": 42.0}]
+
+
+@pytest.mark.parametrize("freeze", FREEZES)
+def test_streamed_transform_has_the_bits_of_the_listed_one(input_model, freeze):
+    uniforms = draw_uniform_matrix(4, NU_BLOCKS)
+    got = mc_uq.sample_inputs(input_model, uniforms, **freeze)
+    want = listed_sample_inputs(input_model, uniforms, **freeze)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (NU_BLOCKS,)
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("freeze", FREEZES)
+def test_sliced_kernel_has_the_bits_of_one_whole_ensemble_call(cfg, input_model, monkeypatch,
+                                                                freeze):
+    uniforms = draw_uniform_matrix(4, NU_BLOCKS)
+    _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms, **freeze)
+    args = (cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
+    fh, valid, _ = mechmodel.braking_force_ensemble(*args, sin_a, cos_a, fs)
+
+    kernel, lengths = mechmodel.braking_force_ensemble, []
+
+    def recorded(*call_args, **kwargs):
+        lengths.append(len(call_args[-1]))
+        return kernel(*call_args, **kwargs)
+
+    monkeypatch.setattr(mechmodel, "braking_force_ensemble", recorded)
+    ens = propagate(input_model, uniforms, *args, **freeze)
+    assert lengths == [mc_uq._BLOCK, mc_uq._BLOCK, 3]
+    assert ens.outputs.tobytes() == fh.tobytes()
+    assert ens.valid.tobytes() == valid.tobytes()
+    if not freeze:
+        assert 0 < ens.invalid_count < NU_BLOCKS
+
+
+def single_matrix_kde(samples):
+    """Oracle: the binned KDE with every Gaussian summed in one
+    (_KDE_GRID, _KDE_BINS) matrix."""
+    x = np.asarray(samples, dtype=float)
+    h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
+    lo, hi = np.min(x), np.max(x)
+    grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, mc_uq._KDE_GRID)
+    norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
+    centres, delta = np.linspace(lo, hi, mc_uq._KDE_BINS, retstep=True)
+    pos = (x - lo) / delta
+    left = np.minimum(pos.astype(np.intp), mc_uq._KDE_BINS - 2)
+    w = pos - left
+    weights = (np.bincount(left, 1.0 - w, mc_uq._KDE_BINS)
+               + np.bincount(left + 1, w, mc_uq._KDE_BINS))
+    dev = (grid[:, None] - centres) / h
+    return grid, norm * np.sum(weights * np.exp(-0.5 * dev * dev), axis=1)
+
+
+def out_of_place_trace(samples):
+    """Oracle: the convergence trace with a new array for every operation."""
+    x = np.asarray(samples, dtype=float)
+    k = np.arange(1, x.size + 1, dtype=float)
+    cs = np.cumsum(x)
+    css = np.cumsum(x * x)
+    var = np.zeros_like(x)
+    var[1:] = np.maximum(css[1:] - cs[1:] ** 2 / k[1:], 0.0) / (k[1:] - 1.0)
+    return cs / k, np.sqrt(var)
+
+
+def streamed_layer_samples(cfg, input_model):
+    rng = np.random.default_rng(9)
+    yield propagate(input_model, draw_uniform_matrix(4, NU_BLOCKS), cfg.geometry, cfg.friction,
+                    cfg.loads.Fg_kN, cfg.loads.Fb_kN).outputs
+    yield rng.standard_normal(NU_BLOCKS) * 1e3 + 1e6  # cancellation in css - cs**2/k
+    yield np.concatenate([rng.exponential(size=100), [50.0]])
+    yield np.array([7.25, 7.25, 7.25 + 2.0 ** -50])
+
+
+def test_blocked_kde_has_the_bits_of_the_single_matrix(cfg, input_model):
+    assert mc_uq._KDE_GRID % mc_uq._KDE_ROWS == 0 and mc_uq._KDE_ROWS < mc_uq._KDE_GRID
+    for x in streamed_layer_samples(cfg, input_model):
+        for got, want in zip(kde(x), single_matrix_kde(x)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_in_place_trace_has_the_bits_of_the_out_of_place_formula(cfg, input_model):
+    clamped = 0
+    # a constant sample takes the clamp at 0 of the variance
+    for x in [*streamed_layer_samples(cfg, input_model), np.array([3.0]), np.full(NU_BLOCKS, 0.1)]:
+        want_mean, want_std = out_of_place_trace(x)
+        got_mean, got_std = convergence_trace(x)
+        assert got_mean.tobytes() == want_mean.tobytes()
+        assert got_std.tobytes() == want_std.tobytes()
+        cs, css = np.cumsum(x), np.cumsum(x * x)
+        clamped += int(np.count_nonzero(css[1:] - cs[1:] ** 2 / np.arange(2, x.size + 1) < 0.0))
+    assert clamped > 0

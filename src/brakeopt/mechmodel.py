@@ -8,8 +8,10 @@ total braking force Fh.
 
 Two independent evaluation routes are provided:
 
-* ``braking_force`` evaluates the closed-form solution obtained by
-  eliminating the reactions by hand (N4 first, then N1, N2, N3).
+* The closed-form solution obtained by eliminating the reactions by hand
+  (N4 first, then N1, N2, N3), written once in ``_closed_form``.
+  ``braking_force_ensemble`` evaluates it over sample arrays, and
+  ``braking_force`` is the same body on one sample.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -99,7 +101,7 @@ class LoadCase:
 class EquilibriumSolution:
     """Complete force state for one load case.
 
-    ``valid`` is True only when N1, N2 >= 0 (N3, N4 follow, see _normals),
+    ``valid`` is True only when N1, N2 >= 0 (N3, N4 follow, see _closed_form),
     i.e. the contacts actually press.  Negative normals are reported as-is
     (never clamped) so that optimization can probe infeasible regions.
     """
@@ -118,68 +120,65 @@ class EquilibriumSolution:
     valid: bool
 
 
-def _denominators(sin_a, cos_a, c, geom: BrakeGeometry, fric: FrictionSet):
-    """``(axial, den1, den4, dwe)``: the cam's axial factor mu1*sin(alpha) +
-    cos(alpha), the two closed-form denominators and the cam-wedge lever
-    d + e*mu2, elementwise over scalars or arrays of sin/cos alpha and of the
-    length c, which stands in for ``geom.c``.  den4 is always a scalar.  The
-    scalar check and the ensemble mask both read them from here.
+def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, sin_a, cos_a, Fs, a, c):
+    """The closed form, elementwise over scalars or broadcastable arrays of
+    sin/cos alpha, the spring force and the lengths a and c, which stand in
+    for ``geom.a`` and ``geom.c``.  Returns ``(den1, den4, n1, n2, n3, n4,
+    fh)``; den4 is always one number.  Both public routes evaluate this one
+    body, which keeps them bitwise identical.
+
+    Evaluation order N4 -> N1 -> N2 -> N3, then Fh = T1 + T2 + T3 + T4 summed
+    left to right.  The body divides by den1 and den4 unchecked: the caller
+    runs it under ``np.errstate`` and handles singular denominators.
+
+    The contacts press when N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 +
+    T2 with axial = mu1*sin(alpha) + cos(alpha) > 0 and T2 = mu2*N2, so
+    N3 >= 0 in IEEE arithmetic too.  N1 = (N4 - x)/den1 with
+    x = a*mu2*Fs/dwe >= 0, so where den1 > 0 (all of the shipped box)
+    N4 >= x >= 0.  Where den1 < 0, N4 = N3 holds in exact arithmetic; the
+    property tests check the roots of N1 and N2 there.
     """
-    dwe = geom.d + geom.e * fric.mu2
+    dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
     axial = fric.mu1 * sin_a + cos_a
     den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    return axial, den1, den4, dwe
-
-
-def _normals(axial, Fs, a, c, geom: BrakeGeometry, fric: FrictionSet, Fg, Fb,
-             den1, den4, dwe):
-    """Closed-form normals and the wedge friction T2 = mu2*N2, elementwise
-    over scalars or broadcastable arrays; the lengths a and c stand in for
-    ``geom.a`` and ``geom.c``.
-
-    Evaluation order N4 -> N1 -> N2 -> N3, dividing by the values of
-    :func:`_denominators`; the caller handles singular ones.  One code path
-    for the scalar and the ensemble route keeps them bitwise identical.
-
-    The contacts press when N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 +
-    T2 with axial > 0 and T2 = mu2*N2, so N3 >= 0 in IEEE arithmetic too.
-    N1 = (N4 - x)/den1 with x = a*mu2*Fs/dwe >= 0, so where den1 > 0 (all of
-    the shipped box) N4 >= x >= 0.  Where den1 < 0, N4 = N3 holds in exact
-    arithmetic; the property tests check the roots of N1 and N2 there.
-    """
     fsa = Fs * a
     n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
     n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
     n2 = (fsa + (geom.b * fric.mu1 - c) * n1) / dwe
-    del fsa
     t2 = fric.mu2 * n2
     n3 = axial * n1
     n3 += t2  # = T2 + axial*N1: addition commutes, and in place spares a temporary
-    return n1, n2, n3, n4, t2
+    fh = fric.mu1 * n1
+    fh += t2
+    fh += (geom.f / geom.R) * n3
+    fh += fric.mu4 * n4
+    return den1, den4, n1, n2, n3, n4, fh
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
-    """Full closed-form solution including friction forces, reactions and Fh.
-    Raises SingularDenominator, before any division, at a singular denominator."""
-    sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
-    axial, den1, den4, dwe = _denominators(sin_a, cos_a, geom.c, geom, fric)
+    """Full closed-form solution including friction forces, reactions and Fh:
+    the ensemble body on one sample.  Raises SingularDenominator at a
+    singular denominator, den4 first."""
+    # Fs as np.float64, so that an exactly zero denominator gives inf under
+    # errstate instead of a ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den1, den4, n1, n2, n3, n4, fh = _closed_form(
+            geom, fric, load.Fg, load.Fb, math.sin(load.alpha), math.cos(load.alpha),
+            np.float64(load.Fs), geom.a, geom.c)
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
     if abs(den1) <= SINGULAR_TOL:
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
-    n1, n2, n3, n4, t2 = _normals(axial, load.Fs, geom.a, geom.c, geom, fric,
-                                  load.Fg, load.Fb, den1, den4, dwe)
-    t1 = fric.mu1 * n1
-    t3 = (geom.f / geom.R) * n3
+    n1, n2, n3, n4 = float(n1), float(n2), float(n3), float(n4)
     t4 = fric.mu4 * n4
     return EquilibriumSolution(
         N1=n1, N2=n2, N3=n3, N4=n4,
-        T1=t1, T2=t2, T3=t3, T4=t4,
+        T1=fric.mu1 * n1, T2=fric.mu2 * n2, T3=(geom.f / geom.R) * n3, T4=t4,
         Rx=n4 - load.Fs,
         Ry=t4 - (load.Fg + load.Fb) / 2,
-        Fh=t1 + t2 + t3 + t4,
-        valid=bool(n1 >= 0 and n2 >= 0),  # N3, N4 follow, see _normals
+        Fh=float(fh),
+        valid=n1 >= 0 and n2 >= 0,  # N3, N4 follow, see _closed_form
     )
 
 
@@ -262,21 +261,12 @@ def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=No
     Fs = np.asarray(Fs, dtype=float)
     a = geom.a if a is None else a
     c = geom.c if c is None else c
-    axial, den1, den4, dwe = _denominators(sin_a, cos_a, c, geom, fric)
-    ok = np.abs(den1) > SINGULAR_TOL
-    if abs(den4) <= SINGULAR_TOL:  # den4 is one number: every entry fails
-        ok = ok & False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n1, n2, n3, n4, t2 = _normals(axial, Fs, a, c, geom, fric, Fg, Fb, den1, den4, dwe)
-        # Fh = T1 + T2 + T3 + T4 summed in place, left to right; the
-        # temporaries go first, which keeps the peak memory of large runs down
-        del den1, axial
-        fh = fric.mu1 * n1
-        fh += t2
-        del t2
-        fh += (geom.f / geom.R) * n3
-        fh += fric.mu4 * n4
+        den1, den4, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, sin_a, cos_a, Fs, a, c)
+        ok = np.abs(den1) > SINGULAR_TOL
+        if abs(den4) <= SINGULAR_TOL:  # den4 is one number: every entry fails
+            ok = ok & False
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
-        valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _normals
+        valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _closed_form
     return fh, valid, ok

@@ -25,11 +25,24 @@ def read_bytes(directory, names):
 
 
 def test_eval_prints_solution(capsys):
+    # every line, byte for byte: a numpy scalar in any field would print as
+    # np.float64(...) and fail here
     assert run(["eval"]) == 0
-    out = capsys.readouterr().out
-    assert "Fh_kN = 7.2693735011397305" in out
-    assert "N4_kN = 11.656952539550375" in out
-    assert "valid = true" in out
+    assert capsys.readouterr().out == (
+        "alpha_deg = 6.0\n"
+        "Fs_kN = 42.0\n"
+        "N1_kN = 6.782655311737993\n"
+        "N2_kN = 48.40555269630004\n"
+        "N3_kN = 11.656952539550375\n"
+        "N4_kN = 11.656952539550375\n"
+        "T1_kN = 0.6782655311737993\n"
+        "T2_kN = 4.840555269630005\n"
+        "T3_kN = 0.0020098194033707543\n"
+        "T4_kN = 1.748542880932556\n"
+        "Rx_kN = -30.343047460449625\n"
+        "Ry_kN = -38.251457119067446\n"
+        "Fh_kN = 7.2693735011397305\n"
+        "valid = true\n")
 
 
 def test_uq_writes_all_artifacts_with_units(tmp_path):

@@ -5,6 +5,7 @@ balance equations (mpmath LU solve), independent of the package code;
 ``exact_equilibrium`` in test_model_properties is that solve.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_nominal_closed_form_matches_frozen_values(geom, fric):
     for name, ref in EXPECTED_NOMINAL.items():
         assert rel_err(getattr(sol, name), ref) < 1e-12, name
     assert sol.valid
+
+
+@pytest.mark.parametrize("route", [braking_force, solve_equilibrium])
+@pytest.mark.parametrize("fs", [42.0, 0.0])  # a valid and an invalid state
+def test_solution_fields_are_python_floats_and_bool(geom, fric, route, fs):
+    sol = route(geom, fric, LoadCase(Fg=50.0, Fb=30.0, Fs=fs, alpha=math.radians(6.0)))
+    assert sol.valid is (fs > 0)
+    for field in dataclasses.fields(sol):
+        if field.name != "valid":
+            assert type(getattr(sol, field.name)) is float, field.name
 
 
 def test_nominal_linear_solve_matches_frozen_values(geom, fric):

@@ -54,6 +54,20 @@ class TruncatedExponential:
             raise ValidationError("support requires lo < hi", (self.lo, self.hi))
         if not math.isfinite(self.rate):
             raise ValidationError("rate must be finite", self.rate)
+        # the law of the sampler and the cdf, fixed once per distribution:
+        # expm1(-z) with z = rate * (hi - lo) where it is finite or inf (never
+        # 0.0), 0.0 where |z| < _TINY (uniform law) and None where expm1(-z)
+        # overflows (z < -709.78).  Not a field, so ==, hash, repr and
+        # dataclasses.fields see lo, hi and rate only
+        z = self.rate * (self.hi - self.lo)
+        if abs(z) < _TINY:
+            em1 = 0.0
+        else:
+            try:
+                em1 = math.expm1(-z)
+            except OverflowError:
+                em1 = None
+        object.__setattr__(self, "_expm1_neg_z", em1)
 
 
 @dataclass(frozen=True)
@@ -138,22 +152,26 @@ def cdf(dist: TruncatedExponential, x) -> float:
         return 0.0
     if x >= dist.hi:
         return 1.0
-    z = dist.rate * (dist.hi - dist.lo)
-    if abs(z) < _TINY:
+    em1 = dist._expm1_neg_z
+    if em1:
+        try:
+            return math.expm1(-dist.rate * (x - dist.lo)) / em1
+        except OverflowError:
+            # the numerator overflows only where em1 is inf (z = -inf)
+            pass
+    elif em1 is not None:
         return (x - dist.lo) / (dist.hi - dist.lo)
-    try:
-        return math.expm1(-dist.rate * (x - dist.lo)) / math.expm1(-z)
-    except OverflowError:
-        # z < -709.78: divide exp(-z) out of numerator and denominator
-        return (math.exp(dist.rate * (dist.hi - x)) * math.expm1(dist.rate * (x - dist.lo))
-                / math.expm1(z))
+    # z < -709.78: divide exp(-z) out of numerator and denominator
+    return (math.exp(dist.rate * (dist.hi - x)) * math.expm1(dist.rate * (x - dist.lo))
+            / math.expm1(dist.rate * (dist.hi - dist.lo)))
 
 
 def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
     """Map a uniform u in [0, 1] through the exact inverse CDF.
 
     Monotone in u with sample_inverse_cdf(0) = lo and
-    sample_inverse_cdf(1) = hi exactly.
+    sample_inverse_cdf(1) = hi exactly.  Only the operations on u run per
+    call; the law and expm1(-rate * (hi - lo)) are fixed with ``dist``.
     """
     if not 0.0 <= u <= 1.0:
         raise ValidationError("uniform draw must lie in [0, 1]", u)
@@ -161,16 +179,22 @@ def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
         return dist.lo
     if u == 1.0:
         return dist.hi
-    z = dist.rate * (dist.hi - dist.lo)
-    if abs(z) < _TINY:
-        return dist.lo + u * (dist.hi - dist.lo)
-    try:
-        x = dist.lo - math.log1p(u * math.expm1(-z)) / dist.rate
-    except OverflowError:
+    em1 = dist._expm1_neg_z
+    if em1:
+        x = dist.lo - math.log1p(u * em1) / dist.rate
+    elif em1 is None:
         # z < -709.78: log1p(u * expm1(-z)) = -z + log(u + (1 - u) * exp(z))
         # and lo + z / rate = hi
+        z = dist.rate * (dist.hi - dist.lo)
         x = dist.hi - math.log(u + (1.0 - u) * math.exp(z)) / dist.rate
-    return min(max(x, dist.lo), dist.hi)
+    else:
+        return dist.lo + u * (dist.hi - dist.lo)
+    # min(max(x, lo), hi) in two comparisons: the same bits, nan included
+    if x < dist.lo:
+        return dist.lo
+    if x > dist.hi:
+        return dist.hi
+    return x
 
 
 def build_input_model(alpha_lo, alpha_hi, alpha_mean, fs_lo, fs_hi, fs_mean) -> InputModel:

@@ -256,10 +256,16 @@ def kde(samples):
     grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, _KDE_GRID)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     centres, delta = np.linspace(lo, hi, _KDE_BINS, retstep=True)
-    pos = (x - lo) / delta
-    left = np.minimum(pos.astype(np.intp), _KDE_BINS - 2)
-    w = pos - left
-    weights = np.bincount(left, 1.0 - w, _KDE_BINS) + np.bincount(left + 1, w, _KDE_BINS)
+    # linear binning in place, the operations of pos = (x - lo) / delta,
+    # w = pos - left and a sum of the two bincounts in their order
+    w = x - lo
+    w /= delta
+    left = w.astype(np.intp)
+    np.minimum(left, _KDE_BINS - 2, out=left)
+    w -= left
+    weights = np.bincount(left, 1.0 - w, _KDE_BINS)
+    left += 1
+    weights += np.bincount(left, w, _KDE_BINS)
     density = np.empty(_KDE_GRID)
     for i in range(0, _KDE_GRID, _KDE_ROWS):
         dev = (grid[i:i + _KDE_ROWS, None] - centres) / h

@@ -5,7 +5,10 @@ quadrature-based mean (mpmath.quad at 40 digits).  The same oracle runs
 live in `oracle_rate` for the randomized cross-checks.
 """
 
+import dataclasses
 import math
+import struct
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -247,3 +250,133 @@ def test_sampler_and_cdf_on_extreme_rates(lo, width, z, us):
     scale = 1.0 + (abs(dist.rate) + 1.0 / width) * max(abs(dist.lo), abs(dist.hi))
     for u, x in zip(us, xs):
         assert abs(cdf(dist, x) - u) <= 8.0 * EPS * scale
+
+
+def oracle_cdf(dist, x):
+    """Oracle: the cdf with its law and expm1(-z) settled on every call."""
+    if x <= dist.lo:
+        return 0.0
+    if x >= dist.hi:
+        return 1.0
+    z = dist.rate * (dist.hi - dist.lo)
+    if abs(z) < sys.float_info.min:
+        return (x - dist.lo) / (dist.hi - dist.lo)
+    try:
+        return math.expm1(-dist.rate * (x - dist.lo)) / math.expm1(-z)
+    except OverflowError:
+        return (math.exp(dist.rate * (dist.hi - x)) * math.expm1(dist.rate * (x - dist.lo))
+                / math.expm1(z))
+
+
+def oracle_sample_inverse_cdf(dist, u):
+    """Oracle: the inverse CDF with its law and expm1(-z) settled on every call."""
+    if not 0.0 <= u <= 1.0:
+        raise ValidationError("uniform draw must lie in [0, 1]", u)
+    if u == 0.0:
+        return dist.lo
+    if u == 1.0:
+        return dist.hi
+    z = dist.rate * (dist.hi - dist.lo)
+    if abs(z) < sys.float_info.min:
+        return dist.lo + u * (dist.hi - dist.lo)
+    try:
+        x = dist.lo - math.log1p(u * math.expm1(-z)) / dist.rate
+    except OverflowError:
+        x = dist.hi - math.log(u + (1.0 - u) * math.exp(z)) / dist.rate
+    return min(max(x, dist.lo), dist.hi)
+
+
+def bits(value):
+    """The type and the IEEE bytes of a float: tells -0.0 from 0.0, and nan
+    payloads apart."""
+    return type(value), struct.pack("<d", value)
+
+
+TINY = sys.float_info.min
+#: uniforms every oracle case takes: both ends, the smallest step off 0,
+#: the middle and the largest double below 1
+EDGE_US = [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0]
+#: rate * width at each edge of the three laws, with the law it falls in:
+#: uniform below TINY, overflow where expm1(-z) overflows
+LAW_EDGES = [(5e-324, "uniform"), (-5e-324, "uniform"),
+             (math.nextafter(TINY, 0.0), "uniform"), (-math.nextafter(TINY, 0.0), "uniform"),
+             (TINY, "regular"), (-TINY, "regular"),
+             (math.nextafter(TINY, 1.0), "regular"), (-math.nextafter(TINY, 1.0), "regular"),
+             (-709.782712893384, "regular"), (-709.7827128933841, "overflow"),
+             (-745.2, "overflow")]
+
+
+def law_of(dist):
+    z = dist.rate * (dist.hi - dist.lo)
+    if abs(z) < TINY:
+        return "uniform"
+    try:
+        math.expm1(-z)
+    except OverflowError:
+        return "overflow"
+    return "regular"
+
+
+@pytest.mark.parametrize("z, law", LAW_EDGES)
+def test_law_edges_fall_where_named(z, law):
+    # on [0, 1] the rate is z itself, so each edge is hit exactly
+    assert law_of(TruncatedExponential(0.0, 1.0, z)) == law
+
+
+def law_edge_examples(test):
+    for z, _ in LAW_EDGES:
+        test = example(lo=0.0, width=1.0, z=z, us=EDGE_US)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+       z=st.one_of(st.floats(-2000.0, 2000.0), st.floats(-1.0, 1.0, allow_subnormal=False)),
+       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@law_edge_examples
+def test_sampler_and_cdf_keep_the_bits_of_the_per_call_law(lo, width, z, us):
+    """The law and expm1(-z) fixed once per distribution change no bit of
+    the sampler or the cdf, -0.0 and nan included."""
+    dist = TruncatedExponential(lo, lo + width, z / width)
+    xs = [-0.0, 0.0, lo - 1.0, dist.lo, dist.hi, dist.hi + 1.0]
+    for u in [*EDGE_US, *us]:
+        x = sample_inverse_cdf(dist, u)
+        assert bits(x) == bits(oracle_sample_inverse_cdf(dist, u))
+        xs += [x, dist.lo + u * width]
+    for x in xs:
+        assert bits(cdf(dist, x)) == bits(oracle_cdf(dist, x))
+
+
+def test_the_fixed_law_is_not_a_field():
+    dist = TruncatedExponential(0.0, 18.0, 0.1)
+    assert [f.name for f in dataclasses.fields(dist)] == ["lo", "hi", "rate"]
+    assert repr(dist) == "TruncatedExponential(lo=0.0, hi=18.0, rate=0.1)"
+    twin = TruncatedExponential(0.0, 18.0, 0.1)
+    assert dist == twin and hash(dist) == hash(twin)
+    assert dist != TruncatedExponential(0.0, 18.0, 0.2)
+    assert dataclasses.astuple(dist) == (0.0, 18.0, 0.1)
+
+
+@pytest.mark.parametrize("rate", [0.0, 5e-324, 0.1, -0.06, -800.0, -1e300])
+def test_replace_samples_like_a_fresh_instance(rate):
+    # each rate moves the shipped angle fit to another law or expm1(-z)
+    replaced = dataclasses.replace(fit_truncexp(0.0, 18.0, 6.0), rate=rate)
+    fresh = TruncatedExponential(0.0, 18.0, rate)
+    assert replaced == fresh
+    for u in [*EDGE_US, 0.1, 0.9]:
+        assert bits(sample_inverse_cdf(replaced, u)) == bits(sample_inverse_cdf(fresh, u))
+        assert bits(sample_inverse_cdf(replaced, u)) == bits(oracle_sample_inverse_cdf(fresh, u))
+    for x in (0.0, 1e-3, 9.0, 17.999, 18.0):
+        assert bits(cdf(replaced, x)) == bits(oracle_cdf(fresh, x))
+
+
+@pytest.mark.parametrize("rate", [1e300, -1e300])
+def test_infinite_rate_times_width_keeps_the_bits_of_the_per_call_law(rate):
+    # rate * width overflows to +-inf: expm1(-z) is -1 or inf, and at z = -inf
+    # the cdf's numerator overflows for some x (then nan for x - lo >= 1e9)
+    dist = TruncatedExponential(0.0, 1e10, rate)
+    assert math.isinf(dist.rate * (dist.hi - dist.lo))
+    for u in [*EDGE_US, 1e-300, 0.3]:
+        assert bits(sample_inverse_cdf(dist, u)) == bits(oracle_sample_inverse_cdf(dist, u))
+    for x in (1e-310, 1e-300, 1e-297, 1.0, 1e9, 9e9):
+        assert bits(cdf(dist, x)) == bits(oracle_cdf(dist, x))

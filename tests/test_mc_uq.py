@@ -1,6 +1,7 @@
 """Seeded Monte Carlo engine: determinism, propagation exactness, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from brakeopt import (
 )
 from brakeopt import maxent, mc_uq, mechmodel
 from brakeopt.mc_uq import sturges_bins, uniform_row
+from test_maxent import EDGE_US, law_of, oracle_sample_inverse_cdf
 
 
 def test_draw_is_deterministic():
@@ -341,6 +343,23 @@ def test_streamed_transform_has_the_bits_of_the_listed_one(input_model, freeze):
         assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("fs_mean, law", [(42.0, "regular"), (28.0, "uniform"),
+                                           (55.99, "overflow")])
+def test_sample_inputs_keep_the_bits_of_the_per_call_law(fs_mean, law):
+    # the shipped model, and its spring force moved to the uniform law and
+    # to rate * width = -5600, past the expm1 overflow
+    model = build_input_model(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
+                              fs_lo=0.0, fs_hi=56.0, fs_mean=fs_mean)
+    assert law_of(model.fs_dist) == law and law_of(model.alpha_dist) == "regular"
+    edges = np.array([EDGE_US, EDGE_US[::-1]]).T
+    uniforms = np.concatenate([draw_uniform_matrix(4, 2000), edges])
+    alpha_deg, fs, _, _ = mc_uq.sample_inputs(model, uniforms)
+    for got, dist, column in ((alpha_deg, model.alpha_dist, uniforms[:, 0]),
+                              (fs, model.fs_dist, uniforms[:, 1])):
+        want = np.array([oracle_sample_inverse_cdf(dist, u) for u in column.tolist()])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("freeze", FREEZES)
 def test_sliced_kernel_has_the_bits_of_one_whole_ensemble_call(cfg, input_model, monkeypatch,
                                                                 freeze):
@@ -407,6 +426,28 @@ def test_blocked_kde_has_the_bits_of_the_single_matrix(cfg, input_model):
     for x in streamed_layer_samples(cfg, input_model):
         for got, want in zip(kde(x), single_matrix_kde(x)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nu", [2, 3, 1000, 2 ** 18])
+def test_in_place_binning_has_the_bits_of_the_out_of_place_form(nu):
+    # a skewed sample far from 0, so that x - lo and the division round
+    x = 1e3 + np.random.default_rng(nu).exponential(size=nu)
+    for got, want in zip(kde(x), single_matrix_kde(x)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kde_holds_few_sample_long_arrays():
+    # the bin offsets w, the left bins and 1 - w: three sample lengths, and
+    # the (_KDE_ROWS, _KDE_BINS) blocks
+    x = np.random.default_rng(1).standard_normal(2 ** 18)
+    kde(x)
+    tracemalloc.start()
+    try:
+        kde(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * x.nbytes
 
 
 def test_in_place_trace_has_the_bits_of_the_out_of_place_formula(cfg, input_model):

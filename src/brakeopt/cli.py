@@ -170,11 +170,9 @@ def _optimum_payload(result: optimizer.OptimizationResult, units: str) -> dict:
 _VALUE_COLUMNS = {"classical": "fh_kN", "robust": "objective", "constraint": "probability"}
 
 
-def _write_contour(cfg, kind: str, values_at, out: Path) -> Path:
-    """Scan the design function ``values_at`` of the ``kind`` map on the
-    config's grid and write it as CSV."""
-    a, c, values = optimizer.grid_scan(
-        cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, values_at)
+def _write_contour(cfg, kind: str, scan, out: Path) -> Path:
+    """Write the ``kind`` map ``scan = (a_values, c_values, values)`` as CSV."""
+    a, c, values = scan
     path = out / f"contour_{kind}.csv"
     _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", _VALUE_COLUMNS[kind]],
                [np.repeat(a, len(c)), np.tile(c, len(a)), values.ravel()])
@@ -197,17 +195,14 @@ def cmd_opt_robust(cfg) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg)
-    # one ensemble for the optimizer and both maps
     uniforms = mc_uq.draw_uniform_matrix(cfg.mc.seed, cfg.mc.nu)
-    weights, cspec = cfg.design.weights, cfg.design.constraint
     result = optimizer.optimize_robust(
-        cfg.design.box, weights, cspec, setup, model, uniforms,
+        cfg.design.box, cfg.design.weights, cfg.design.constraint, setup, model, uniforms,
         (cfg.output.grid_nx, cfg.output.grid_ny))
     _write_json(out / "optimum.json", cfg, cfg.mc.seed,
                 {"command": "opt-robust", **_optimum_payload(result, "weighted")})
-    _write_contour(cfg, "robust", optimizer.robust_values(setup, model, uniforms, weights), out)
-    _write_contour(cfg, "constraint",
-                   optimizer.constraint_values(setup, model, uniforms, cspec), out)
+    for kind, scan in result.maps.items():
+        _write_contour(cfg, kind, scan, out)
     print(f"opt-robust: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
           f"objective={result.objective:.6g} -> {out}")
     return 0
@@ -225,7 +220,8 @@ def cmd_contour(cfg, kind: str) -> int:
             values_at = optimizer.robust_values(setup, model, uniforms, cfg.design.weights)
         else:
             values_at = optimizer.constraint_values(setup, model, uniforms, cfg.design.constraint)
-    path = _write_contour(cfg, kind, values_at, out)
+    scan = optimizer.grid_scan(cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, values_at)
+    path = _write_contour(cfg, kind, scan, out)
     print(f"contour: kind={kind} grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
     return 0
 

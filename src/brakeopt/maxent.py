@@ -155,10 +155,12 @@ def cdf(dist: TruncatedExponential, x) -> float:
     em1 = dist._expm1_neg_z
     if em1:
         try:
-            return math.expm1(-dist.rate * (x - dist.lo)) / em1
+            num = math.expm1(-dist.rate * (x - dist.lo))
         except OverflowError:
-            # the numerator overflows only where em1 is inf (z = -inf)
-            pass
+            num = math.inf
+        # num is inf only at z = -inf, where inf / inf is nan: take the overflow form
+        if num < math.inf:
+            return num / em1
     elif em1 is not None:
         return (x - dist.lo) / (dist.hi - dist.lo)
     # z < -709.78: divide exp(-z) out of numerator and denominator

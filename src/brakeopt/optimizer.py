@@ -118,6 +118,8 @@ class OptimizationResult:
     certificate_value: float
     certificate_point: DesignPoint
     constraint_prob: float | None = None
+    # the robust optimizer's contour maps, by kind: (a_values, c_values, values)
+    maps: dict | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def classical_values(setup: ModelSetup):
@@ -339,31 +341,24 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     return _lattice(box, nx, ny, values_at)
 
 
-def _optimize(box: DesignBox, values_at, grid: tuple[int, int]):
-    """Lockstep ascents from the _STARTS x _STARTS lattice on the unit square
-    (the first start wins ties), and the certificate of ``values_at``.
-
-    Returns (best, cert, evaluations): the (point, value) of the best ascent
-    and of the best grid cell, each None if every candidate is rejected, and
-    the number of designs evaluated.
-    """
+def _optimize(box: DesignBox, values_at):
+    """Lockstep ascents of ``values_at`` from the _STARTS x _STARTS lattice on
+    the unit square (the first start wins ties).  Returns (best, evaluations):
+    the (point, value) of the best ascent, None if every start is rejected,
+    and the number of designs evaluated."""
     evaluations = 0
 
-    def counted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += c.size
-        return values_at(a, c)
-
     def evaluate(ua: np.ndarray, uc: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
         s = box.unmap(ua, uc)
-        return counted(s.a, s.c)
+        evaluations += s.c.size
+        return values_at(s.a, s.c)
 
     best = None
     for res in _lockstep(evaluate, [(ua, uc) for ua in _STARTS for uc in _STARTS]):
         if res is not None and (best is None or res[1] > best[1]):
             best = box.unmap(*res[0]), res[1]
-    cert = _grid_argmax(*_lattice(box, grid[0], grid[1], counted))
-    return best, cert, evaluations
+    return best, evaluations
 
 
 def _settle(best, cert, evaluations: int) -> OptimizationResult:
@@ -386,11 +381,14 @@ def optimize_classical(
     Raises AllStartsFailed when no start has a finite value; with no finite
     grid cell the ascent is its own certificate.
     """
-    best, cert, evaluations = _optimize(box, classical_values(setup), grid)
+    values_at = classical_values(setup)
+    best, evaluations = _optimize(box, values_at)
+    a_values, c_values, values = _lattice(box, grid[0], grid[1], values_at)
     if best is None:
         raise AllStartsFailed("no ascent start has a finite braking force "
                               "(a singular denominator or an overflow)")
-    return _settle(best, cert or best, evaluations)
+    cert = _grid_argmax(a_values, c_values, values) or best
+    return _settle(best, cert, evaluations + values.size)
 
 
 def optimize_robust(
@@ -405,27 +403,31 @@ def optimize_robust(
     """Maximize the robust objective subject to the chance constraint.
 
     The drawn ``uniforms`` are reused at every design point, so the whole
-    optimization is a pure function of its arguments.
-    A design violating the constraint has the value nan, so the ascent
-    rejects it and the certificate is the best feasible cell of the dense
-    grid.  Raises InsufficientSamples, before any design is evaluated, when
-    beta4 > 0 and there is one sample, and NoFeasiblePoint when no
-    certificate cell is feasible.
+    optimization is a pure function of its arguments.  The robust map and
+    the constraint map are scanned once each on the dense grid and returned
+    as ``maps``; the certificate is the best robust cell whose constraint
+    cell is at least 1 - p_r.  A design violating the constraint has the
+    value nan, so the ascent rejects it.  Raises InsufficientSamples, before
+    any design is evaluated, when beta4 > 0 and there is one sample, and
+    NoFeasiblePoint, before the ascent, when no grid cell is feasible.
     """
     _check_sample_count(weights, len(uniforms))
-    fh_at = _ensemble_fh(setup, input_model, uniforms)
+    robust = grid_scan(box, *grid, robust_values(setup, input_model, uniforms, weights))
+    prob = grid_scan(box, *grid, constraint_values(setup, input_model, uniforms, cspec))
     threshold = 1.0 - cspec.p_r
-
-    def value_of(fh: np.ndarray) -> float:
-        if _constraint_value(cspec, fh) < threshold:
-            return math.nan
-        return _robust_value(weights, fh)
-
-    best, cert, evaluations = _optimize(box, _per_design_values(fh_at, value_of), grid)
+    cert = _grid_argmax(robust[0], robust[1], np.where(prob[2] >= threshold, robust[2], np.nan))
     if cert is None:
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
             f"P(|Fh| > {cspec.y_star}) >= {threshold}")
+    fh_at = _ensemble_fh(setup, input_model, uniforms)
+
+    def value_of(fh: np.ndarray) -> float:
+        feasible = _constraint_value(cspec, fh) >= threshold
+        return _robust_value(weights, fh) if feasible else math.nan
+
+    best, evaluations = _optimize(box, _per_design_values(fh_at, value_of))
     result = _settle(best, cert, evaluations)
     fh_opt = fh_at(result.s_opt.a, result.s_opt.c)
-    return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt))
+    return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt),
+                               maps={"robust": robust, "constraint": prob})

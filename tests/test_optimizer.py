@@ -427,7 +427,30 @@ def test_classical_ascents_share_kernel_calls(setup, kernel_calls):
 def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
     res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), setup, input_model,
                           draw_uniform_matrix(0, 256), (21, 11))
-    assert len(kernel_calls) == res.evaluations + 1  # and the recheck of the optimum
+    # the ascent, the recheck of the optimum and one scan of each map
+    assert len(kernel_calls) == res.evaluations + 1 + 2 * 21 * 11
+
+
+def test_no_feasible_cell_raises_after_the_two_maps_and_before_the_ascent(
+        setup, input_model, kernel_calls, monkeypatch):
+    ascents = []
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0: ascents.append(u0))
+    with pytest.raises(NoFeasiblePoint) as failed:
+        optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3), setup,
+                        input_model, draw_uniform_matrix(0, 64), (5, 3))
+    assert failed.value.exit_code == 18
+    assert len(kernel_calls) == 2 * 5 * 3
+    assert ascents == []
+
+
+@pytest.mark.parametrize("y_star", [0.5, 1e3])
+def test_one_sample_with_a_std_term_raises_before_any_kernel_call(
+        setup, input_model, kernel_calls, y_star):
+    with pytest.raises(InsufficientSamples) as failed:
+        optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=y_star), setup,
+                        input_model, draw_uniform_matrix(0, 1), (5, 3))
+    assert failed.value.exit_code == 15
+    assert kernel_calls == []
 
 
 def row_by_row(box, nx, ny, values_at):
@@ -565,21 +588,62 @@ STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
 
 @pytest.mark.parametrize("weights, y_star, expected", [
     # shipped weights: the ascent reaches the certificate's corner
+    # (evaluations count the ascent's designs: the 21 x 11 certificate cells
+    # are the cells of the two maps)
     (RobustWeights(), 0.5,
-     frozen(60.0, 55.0, 3.1813046036893007, 4740, 3.1813046036893007, 60.0, 55.0, 0.9833984375)),
+     frozen(60.0, 55.0, 3.1813046036893007, 4740 - 21 * 11, 3.1813046036893007, 60.0, 55.0,
+            0.9833984375)),
     # the certificate cell beats every ascent and is returned
     (STD_ONLY, 1.0,
-     frozen(51.0, 54.5, 0.25236206290740454, 2728, 0.25236206290740454, 51.0, 54.5,
+     frozen(51.0, 54.5, 0.25236206290740454, 2728 - 21 * 11, 0.25236206290740454, 51.0, 54.5,
             0.9501953125)),
     # an ascent ends between cells, above the best feasible cell
     (STD_ONLY, 1.1,
-     frozen(53.893279403860134, 55.0, 0.240514004512616, 1768, 0.2400386770833939, 54.0, 55.0,
-            0.951171875)),
+     frozen(53.893279403860134, 55.0, 0.240514004512616, 1768 - 21 * 11, 0.2400386770833939,
+            54.0, 55.0, 0.951171875)),
 ])
 def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
     res = optimize_robust(DesignBox(), weights, ConstraintSpec(y_star=y_star), setup,
                           input_model, draw_uniform_matrix(0, 1024), (21, 11))
     assert res == expected
+
+
+def lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid):
+    """Oracle: the robust certificate as the optimizer found it before it
+    read the two maps, from its own per-cell lattice of the constrained
+    value (nan where the constraint fails, else the robust value)."""
+    fh_at = optimizer._ensemble_fh(setup, input_model, uniforms)
+    threshold = 1.0 - cspec.p_r
+
+    def value_of(fh):
+        if optimizer._constraint_value(cspec, fh) < threshold:
+            return math.nan
+        return optimizer._robust_value(weights, fh)
+
+    return optimizer._grid_argmax(*optimizer._lattice(
+        box, grid[0], grid[1], optimizer._per_design_values(fh_at, value_of)))
+
+
+@pytest.mark.parametrize("weights, y_star", [
+    (RobustWeights(), 0.5), (STD_ONLY, 1.0), (STD_ONLY, 1.1),
+    (RobustWeights(), 1.1),  # the shipped weights with an active constraint
+])
+def test_certificate_and_maps_have_the_bits_of_the_per_cell_lattice(
+        setup, input_model, weights, y_star):
+    box, cspec, grid = DesignBox(), ConstraintSpec(y_star=y_star), (21, 11)
+    uniforms = draw_uniform_matrix(0, 1024)
+    res = optimize_robust(box, weights, cspec, setup, input_model, uniforms, grid)
+    point, value = lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid)
+    assert same_float(res.certificate_value, value)
+    assert same_float(res.certificate_point.a, point.a)
+    assert same_float(res.certificate_point.c, point.c)
+
+    assert list(res.maps) == ["robust", "constraint"]
+    want = {"robust": grid_scan(box, *grid, robust_values(setup, input_model, uniforms, weights)),
+            "constraint": grid_scan(box, *grid,
+                                    constraint_values(setup, input_model, uniforms, cspec))}
+    for kind, scan in res.maps.items():
+        assert all(same_bits(x, y) for x, y in zip(scan, want[kind], strict=True)), kind
 
 
 def test_singular_design_space_fails_every_start(setup):

@@ -144,8 +144,9 @@ def propagate(
     valid = np.empty(len(uniforms), dtype=bool)
     for i in range(0, len(uniforms), _BLOCK):
         part = slice(i, i + _BLOCK)
+        axial = mechmodel.cam_axial(fric, sin_a[part], cos_a[part])
         fh[part], valid[part], _ = mechmodel.braking_force_ensemble(
-            geom, fric, Fg, Fb, sin_a[part], cos_a[part], fs[part])
+            geom, fric, Fg, Fb, axial, fs[part])
 
     for arr in (alpha_deg, fs, fh, valid):
         arr.setflags(write=False)

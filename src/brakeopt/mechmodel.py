@@ -11,7 +11,9 @@ Two independent evaluation routes are provided:
 * The closed-form solution obtained by eliminating the reactions by hand
   (N4 first, then N1, N2, N3), written once in ``_closed_form``.
   ``braking_force_ensemble`` evaluates it over sample arrays, and
-  ``braking_force`` is the same body on one sample.
+  ``braking_force`` is the same body on one sample.  The cam angle enters
+  it only through ``cam_axial``, which does not depend on the design, so a
+  caller that evaluates one ensemble at many designs computes it once.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -120,12 +122,19 @@ class EquilibriumSolution:
     valid: bool
 
 
-def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, sin_a, cos_a, Fs, a, c):
+def cam_axial(fric: FrictionSet, sin_a, cos_a):
+    """``mu1*sin(alpha) + cos(alpha)``, elementwise: the cam's axial factor,
+    the only term of the closed form in which the cam angle appears."""
+    return fric.mu1 * sin_a + cos_a
+
+
+def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c):
     """The closed form, elementwise over scalars or broadcastable arrays of
-    sin/cos alpha, the spring force and the lengths a and c, which stand in
-    for ``geom.a`` and ``geom.c``.  Returns ``(den1, den4, n1, n2, n3, n4,
-    fh)``; den4 is always one number.  Both public routes evaluate this one
-    body, which keeps them bitwise identical.
+    the cam's ``axial`` factor (see :func:`cam_axial`), the spring force and
+    the lengths a and c, which stand in for ``geom.a`` and ``geom.c``.
+    Returns ``(den1, den4, n1, n2, n3, n4, fh)``; den4 is always one number.
+    Both public routes evaluate this one body, which keeps them bitwise
+    identical.
 
     Evaluation order N4 -> N1 -> N2 -> N3, then Fh = T1 + T2 + T3 + T4 summed
     left to right.  The body divides by den1 and den4 unchecked: the caller
@@ -139,7 +148,6 @@ def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, sin_a, cos_a, F
     property tests check the roots of N1 and N2 there.
     """
     dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
-    axial = fric.mu1 * sin_a + cos_a
     den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     fsa = Fs * a
@@ -164,7 +172,8 @@ def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> Equ
     # errstate instead of a ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den1, den4, n1, n2, n3, n4, fh = _closed_form(
-            geom, fric, load.Fg, load.Fb, math.sin(load.alpha), math.cos(load.alpha),
+            geom, fric, load.Fg, load.Fb,
+            cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)),
             np.float64(load.Fs), geom.a, geom.c)
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
@@ -247,22 +256,22 @@ def trig_arrays(alpha_rad):
             np.fromiter(map(math.cos, values), float, len(values)))
 
 
-def braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
-    """Vectorized closed form over sample arrays of cam angle and spring force
-    and of the design lengths ``a`` and ``c`` (default ``geom.a``, ``geom.c``),
-    all broadcast together.
+def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
+    """Vectorized closed form over sample arrays of the cam's ``axial``
+    factor (:func:`cam_axial` of the sampled angles) and the spring force,
+    and of the design lengths ``a`` and ``c`` (default ``geom.a``,
+    ``geom.c``), all broadcast together.
 
     Returns ``(fh, valid, ok)``.  ``ok[i]`` is False where a denominator is
     singular for that entry; such entries carry ``fh = nan`` and
     ``valid = False`` instead of aborting the batch.
     """
-    sin_a = np.asarray(sin_a, dtype=float)
-    cos_a = np.asarray(cos_a, dtype=float)
+    axial = np.asarray(axial, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     a = geom.a if a is None else a
     c = geom.c if c is None else c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, den4, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, sin_a, cos_a, Fs, a, c)
+        den1, den4, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, axial, Fs, a, c)
         ok = np.abs(den1) > SINGULAR_TOL
         if abs(den4) <= SINGULAR_TOL:  # den4 is one number: every entry fails
             ok = ok & False

@@ -11,7 +11,8 @@ constraint P{|Y| > y*} >= 1 - P_r; infeasible candidates are rejected, the
 solver never returns one.
 
 The local solver is a multi-start projected ascent with finite-difference
-gradients, run in box-normalized coordinates.  Every optimization is
+gradients, run in box-normalized coordinates; an ascent never asks again for
+the design it stands on, whose value it holds.  Every optimization is
 cross-checked against a dense grid scan whose best (feasible) cell is
 returned as a certificate; the reported optimum always dominates it.
 Ascent, certificate and contour maps share one convention: a design's value
@@ -20,7 +21,8 @@ are evaluated in batches by a design function ``values_at(a, c) -> values``
 over equal-shape arrays: a block of whole lattice rows, or one round of the
 lockstep ascents.  :func:`classical_values`, :func:`robust_values` and
 :func:`constraint_values` build the three maps' design functions; the
-sampled ones take the run's drawn ``(nu, 2)`` uniform matrix.
+sampled ones take the run's drawn ``(nu, 2)`` uniform matrix, transform it
+once and compute the design-invariant cam term once with it.
 """
 
 from __future__ import annotations
@@ -127,11 +129,11 @@ def classical_values(setup: ModelSetup):
     the nominal loads, one kernel call per batch, nan where a denominator is
     singular."""
     load = setup.nominal
-    sin_a, cos_a = math.sin(load.alpha), math.cos(load.alpha)
+    axial = mechmodel.cam_axial(setup.fric, math.sin(load.alpha), math.cos(load.alpha))
 
     def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         fh, _, _ = mechmodel.braking_force_ensemble(
-            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, load.Fs, a=a, c=c)
+            setup.geom, setup.fric, load.Fg, load.Fb, axial, load.Fs, a=a, c=c)
         return fh
     return values_at
 
@@ -139,13 +141,15 @@ def classical_values(setup: ModelSetup):
 def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
     """``fh_at(a, c)``: the braking forces over the common-random-numbers
     ensemble of the drawn ``uniforms`` at design (a, c).  The uniforms go
-    through :func:`mc_uq.sample_inputs` once, here."""
+    through :func:`mc_uq.sample_inputs` once, here, and so does the cam's
+    design-invariant :func:`mechmodel.cam_axial`."""
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
+    axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
     load = setup.nominal
 
     def fh_at(a: float, c: float) -> np.ndarray:
         fh, _, _ = mechmodel.braking_force_ensemble(
-            setup.geom, setup.fric, load.Fg, load.Fb, sin_a, cos_a, fs, a=a, c=c)
+            setup.geom, setup.fric, load.Fg, load.Fb, axial, fs, a=a, c=c)
         return fh
     return fh_at
 
@@ -203,7 +207,7 @@ def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
 
 def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:
     # non-evaluable samples count as violations
-    hits = np.count_nonzero(np.isfinite(fh) & (np.abs(fh) > cspec.y_star))
+    hits = int(np.count_nonzero(np.isfinite(fh) & (np.abs(fh) > cspec.y_star)))
     return hits / fh.shape[0]
 
 
@@ -240,7 +244,11 @@ def _ascent(u0):
 
     It yields the list of points (ua, uc) it needs next, the start, its
     finite-difference stencil or one candidate, and is sent their values; a
-    non-finite value marks a rejected or failed point.  The search stops
+    non-finite value marks a rejected or failed point.  A design's value is
+    a pure function of its two floats, so the ascent never asks again for
+    its current point u, whose value it holds: a stencil point clipped onto
+    u takes that value, and a candidate clipped back onto u is rejected, as
+    its value would not beat u's.  The search stops
     when the step underflows ``_STEP_MIN`` or after ``_MAX_ITER``
     iterations.  Returns (u, value) with u a 2-element array, or None if
     even the start is rejected.  The point is two floats, and each axis
@@ -263,8 +271,10 @@ def _ascent(u0):
                 hi, lo = min(u[ax] + _FD_STEP, 1.0), max(u[ax] - _FD_STEP, 0.0)
                 if hi != lo:
                     stencil.append((ax, hi, lo))
-            values = yield [(x, u[1]) if ax == 0 else (u[0], x)
-                            for ax, hi, lo in stencil for x in (hi, lo)]
+            points = [(x, u[1]) if ax == 0 else (u[0], x)
+                      for ax, hi, lo in stencil for x in (hi, lo)]
+            asked = iter((yield [p for p in points if p != u]))
+            values = [fx if p == u else next(asked) for p in points]
             grad = [0.0, 0.0]
             for (ax, hi, lo), fp, fm in zip(stencil, values[0::2], values[1::2]):
                 if math.isfinite(fp) and math.isfinite(fm):
@@ -274,7 +284,7 @@ def _ascent(u0):
             step *= 0.5
             continue
         cand = tuple(min(max(x + step * g / norm, 0.0), 1.0) for x, g in zip(u, grad))
-        [fc] = yield [cand]
+        [fc] = (yield [cand]) if cand != u else [fx]
         if math.isfinite(fc) and fc > fx:
             u, fx = cand, fc
             step = min(step * 2.0, 0.5)
@@ -357,7 +367,7 @@ def _optimize(box: DesignBox, values_at):
     best = None
     for res in _lockstep(evaluate, [(ua, uc) for ua in _STARTS for uc in _STARTS]):
         if res is not None and (best is None or res[1] > best[1]):
-            best = box.unmap(*res[0]), res[1]
+            best = box.unmap(*res[0].tolist()), res[1]
     return best, evaluations
 
 

@@ -366,7 +366,8 @@ def test_sliced_kernel_has_the_bits_of_one_whole_ensemble_call(cfg, input_model,
     uniforms = draw_uniform_matrix(4, NU_BLOCKS)
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms, **freeze)
     args = (cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
-    fh, valid, _ = mechmodel.braking_force_ensemble(*args, sin_a, cos_a, fs)
+    axial = mechmodel.cam_axial(cfg.friction, sin_a, cos_a)
+    fh, valid, _ = mechmodel.braking_force_ensemble(*args, axial, fs)
 
     kernel, lengths = mechmodel.braking_force_ensemble, []
 

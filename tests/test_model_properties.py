@@ -37,7 +37,7 @@ from brakeopt import (
     grid_scan,
     solve_equilibrium,
 )
-from brakeopt.mechmodel import SINGULAR_TOL, braking_force_ensemble, trig_arrays
+from brakeopt.mechmodel import SINGULAR_TOL, braking_force_ensemble, cam_axial, trig_arrays
 from brakeopt.optimizer import ModelSetup
 
 # signed distances from a singular denominator, on both sides of SINGULAR_TOL
@@ -158,7 +158,8 @@ def at_contact_root(geom, fric, Fg, Fb, alpha, Fs):
 def test_scalar_and_ensemble_routes_agree_and_match_the_linear_solve(case):
     geom, fric, Fg, Fb, alphas, forces = case
     sin_a, cos_a = trig_arrays(alphas)
-    fh, valid, ok = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, forces)
+    fh, valid, ok = braking_force_ensemble(geom, fric, Fg, Fb, cam_axial(fric, sin_a, cos_a),
+                                           forces)
     for i, (alpha, Fs) in enumerate(zip(alphas, forces)):
         load = LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha)
         try:
@@ -361,8 +362,10 @@ def same_bits(x, y):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(kernel_calls())
 def test_kernel_keeps_the_bits_of_the_plain_formula(call):
+    # the oracle takes sin/cos alpha and spells the cam's axial factor
+    # itself, so this covers cam_axial and the kernel together
     geom, fric, Fg, Fb, sin_a, cos_a, Fs, design = call
-    got = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    got = braking_force_ensemble(geom, fric, Fg, Fb, cam_axial(fric, sin_a, cos_a), Fs, **design)
     want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
     for name, x, y in zip(("fh", "valid", "ok"), got, want):
         assert same_bits(x, y), name
@@ -373,10 +376,10 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
 def test_design_batch_equals_one_call_per_design(case, data):
     geom, fric, Fg, Fb, alphas, forces = case
     design = data.draw(design_batches(geom))
-    sin_a, cos_a, Fs = math.sin(alphas[0]), math.cos(alphas[0]), forces[0]
-    batch = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    axial, Fs = cam_axial(fric, math.sin(alphas[0]), math.cos(alphas[0])), forces[0]
+    batch = braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, **design)
     for i, (a, c) in enumerate(zip(design["a"].tolist(), design["c"].tolist())):
-        one = braking_force_ensemble(geom, fric, Fg, Fb, sin_a, cos_a, Fs, a=a, c=c)
+        one = braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, a=a, c=c)
         for name, x, y in zip(("fh", "valid", "ok"), batch, one):
             assert same_bits(x[i:i + 1], np.reshape(y, 1)), name
 
@@ -386,8 +389,8 @@ def test_design_batch_equals_one_call_per_design(case, data):
 def test_scalar_route_is_the_kernel_on_a_batch_of_one(case):
     geom, fric, Fg, Fb, alphas, forces = case
     alpha, Fs = alphas[0], forces[0]
-    fh, valid, ok = braking_force_ensemble(
-        geom, fric, Fg, Fb, np.array(math.sin(alpha)), np.array(math.cos(alpha)), np.array(Fs))
+    axial = cam_axial(fric, np.array(math.sin(alpha)), np.array(math.cos(alpha)))
+    fh, valid, ok = braking_force_ensemble(geom, fric, Fg, Fb, axial, np.array(Fs))
     assert np.shape(fh) == np.shape(valid) == np.shape(ok) == ()
     try:
         sol = braking_force(geom, fric, LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha))
@@ -402,8 +405,8 @@ def test_singular_den4_fails_every_entry_in_the_broadcast_shape():
     geom = BrakeGeometry(a=55.0, b=16.6, c=52.7, d=34.5, e=60.7, f=0.005,
                          l=49.0, m=0.15 * (17.5 + 49.0), n=17.5, R=29.0)
     sin_a, cos_a = trig_arrays([0.0, 0.1, 0.2])
-    for args, shape in (((sin_a, cos_a, np.array([40.0, 41.0, 42.0])), (3,)),
-                        ((0.0, 1.0, 40.0), (4,))):
+    for args, shape in (((cam_axial(fric, sin_a, cos_a), np.array([40.0, 41.0, 42.0])), (3,)),
+                        ((cam_axial(fric, 0.0, 1.0), 40.0), (4,))):
         design = {"c": np.linspace(50.0, 55.0, 4)} if shape == (4,) else {}
         fh, valid, ok = braking_force_ensemble(geom, fric, 50.0, 30.0, *args, **design)
         assert fh.shape == valid.shape == ok.shape == shape

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from brakeopt import (
     robust_objective,
     robust_values,
 )
-from brakeopt import mechmodel, optimizer
+from brakeopt import mc_uq, mechmodel, optimizer
 from brakeopt.optimizer import ModelSetup, OptimizationResult
 from test_model_properties import classical_objective, frictions, lengths, same_bits
 
@@ -353,6 +354,18 @@ LOCKSTEP_STARTS = [(ua, uc) for ua in optimizer._STARTS for uc in optimizer._STA
     (0.7, 0.3), (0.69995, 0.81), (0.33, 0.9)]
 
 
+def recording_current(objective):
+    """``recording`` for :func:`sequential_ascend`: each point it evaluates,
+    with its current point u at that moment, read off its frame."""
+    calls = []
+
+    def evaluate(ua, uc):
+        u = sys._getframe(1).f_locals["u"]
+        calls.append(((float(ua), float(uc)), (float(u[0]), float(u[1]))))
+        return objective(ua, uc)
+    return evaluate, calls
+
+
 @pytest.mark.parametrize("objective", [tilted_quadratic, walled_shelf])
 def test_lockstep_gives_each_start_its_sequential_ascent(monkeypatch, objective):
     asks = []  # per start, the list of points of each request, in order
@@ -381,20 +394,44 @@ def test_lockstep_gives_each_start_its_sequential_ascent(monkeypatch, objective)
     results = optimizer._lockstep(evaluate, LOCKSTEP_STARTS)
     assert len(asks) == len(results) == len(LOCKSTEP_STARTS)
 
-    rounds = set()
+    rounds, repeats = set(), 0
     for u0, result, mine in zip(LOCKSTEP_STARTS, results, asks):
-        oracle_evaluate, points = recording(objective)
+        oracle_evaluate, calls = recording_current(objective)
         want = sequential_ascend(oracle_evaluate, u0)
+        # the oracle's points, less each one that is its current point (the
+        # start aside): a stencil point or a candidate clipped onto it
+        points = [p for i, (p, u) in enumerate(calls) if i == 0 or p != u]
         assert [p for ask in mine for p in ask] == points
+        repeats += len(calls) - len(points)
         if want is None:
             assert result is None
         else:
             assert result[0].tobytes() == want[0].tobytes() and same_float(result[1], want[1])
         rounds.add(len(mine))
     assert len(rounds) > 3, "the starts should stop in different rounds"
+    assert repeats > 0, "some start should clip onto its current point"
     # one call per round, which holds the requests of the running starts in start order
     assert batches == [[p for mine in asks if r < len(mine) for p in mine[r]]
                        for r in range(max(rounds))]
+
+
+def test_ascent_asks_for_a_corner_once():
+    # rises toward (1, 1): the ascent reaches the corner, whose stencil and
+    # every later candidate clip onto it
+    def objective(ua, uc):
+        return ua + uc
+
+    evaluate, points = recording(objective)
+    u, value = ascend(evaluate, (0.5, 0.5))
+    assert (tuple(u), value) == ((1.0, 1.0), 2.0)
+    assert points.count((1.0, 1.0)) == 1
+    inner = 1.0 - optimizer._FD_STEP
+    assert points[points.index((1.0, 1.0)) + 1:] == [(inner, 1.0), (1.0, inner)]
+
+    oracle_evaluate, oracle_points = recording(objective)
+    sequential_ascend(oracle_evaluate, (0.5, 0.5))
+    assert oracle_points.count((1.0, 1.0)) > 2
+    assert [p for p in oracle_points if p != (1.0, 1.0)] == [p for p in points if p != (1.0, 1.0)]
 
 
 def test_lockstep_of_one_is_the_sequential_ascent():
@@ -420,7 +457,7 @@ def kernel_calls(monkeypatch):
 
 def test_classical_ascents_share_kernel_calls(setup, kernel_calls):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
-    assert res.evaluations == 3170
+    assert res.evaluations == 2068
     assert len(kernel_calls) < res.evaluations / 4
 
 
@@ -429,6 +466,22 @@ def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model,
                           draw_uniform_matrix(0, 256), (21, 11))
     # the ascent, the recheck of the optimum and one scan of each map
     assert len(kernel_calls) == res.evaluations + 1 + 2 * 21 * 11
+
+
+def test_robust_optimizer_computes_the_cam_term_once_per_sample_transform(
+        setup, input_model, monkeypatch):
+    calls = {"sample_inputs": 0, "cam_axial": 0}
+    for module, name in ((mc_uq, "sample_inputs"), (mechmodel, "cam_axial")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), setup, input_model,
+                          draw_uniform_matrix(0, 256), (21, 11))
+    # the robust map, the constraint map and the ascent each transform the
+    # ensemble once
+    assert calls == {"sample_inputs": 3, "cam_axial": 3}
+    assert res.evaluations > 3
 
 
 def test_no_feasible_cell_raises_after_the_two_maps_and_before_the_ascent(
@@ -578,9 +631,19 @@ def frozen(a, c, objective, evaluations, cert_value, cert_a, cert_c, prob=None):
         certificate_point=DesignPoint(a=cert_a, c=cert_c), constraint_prob=prob)
 
 
+def assert_python_floats(res):
+    fields = [res.s_opt.a, res.s_opt.c, res.objective, res.certificate_value,
+              res.certificate_point.a, res.certificate_point.c]
+    if res.constraint_prob is not None:
+        fields.append(res.constraint_prob)
+    assert [type(x) for x in fields] == [float] * len(fields)
+
+
 def test_classical_result_is_frozen(setup):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
-    assert res == frozen(60.0, 50.0, 8.74341728968971, 3170, 8.74341728968971, 60.0, 50.0)
+    # the ascent wins the tie with the certificate
+    assert res == frozen(60.0, 50.0, 8.74341728968971, 2068, 8.74341728968971, 60.0, 50.0)
+    assert_python_floats(res)
 
 
 STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
@@ -591,21 +654,22 @@ STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
     # (evaluations count the ascent's designs: the 21 x 11 certificate cells
     # are the cells of the two maps)
     (RobustWeights(), 0.5,
-     frozen(60.0, 55.0, 3.1813046036893007, 4740 - 21 * 11, 3.1813046036893007, 60.0, 55.0,
+     frozen(60.0, 55.0, 3.1813046036893007, 3093, 3.1813046036893007, 60.0, 55.0,
             0.9833984375)),
     # the certificate cell beats every ascent and is returned
     (STD_ONLY, 1.0,
-     frozen(51.0, 54.5, 0.25236206290740454, 2728 - 21 * 11, 0.25236206290740454, 51.0, 54.5,
+     frozen(51.0, 54.5, 0.25236206290740454, 2379, 0.25236206290740454, 51.0, 54.5,
             0.9501953125)),
     # an ascent ends between cells, above the best feasible cell
     (STD_ONLY, 1.1,
-     frozen(53.893279403860134, 55.0, 0.240514004512616, 1768 - 21 * 11, 0.2400386770833939,
+     frozen(53.893279403860134, 55.0, 0.240514004512616, 1477, 0.2400386770833939,
             54.0, 55.0, 0.951171875)),
 ])
 def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
     res = optimize_robust(DesignBox(), weights, ConstraintSpec(y_star=y_star), setup,
                           input_model, draw_uniform_matrix(0, 1024), (21, 11))
     assert res == expected
+    assert_python_floats(res)
 
 
 def lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid):

@@ -83,6 +83,7 @@ class NoFeasiblePoint(BrakeOptError):
 
 
 class AllStartsFailed(BrakeOptError):
-    """Every local-search start point failed to evaluate."""
+    """No cell of the design map has a finite value, so the local search has
+    no start point."""
 
     exit_code = 19

@@ -10,11 +10,13 @@ the design.  The robust problem additionally requires the empirical chance
 constraint P{|Y| > y*} >= 1 - P_r; infeasible candidates are rejected, the
 solver never returns one.
 
-The local solver is a multi-start projected ascent with finite-difference
-gradients, run in box-normalized coordinates; an ascent never asks again for
-the design it stands on, whose value it holds.  Every optimization is
-cross-checked against a dense grid scan whose best (feasible) cell is
-returned as a certificate; the reported optimum always dominates it.
+Both optimizers run one pipeline: map first, then climb.  The dense grid
+map (for the robust problem, its feasible cells) is scanned first; one
+projected ascent with finite-difference gradients, in box-normalized
+coordinates, starts at each local maximum of the map; and the best ascent is
+settled against the map's best cell, which is returned as a certificate: the
+reported optimum always dominates it.  An ascent never asks again for the
+design it stands on, whose value it holds.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
@@ -36,7 +38,6 @@ import numpy as np
 from . import maxent, mc_uq, mechmodel
 from .errors import AllStartsFailed, InsufficientSamples, NoFeasiblePoint, ValidationError
 
-_STARTS = np.linspace(0.0, 1.0, 5)  # ascent starts per axis of the unit square
 # ascent steps and the FD stencil are fractions of the box width
 _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = 200, 0.25, 1e-8, 1e-4
 # designs per lattice call, in whole rows: fastest or near it in a block-size
@@ -316,11 +317,12 @@ def _lockstep(evaluate, starts):
     return results
 
 
-def _lattice(box: DesignBox, nx: int, ny: int, values_at):
-    """(a_values, c_values, values): ``values_at`` on the row-major nx x ny
-    lattice spanning the box, in blocks of whole rows of at most ``_BLOCK``
-    designs (one row if a row is longer), written into one preallocated
-    array.  A cell's value does not depend on its block."""
+def grid_scan(box: DesignBox, nx: int, ny: int,
+              values_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_values, c_values, values)``: the design function ``values_at`` on
+    the dense row-major nx x ny lattice of the box, in blocks of whole rows
+    of at most ``_BLOCK`` designs (one row if a row is longer), written into
+    one preallocated array.  A cell's value does not depend on its block."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
     a_values = np.linspace(box.a_min, box.a_max, nx)
@@ -334,28 +336,36 @@ def _lattice(box: DesignBox, nx: int, ny: int, values_at):
     return a_values, c_values, values
 
 
-def _grid_argmax(a_values, c_values, values):
-    """Best finite cell; row-major first occurrence, i.e. lexicographic
-    smallest (a, c) among ties.  None if the whole grid is nan."""
-    if not np.any(np.isfinite(values)):
-        return None
-    flat = np.nanargmax(values)
-    i, j = np.unravel_index(flat, values.shape)
-    return DesignPoint(a=float(a_values[i]), c=float(c_values[j])), float(values[i, j])
+def _local_maxima(values: np.ndarray) -> list[list[int]]:
+    """The ``[i, j]`` of each local maximum of the map, in row-major order: a
+    finite cell that no finite 8-neighbour beats.  A neighbour beats a cell
+    with a greater value, or with an equal one when it comes first in
+    row-major order, so a flat map gives one start, its first cell.  Each
+    neighbour pair is compared once, on two shifted slices of the map."""
+    finite = np.isfinite(values)
+    peak = finite.copy()
+    nx, ny = values.shape
+    # the offsets to the neighbours that come later in row-major order
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        early = slice(0, nx - di), slice(max(-dj, 0), ny - max(dj, 0))
+        late = slice(di, nx), slice(max(dj, 0), ny - max(-dj, 0))
+        first, second = values[early], values[late]
+        peak[late] &= ~(finite[early] & (first >= second))
+        peak[early] &= ~(finite[late] & (second > first))
+    return np.argwhere(peak).tolist()
 
 
-def grid_scan(box: DesignBox, nx: int, ny: int,
-              values_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a_values, c_values, values)``: the design function ``values_at`` on
-    the dense row-major nx x ny lattice of the box; see :func:`_lattice`."""
-    return _lattice(box, nx, ny, values_at)
-
-
-def _optimize(box: DesignBox, values_at):
-    """Lockstep ascents of ``values_at`` from the _STARTS x _STARTS lattice on
-    the unit square (the first start wins ties).  Returns (best, evaluations):
-    the (point, value) of the best ascent, None if every start is rejected,
-    and the number of designs evaluated."""
+def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
+    """Climb from the map ``cells = (a_values, c_values, values)``, which has
+    a finite cell: one ascent of ``values_at`` from each local maximum of
+    the map, run in lockstep in row-major order (the first start wins
+    ties).  The best ascent is returned unless the map's best cell beats it;
+    that cell is the certificate.  ``evaluations`` counts the ascents'
+    designs."""
+    a_values, c_values, values = cells
+    # the best finite cell, the row-major first (smallest (a, c)) among ties
+    i, j = np.unravel_index(np.nanargmax(values), values.shape)
+    cert = DesignPoint(a=float(a_values[i]), c=float(c_values[j])), float(values[i, j])
     evaluations = 0
 
     def evaluate(ua: np.ndarray, uc: np.ndarray) -> np.ndarray:
@@ -364,15 +374,12 @@ def _optimize(box: DesignBox, values_at):
         evaluations += s.c.size
         return values_at(s.a, s.c)
 
+    nx, ny = values.shape
     best = None
-    for res in _lockstep(evaluate, [(ua, uc) for ua in _STARTS for uc in _STARTS]):
+    for res in _lockstep(evaluate, [(i / (nx - 1), j / (ny - 1))
+                                    for i, j in _local_maxima(values)]):
         if res is not None and (best is None or res[1] > best[1]):
             best = box.unmap(*res[0].tolist()), res[1]
-    return best, evaluations
-
-
-def _settle(best, cert, evaluations: int) -> OptimizationResult:
-    """The ascent's best point, unless the certificate cell beats it."""
     s_opt, objective = best if best is not None and best[1] >= cert[1] else cert
     return OptimizationResult(
         s_opt=s_opt, objective=objective, evaluations=evaluations,
@@ -386,19 +393,19 @@ def optimize_classical(
 ) -> OptimizationResult:
     """Maximize the nominal braking force over the box.
 
-    Multi-start projected ascent from a 5 x 5 lattice, then the
-    result is checked against (and never undercuts) a dense grid certificate.
-    Raises AllStartsFailed when no start has a finite value; with no finite
-    grid cell the ascent is its own certificate.
+    The force is mapped on the dense grid first; an ascent then climbs from
+    each local maximum of the map, and the result never undercuts the map's
+    best cell, its certificate.  ``evaluations`` counts the map's cells and
+    the ascents' designs.  Raises AllStartsFailed, before any ascent, when
+    no map cell has a finite value.
     """
     values_at = classical_values(setup)
-    best, evaluations = _optimize(box, values_at)
-    a_values, c_values, values = _lattice(box, grid[0], grid[1], values_at)
-    if best is None:
-        raise AllStartsFailed("no ascent start has a finite braking force "
-                              "(a singular denominator or an overflow)")
-    cert = _grid_argmax(a_values, c_values, values) or best
-    return _settle(best, cert, evaluations + values.size)
+    cells = grid_scan(box, grid[0], grid[1], values_at)
+    if not np.isfinite(cells[2]).any():
+        raise AllStartsFailed(f"no cell of the {grid[0]}x{grid[1]} map has a finite braking "
+                              "force (a singular denominator or an overflow)")
+    result = _optimize(box, cells, values_at)
+    return dataclasses.replace(result, evaluations=result.evaluations + cells[2].size)
 
 
 def optimize_robust(
@@ -415,18 +422,20 @@ def optimize_robust(
     The drawn ``uniforms`` are reused at every design point, so the whole
     optimization is a pure function of its arguments.  The robust map and
     the constraint map are scanned once each on the dense grid and returned
-    as ``maps``; the certificate is the best robust cell whose constraint
-    cell is at least 1 - p_r.  A design violating the constraint has the
-    value nan, so the ascent rejects it.  Raises InsufficientSamples, before
-    any design is evaluated, when beta4 > 0 and there is one sample, and
-    NoFeasiblePoint, before the ascent, when no grid cell is feasible.
+    as ``maps``.  The feasible map is the robust map where the constraint
+    cell is at least 1 - p_r; the ascents start at its local maxima, and its
+    best cell is the certificate.  A design violating the constraint has the
+    value nan, so the ascent rejects it.  ``evaluations`` counts the
+    ascents' designs.  Raises InsufficientSamples, before any design is
+    evaluated, when beta4 > 0 and there is one sample, and NoFeasiblePoint,
+    before any ascent, when no grid cell is feasible.
     """
     _check_sample_count(weights, len(uniforms))
     robust = grid_scan(box, *grid, robust_values(setup, input_model, uniforms, weights))
     prob = grid_scan(box, *grid, constraint_values(setup, input_model, uniforms, cspec))
     threshold = 1.0 - cspec.p_r
-    cert = _grid_argmax(robust[0], robust[1], np.where(prob[2] >= threshold, robust[2], np.nan))
-    if cert is None:
+    cells = robust[0], robust[1], np.where(prob[2] >= threshold, robust[2], np.nan)
+    if not np.isfinite(cells[2]).any():
         raise NoFeasiblePoint(
             f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
             f"P(|Fh| > {cspec.y_star}) >= {threshold}")
@@ -436,8 +445,7 @@ def optimize_robust(
         feasible = _constraint_value(cspec, fh) >= threshold
         return _robust_value(weights, fh) if feasible else math.nan
 
-    best, evaluations = _optimize(box, _per_design_values(fh_at, value_of))
-    result = _settle(best, cert, evaluations)
+    result = _optimize(box, cells, _per_design_values(fh_at, value_of))
     fh_opt = fh_at(result.s_opt.a, result.s_opt.c)
     return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt),
                                maps={"robust": robust, "constraint": prob})

@@ -20,8 +20,8 @@ design it stands on, whose value it holds.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
-over equal-shape arrays: a block of whole lattice rows, or one round of the
-lockstep ascents.  :func:`classical_values`, :func:`robust_values` and
+over equal-shape arrays: a block of whole lattice rows, or the points of one
+request of an ascent.  :func:`classical_values`, :func:`robust_values` and
 :func:`constraint_values` build the three maps' design functions; the
 sampled ones take the run's drawn ``(nu, 2)`` uniform matrix, transform it
 once and compute the design-invariant cam term once with it.
@@ -68,13 +68,18 @@ class DesignBox:
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
-    def unmap(self, ua, uc) -> DesignPoint:
-        """Map unit-square coordinates to a design point, elementwise over
-        arrays too."""
-        return DesignPoint(
-            a=self.a_min + ua * (self.a_max - self.a_min),
-            c=self.c_min + uc * (self.c_max - self.c_min),
-        )
+    def unmap(self, ua: float, uc: float) -> DesignPoint:
+        """Map unit-square coordinates to a design point: [0, 1] into
+        [min, max] on each axis, with 0 and 1 exactly on the bounds, as
+        ``np.linspace`` puts its ends."""
+        return DesignPoint(a=_lerp(self.a_min, self.a_max, ua),
+                           c=_lerp(self.c_min, self.c_max, uc))
+
+
+def _lerp(lo: float, hi: float, u: float) -> float:
+    # lo + 1.0 * (hi - lo) can round one ulp off hi, either way; below 1.0,
+    # u * (hi - lo) falls short of hi - lo by more than its rounding error
+    return hi if u == 1.0 else lo + u * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -240,24 +245,24 @@ def robust_objective(
     return _robust_value(weights, _ensemble_fh(setup, input_model, uniforms)(s.a, s.c))
 
 
-def _ascent(u0):
-    """Projected finite-difference ascent on the unit square, as a generator.
+def _ascent(u0, evaluate):
+    """Projected finite-difference ascent on the unit square from ``u0``.
 
-    It yields the list of points (ua, uc) it needs next, the start, its
-    finite-difference stencil or one candidate, and is sent their values; a
-    non-finite value marks a rejected or failed point.  A design's value is
-    a pure function of its two floats, so the ascent never asks again for
-    its current point u, whose value it holds: a stencil point clipped onto
-    u takes that value, and a candidate clipped back onto u is rejected, as
-    its value would not beat u's.  The search stops
+    ``evaluate(points) -> values`` gives the values of the list of points
+    (ua, uc) it asks for: the start, its finite-difference stencil or one
+    candidate; a non-finite value marks a rejected or failed point.  A
+    design's value is a pure function of its two floats, so the ascent never
+    asks again for its current point u, whose value it holds: a stencil
+    point clipped onto u takes that value, and a candidate clipped back onto
+    u is rejected, as its value would not beat u's.  The search stops
     when the step underflows ``_STEP_MIN`` or after ``_MAX_ITER``
-    iterations.  Returns (u, value) with u a 2-element array, or None if
-    even the start is rejected.  The point is two floats, and each axis
-    takes the operations of ``np.clip(u + step * grad / norm, 0.0, 1.0)``
-    in the same order, so the bits are those of the array form.
+    iterations.  Returns (u, value) with u a pair of floats, or None if
+    even the start is rejected.  Each axis takes the operations of
+    ``np.clip(u + step * grad / norm, 0.0, 1.0)`` in the same order, so the
+    bits are those of the array form.
     """
     u = (float(u0[0]), float(u0[1]))
-    [fx] = yield [u]
+    [fx] = evaluate([u])
     if not math.isfinite(fx):
         return None
 
@@ -274,7 +279,7 @@ def _ascent(u0):
                     stencil.append((ax, hi, lo))
             points = [(x, u[1]) if ax == 0 else (u[0], x)
                       for ax, hi, lo in stencil for x in (hi, lo)]
-            asked = iter((yield [p for p in points if p != u]))
+            asked = iter(evaluate([p for p in points if p != u]))
             values = [fx if p == u else next(asked) for p in points]
             grad = [0.0, 0.0]
             for (ax, hi, lo), fp, fm in zip(stencil, values[0::2], values[1::2]):
@@ -285,36 +290,14 @@ def _ascent(u0):
             step *= 0.5
             continue
         cand = tuple(min(max(x + step * g / norm, 0.0), 1.0) for x, g in zip(u, grad))
-        [fc] = (yield [cand]) if cand != u else [fx]
+        [fc] = evaluate([cand]) if cand != u else [fx]
         if math.isfinite(fc) and fc > fx:
             u, fx = cand, fc
             step = min(step * 2.0, 0.5)
             norm = None
         else:
             step *= 0.5
-    return np.array(u), fx
-
-
-def _lockstep(evaluate, starts):
-    """One :func:`_ascent` per start, run in lockstep: each round, the points
-    that every running ascent asks for go, in start order, to one call of
-    ``evaluate(ua, uc) -> values`` over equal-shape arrays.  Returns each
-    start's (u, value), or None, in start order."""
-    ascents = [_ascent(u0) for u0 in starts]
-    results = [None] * len(ascents)
-    asks = [(k, next(ascent)) for k, ascent in enumerate(ascents)]
-    while asks:
-        ua, uc = np.array([p for _, ask in asks for p in ask]).T
-        values = np.asarray(evaluate(ua, uc), dtype=float).tolist()
-        running, i = [], 0
-        for k, ask in asks:
-            try:
-                running.append((k, ascents[k].send(values[i:i + len(ask)])))
-            except StopIteration as stop:
-                results[k] = stop.value
-            i += len(ask)
-        asks = running
-    return results
+    return u, fx
 
 
 def grid_scan(box: DesignBox, nx: int, ny: int,
@@ -358,28 +341,28 @@ def _local_maxima(values: np.ndarray) -> list[list[int]]:
 def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
     """Climb from the map ``cells = (a_values, c_values, values)``, which has
     a finite cell: one ascent of ``values_at`` from each local maximum of
-    the map, run in lockstep in row-major order (the first start wins
-    ties).  The best ascent is returned unless the map's best cell beats it;
-    that cell is the certificate.  ``evaluations`` counts the ascents'
-    designs."""
+    the map, in row-major order (the first start wins ties), with one
+    ``values_at`` call per request of an ascent.  The best ascent is
+    returned unless the map's best cell beats it; that cell is the
+    certificate.  ``evaluations`` counts the ascents' designs."""
     a_values, c_values, values = cells
     # the best finite cell, the row-major first (smallest (a, c)) among ties
     i, j = np.unravel_index(np.nanargmax(values), values.shape)
     cert = DesignPoint(a=float(a_values[i]), c=float(c_values[j])), float(values[i, j])
     evaluations = 0
 
-    def evaluate(ua: np.ndarray, uc: np.ndarray) -> np.ndarray:
+    def evaluate(points: list) -> list:
         nonlocal evaluations
-        s = box.unmap(ua, uc)
-        evaluations += s.c.size
-        return values_at(s.a, s.c)
+        evaluations += len(points)
+        a, c = np.array([dataclasses.astuple(box.unmap(*p)) for p in points]).T
+        return values_at(a, c).tolist()
 
     nx, ny = values.shape
     best = None
-    for res in _lockstep(evaluate, [(i / (nx - 1), j / (ny - 1))
-                                    for i, j in _local_maxima(values)]):
+    for i, j in _local_maxima(values):
+        res = _ascent((i / (nx - 1), j / (ny - 1)), evaluate)
         if res is not None and (best is None or res[1] > best[1]):
-            best = box.unmap(*res[0].tolist()), res[1]
+            best = box.unmap(*res[0]), res[1]
     s_opt, objective = best if best is not None and best[1] >= cert[1] else cert
     return OptimizationResult(
         s_opt=s_opt, objective=objective, evaluations=evaluations,

@@ -328,7 +328,7 @@ def kernel_calls(draw):
     0-d angle, force and c (a batch of one); a scalar angle and force with a
     row of c that holds the plant's own, possibly near-singular, c (a
     classical row); a scalar angle and force with (n,) rows of a and c (a
-    design batch, as one round of the lockstep ascents); or (n,) samples
+    design batch, as one request of an ascent); or (n,) samples
     with a scalar c.  ``design`` holds the design lengths a and c passed to
     the kernel, if any."""
     geom, fric, Fg, Fb, alphas, forces = draw(brake_cases())

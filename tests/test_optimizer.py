@@ -234,10 +234,39 @@ def test_weights_and_constraint_validation():
         DesignBox(a_min=60.0, a_max=50.0)
 
 
+# boxes where a_min + 1.0 * (a_max - a_min) rounds one ulp above a_max
+OFF_BY_ONE_ULP_BOXES = [DesignBox(8.2, 49.63, 50.0, 55.0), DesignBox(24.599, 58.9, 50.0, 55.0)]
+
+
 def test_design_box_unmap():
     box = DesignBox()
     corner = box.unmap(1.0, 0.0)
     assert (corner.a, corner.c) == (60.0, 50.0)
+    # the last box rounds a_min + 1.0 * (a_max - a_min) one ulp below a_max
+    for box in [*OFF_BY_ONE_ULP_BOXES, DesignBox(16.54, 100.46, 50.0, 55.0)]:
+        assert box.unmap(0.0, 0.0) == DesignPoint(a=box.a_min, c=box.c_min)
+        assert box.unmap(1.0, 1.0) == DesignPoint(a=box.a_max, c=box.c_max)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**5), st.integers(0, 10**5), st.floats(0.0, 1.0))
+def test_unmap_maps_the_unit_interval_into_the_box(lo_um, width_um, u):
+    # bounds in whole micrometres, as a config spells them
+    lo, hi = lo_um / 1000, (lo_um + width_um) / 1000
+    box = DesignBox(a_min=lo, a_max=hi, c_min=lo, c_max=hi)
+    assert box.unmap(0.0, 1.0) == DesignPoint(a=lo, c=hi)
+    for x in (u, math.nextafter(1.0, 0.0)):
+        assert lo <= box.unmap(x, x).a <= hi
+
+
+@pytest.mark.parametrize("box", OFF_BY_ONE_ULP_BOXES, ids=["a_max-49.63", "a_max-58.9"])
+def test_optimum_is_inside_the_box(cfg, setup, input_model, box):
+    # both optima sit on the a_max edge, which the ascent reaches at ua = 1.0
+    design = cfg.design
+    for res in (optimize_classical(box, setup, (5, 3)),
+                optimize_robust(box, design.weights, design.constraint, setup, input_model,
+                                draw_uniform_matrix(0, 64), (5, 3))):
+        assert box.a_min <= res.s_opt.a <= box.a_max and box.c_min <= res.s_opt.c <= box.c_max
 
 
 def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
@@ -262,9 +291,8 @@ def recording(objective):
 
 
 def ascend(evaluate, u0):
-    """One ascent with a scalar ``evaluate(ua, uc)``: a lockstep of one."""
-    [result] = optimizer._lockstep(lambda ua, uc: [evaluate(x, y) for x, y in zip(ua, uc)], [u0])
-    return result
+    """One ascent with a scalar ``evaluate(ua, uc)``."""
+    return optimizer._ascent(u0, lambda points: [evaluate(*p) for p in points])
 
 
 def test_ascent_keeps_its_gradient_through_rejected_steps():
@@ -276,7 +304,7 @@ def test_ascent_keeps_its_gradient_through_rejected_steps():
 
     evaluate, points = recording(objective)
     u, _ = ascend(evaluate, (0.5, 0.5))
-    assert u == pytest.approx([0.61, 0.43], abs=1e-4)
+    assert u == pytest.approx((0.61, 0.43), abs=1e-4)
     # only a rejected candidate falls this far below the start
     assert min(objective(*p) for p in points) < objective(0.5, 0.5) - 0.01
     assert len(set(points)) == len(points), "a point was evaluated twice"
@@ -285,14 +313,14 @@ def test_ascent_keeps_its_gradient_through_rejected_steps():
 def test_ascent_on_a_flat_objective_evaluates_one_stencil():
     evaluate, points = recording(lambda ua, uc: 0.0)
     u, value = ascend(evaluate, (0.5, 0.5))
-    assert (tuple(u), value) == ((0.5, 0.5), 0.0)
+    assert (u, value) == ((0.5, 0.5), 0.0)
     assert len(points) == 1 + 4  # the start and its four stencil points
 
 
 def sequential_ascend(evaluate, u0):
-    """Oracle: the ascent as it was before the lockstep, one point per call;
-    kept verbatim.  The lockstep must give each start its results and its
-    sequence of evaluated points."""
+    """Oracle: the ascent one point per call, which asks again for its
+    current point; kept verbatim.  Each start of the ascent must give its
+    results and its sequence of evaluated points, less those repeats."""
     _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = (
         optimizer._MAX_ITER, optimizer._STEP0, optimizer._STEP_MIN, optimizer._FD_STEP)
     u = np.array(u0, dtype=float)
@@ -350,9 +378,8 @@ def walled_shelf(ua, uc):
 
 
 # a 5 x 5 lattice of the unit square, and starts off it
-LOCKSTEP_STARTS = [(ua, uc) for ua in (0.0, 0.25, 0.5, 0.75, 1.0)
-                   for uc in (0.0, 0.25, 0.5, 0.75, 1.0)] + [
-    (0.7, 0.3), (0.69995, 0.81), (0.33, 0.9)]
+STARTS = [(ua, uc) for ua in (0.0, 0.25, 0.5, 0.75, 1.0)
+          for uc in (0.0, 0.25, 0.5, 0.75, 1.0)] + [(0.7, 0.3), (0.69995, 0.81), (0.33, 0.9)]
 
 
 def recording_current(objective):
@@ -368,52 +395,31 @@ def recording_current(objective):
 
 
 @pytest.mark.parametrize("objective", [tilted_quadratic, walled_shelf])
-def test_lockstep_gives_each_start_its_sequential_ascent(monkeypatch, objective):
-    asks = []  # per start, the list of points of each request, in order
-    ascent = optimizer._ascent
+def test_lockstep_gives_each_start_its_sequential_ascent(objective):
+    """Each start, run on its own as ``_optimize`` runs it, asks for the
+    oracle's points and ends with its bits.  (The name dates from when the
+    starts ran in lockstep rounds; they now run one after another.)"""
+    repeats = 0
+    for u0 in STARTS:
+        asks = []  # the list of points of each request, in order
 
-    def recorded(u0):
-        mine = []
-        asks.append(mine)
-        steps = ascent(u0)
-        ask = next(steps)
-        while True:
-            mine.append([(float(ua), float(uc)) for ua, uc in ask])
-            try:
-                ask = steps.send((yield ask))
-            except StopIteration as stop:
-                return stop.value
-
-    batches = []
-
-    def evaluate(ua, uc):
-        batch = list(zip(ua.tolist(), uc.tolist()))
-        batches.append(batch)
-        return np.array([objective(*p) for p in batch])
-
-    monkeypatch.setattr(optimizer, "_ascent", recorded)
-    results = optimizer._lockstep(evaluate, LOCKSTEP_STARTS)
-    assert len(asks) == len(results) == len(LOCKSTEP_STARTS)
-
-    rounds, repeats = set(), 0
-    for u0, result, mine in zip(LOCKSTEP_STARTS, results, asks):
+        def evaluate(points):
+            asks.append(points)
+            return [objective(*p) for p in points]
+        result = optimizer._ascent(u0, evaluate)
         oracle_evaluate, calls = recording_current(objective)
         want = sequential_ascend(oracle_evaluate, u0)
         # the oracle's points, less each one that is its current point (the
         # start aside): a stencil point or a candidate clipped onto it
         points = [p for i, (p, u) in enumerate(calls) if i == 0 or p != u]
-        assert [p for ask in mine for p in ask] == points
+        assert [p for ask in asks for p in ask] == points
         repeats += len(calls) - len(points)
         if want is None:
             assert result is None
         else:
-            assert result[0].tobytes() == want[0].tobytes() and same_float(result[1], want[1])
-        rounds.add(len(mine))
-    assert len(rounds) > 3, "the starts should stop in different rounds"
+            assert np.array(result[0]).tobytes() == want[0].tobytes()
+            assert same_float(result[1], want[1])
     assert repeats > 0, "some start should clip onto its current point"
-    # one call per round, which holds the requests of the running starts in start order
-    assert batches == [[p for mine in asks if r < len(mine) for p in mine[r]]
-                       for r in range(max(rounds))]
 
 
 def test_ascent_asks_for_a_corner_once():
@@ -424,7 +430,7 @@ def test_ascent_asks_for_a_corner_once():
 
     evaluate, points = recording(objective)
     u, value = ascend(evaluate, (0.5, 0.5))
-    assert (tuple(u), value) == ((1.0, 1.0), 2.0)
+    assert (u, value) == ((1.0, 1.0), 2.0)
     assert points.count((1.0, 1.0)) == 1
     inner = 1.0 - optimizer._FD_STEP
     assert points[points.index((1.0, 1.0)) + 1:] == [(inner, 1.0), (1.0, inner)]
@@ -436,12 +442,15 @@ def test_ascent_asks_for_a_corner_once():
 
 
 def test_lockstep_of_one_is_the_sequential_ascent():
-    for u0 in LOCKSTEP_STARTS:
+    """One ascent through the scalar adapter ``ascend`` ends, for every start,
+    where the oracle ends, bit for bit."""
+    for u0 in STARTS:
         want = sequential_ascend(walled_shelf, u0)
         got = ascend(walled_shelf, u0)
         assert (got is None) == (want is None)
         if want is not None:
-            assert got[0].tobytes() == want[0].tobytes() and same_float(got[1], want[1])
+            assert np.array(got[0]).tobytes() == want[0].tobytes()
+            assert same_float(got[1], want[1])
 
 
 @pytest.fixture
@@ -456,10 +465,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_classical_ascents_share_kernel_calls(setup, kernel_calls):
+def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_request(
+        setup, kernel_calls):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
     assert res.evaluations == 234
-    assert len(kernel_calls) < res.evaluations / 4
+    # the map's 231 cells are one block; the one ascent, from the corner
+    # (60, 50), asks for the corner and then for its two stencil points
+    assert [np.size(kw["c"]) for _, kw in kernel_calls] == [231, 1, 2]
 
 
 def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
@@ -488,7 +500,7 @@ def test_robust_optimizer_computes_the_cam_term_once_per_sample_transform(
 def test_no_feasible_cell_raises_after_the_two_maps_and_before_the_ascent(
         setup, input_model, kernel_calls, monkeypatch):
     ascents = []
-    monkeypatch.setattr(optimizer, "_ascent", lambda u0: ascents.append(u0))
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0, evaluate: ascents.append(u0))
     with pytest.raises(NoFeasiblePoint) as failed:
         optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3), setup,
                         input_model, draw_uniform_matrix(0, 64), (5, 3))
@@ -617,11 +629,13 @@ def test_classical_optimum_is_the_best_corner_when_the_pole_is_outside(case):
     # or a cell before it in row-major order that ties it
     assert res.certificate_value == best
     assert (res.certificate_point.a, res.certificate_point.c) <= (corner.a, corner.c)
-    # the ascent may stop a last-place rounding of unmap(1.0) off a corner
+    # the ascent ends on the corner or, a last place off it, within a few
+    # ulps of its value, and never outside the box
     sol = braking_force(dataclasses.replace(setup.geom, a=corner.a, c=corner.c),
                         setup.fric, setup.nominal)
     scale = abs(sol.T1) + abs(sol.T2) + abs(sol.T3) + abs(sol.T4)
     assert abs(res.objective - best) <= 4 * math.ulp(scale)
+    assert box.a_min <= res.s_opt.a <= box.a_max and box.c_min <= res.s_opt.c <= box.c_max
 
 
 def frozen(a, c, objective, evaluations, cert_value, cert_a, cert_c, prob=None):
@@ -719,7 +733,7 @@ def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatc
     # overflow to nan
     huge = dataclasses.replace(setup, nominal=dataclasses.replace(setup.nominal, Fg=1.0e307))
     ascents = []
-    monkeypatch.setattr(optimizer, "_ascent", lambda u0: ascents.append(u0))
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0, evaluate: ascents.append(u0))
     for plant in (dead, huge):
         with pytest.raises(AllStartsFailed) as failed:
             optimize_classical(DesignBox(), plant, grid=(5, 3))
@@ -736,9 +750,9 @@ def climb(box, grid, values_at, monkeypatch):
     starts = []
     ascent = optimizer._ascent
 
-    def recorded(u0):
+    def recorded(u0, evaluate):
         starts.append(u0)
-        return ascent(u0)
+        return ascent(u0, evaluate)
     monkeypatch.setattr(optimizer, "_ascent", recorded)
     return optimizer._optimize(box, grid_scan(box, *grid, values_at), values_at), starts
 
@@ -751,17 +765,47 @@ def test_a_flat_map_gives_one_start_at_its_first_cell(monkeypatch):
     assert res.evaluations == 3  # the start and its two stencil points inside the box
 
 
-def test_each_bump_of_the_map_gives_one_start_and_the_higher_wins(monkeypatch):
-    # two bumps, the higher second in row-major order, peaking between cells
-    def two_bumps(a, c):
-        return (np.exp(-0.5 * ((a - 52.0) ** 2 + (c - 51.0) ** 2))
-                + 2.0 * np.exp(-0.5 * ((a - 58.3) ** 2 + (c - 53.7) ** 2)))
+def two_bumps(a, c):
+    """Two bumps, the higher second in row-major order, peaking between the
+    cells of an 11 x 6 map of the shipped box."""
+    return (np.exp(-0.5 * ((a - 52.0) ** 2 + (c - 51.0) ** 2))
+            + 2.0 * np.exp(-0.5 * ((a - 58.3) ** 2 + (c - 53.7) ** 2)))
 
+
+def test_each_bump_of_the_map_gives_one_start_and_the_higher_wins(monkeypatch):
     res, starts = climb(DesignBox(), (11, 6), two_bumps, monkeypatch)
     assert starts == [(2 / 10, 1 / 5), (8 / 10, 4 / 5)]  # the cells (52, 51) and (58, 54)
     assert (res.s_opt.a, res.s_opt.c) == pytest.approx((58.3, 53.7), abs=1e-3)
     assert res.objective > res.certificate_value
     assert (res.certificate_point.a, res.certificate_point.c) == (58.0, 54.0)
+
+
+def test_each_ascent_request_is_one_values_at_call_of_its_own_points(monkeypatch):
+    box = DesignBox()
+    calls = []  # the designs of each values_at call
+
+    def spy(a, c):
+        calls.append(list(zip(a.tolist(), c.tolist())))
+        return two_bumps(a, c)
+    cells = grid_scan(box, 11, 6, spy)
+    assert len(calls) == 1  # the 66 cells are one block
+    requests = []  # per ascent, the designs of each of its requests
+    ascent = optimizer._ascent
+
+    def recorded(u0, evaluate):
+        mine = []
+        requests.append(mine)
+
+        def asked(points):
+            mine.append([dataclasses.astuple(box.unmap(*p)) for p in points])
+            return evaluate(points)
+        return ascent(u0, asked)
+    monkeypatch.setattr(optimizer, "_ascent", recorded)
+    calls.clear()
+    res = optimizer._optimize(box, cells, spy)
+    assert len(requests) == 2  # one ascent per bump
+    assert calls == [request for mine in requests for request in mine]
+    assert res.evaluations == sum(map(len, calls))
 
 
 def brute_local_maxima(values):

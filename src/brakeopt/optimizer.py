@@ -13,10 +13,11 @@ solver never returns one.
 Both optimizers run one pipeline: map first, then climb.  The dense grid
 map (for the robust problem, its feasible cells) is scanned first; one
 projected ascent with finite-difference gradients, in box-normalized
-coordinates, starts at each local maximum of the map; and the best ascent is
-settled against the map's best cell, which is returned as a certificate: the
-reported optimum always dominates it.  An ascent never asks again for the
-design it stands on, whose value it holds.
+coordinates, starts at each local maximum of the map with that cell's value
+(map and ascent share one mapping of the unit square onto the box).  The
+best local maximum is the certificate; the best ascent, which climbs by
+strict gains only, is the reported optimum and so dominates it.  An ascent
+never asks for the design it stands on, whose value it holds.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
@@ -70,8 +71,8 @@ class DesignBox:
 
     def unmap(self, ua: float, uc: float) -> DesignPoint:
         """Map unit-square coordinates to a design point: [0, 1] into
-        [min, max] on each axis, with 0 and 1 exactly on the bounds, as
-        ``np.linspace`` puts its ends."""
+        [min, max] on each axis, with 0 and 1 exactly on the bounds; the
+        lattice cell (i, j) is ``unmap(i/(nx-1), j/(ny-1))`` bit for bit."""
         return DesignPoint(a=_lerp(self.a_min, self.a_max, ua),
                            c=_lerp(self.c_min, self.c_max, uc))
 
@@ -245,27 +246,23 @@ def robust_objective(
     return _robust_value(weights, _ensemble_fh(setup, input_model, uniforms)(s.a, s.c))
 
 
-def _ascent(u0, evaluate):
+def _ascent(u0, f0, evaluate):
     """Projected finite-difference ascent on the unit square from ``u0``.
 
-    ``evaluate(points) -> values`` gives the values of the list of points
-    (ua, uc) it asks for: the start, its finite-difference stencil or one
-    candidate; a non-finite value marks a rejected or failed point.  A
-    design's value is a pure function of its two floats, so the ascent never
-    asks again for its current point u, whose value it holds: a stencil
-    point clipped onto u takes that value, and a candidate clipped back onto
-    u is rejected, as its value would not beat u's.  The search stops
-    when the step underflows ``_STEP_MIN`` or after ``_MAX_ITER``
-    iterations.  Returns (u, value) with u a pair of floats, or None if
-    even the start is rejected.  Each axis takes the operations of
-    ``np.clip(u + step * grad / norm, 0.0, 1.0)`` in the same order, so the
-    bits are those of the array form.
+    ``f0`` is the start's finite value, its map cell.  ``evaluate(points)
+    -> values`` gives the values of the list of points (ua, uc) it asks for:
+    a finite-difference stencil or one candidate; a non-finite value marks
+    a rejected or failed point.  A design's value is a pure function of its
+    two floats, so the ascent never asks for its current point u, whose
+    value it holds: a stencil point clipped onto u takes that value, and a
+    candidate clipped back onto u is rejected, as it would not gain.  Steps
+    gain strictly, so the value returned is at least ``f0``.  The search
+    stops when the step underflows ``_STEP_MIN`` or after ``_MAX_ITER``
+    iterations.  Returns (u, value) with u a pair of floats.  Each axis
+    takes the operations of ``np.clip(u + step * grad / norm, 0.0, 1.0)``
+    in the same order, so the bits are those of the array form.
     """
-    u = (float(u0[0]), float(u0[1]))
-    [fx] = evaluate([u])
-    if not math.isfinite(fx):
-        return None
-
+    u, fx = (float(u0[0]), float(u0[1])), f0
     step = _STEP0
     norm = None  # the gradient is kept until a step is accepted
     for _ in range(_MAX_ITER):
@@ -305,11 +302,12 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     """``(a_values, c_values, values)``: the design function ``values_at`` on
     the dense row-major nx x ny lattice of the box, in blocks of whole rows
     of at most ``_BLOCK`` designs (one row if a row is longer), written into
-    one preallocated array.  A cell's value does not depend on its block."""
+    one preallocated array.  The axes are those of :meth:`DesignBox.unmap`.
+    A cell's value does not depend on its block."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    a_values = np.linspace(box.a_min, box.a_max, nx)
-    c_values = np.linspace(box.c_min, box.c_max, ny)
+    a_values = np.array([_lerp(box.a_min, box.a_max, i / (nx - 1)) for i in range(nx)])
+    c_values = np.array([_lerp(box.c_min, box.c_max, j / (ny - 1)) for j in range(ny)])
     values = np.empty((nx, ny))
     rows = max(1, _BLOCK // ny)
     for i in range(0, nx, rows):
@@ -340,14 +338,17 @@ def _local_maxima(values: np.ndarray) -> list[list[int]]:
 
 def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
     """Climb from the map ``cells = (a_values, c_values, values)``, which has
-    a finite cell: one ascent of ``values_at`` from each local maximum of
-    the map, in row-major order (the first start wins ties), with one
-    ``values_at`` call per request of an ascent.  The best ascent is
-    returned unless the map's best cell beats it; that cell is the
-    certificate.  ``evaluations`` counts the ascents' designs."""
+    a finite cell: from each local maximum, in row-major order, one ascent
+    of ``values_at`` that starts with the cell's value and makes one call
+    per request.  The best ascent is returned (the first wins ties).  The
+    certificate, the first local maximum of greatest value, is the best
+    finite cell; its ascent gains strictly, so the optimum never undercuts
+    it.  ``evaluations`` counts the ascents' designs."""
     a_values, c_values, values = cells
-    # the best finite cell, the row-major first (smallest (a, c)) among ties
-    i, j = np.unravel_index(np.nanargmax(values), values.shape)
+    nx, ny = values.shape
+    starts = _local_maxima(values)
+    # max() keeps the first of equal keys
+    i, j = max(starts, key=lambda s: values[s[0], s[1]])
     cert = DesignPoint(a=float(a_values[i]), c=float(c_values[j])), float(values[i, j])
     evaluations = 0
 
@@ -357,15 +358,11 @@ def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
         a, c = np.array([dataclasses.astuple(box.unmap(*p)) for p in points]).T
         return values_at(a, c).tolist()
 
-    nx, ny = values.shape
-    best = None
-    for i, j in _local_maxima(values):
-        res = _ascent((i / (nx - 1), j / (ny - 1)), evaluate)
-        if res is not None and (best is None or res[1] > best[1]):
-            best = box.unmap(*res[0]), res[1]
-    s_opt, objective = best if best is not None and best[1] >= cert[1] else cert
+    ends = [_ascent((i / (nx - 1), j / (ny - 1)), float(values[i, j]), evaluate)
+            for i, j in starts]
+    u, objective = max(ends, key=lambda end: end[1])
     return OptimizationResult(
-        s_opt=s_opt, objective=objective, evaluations=evaluations,
+        s_opt=box.unmap(*u), objective=objective, evaluations=evaluations,
         certificate_value=cert[1], certificate_point=cert[0])
 
 

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brakeopt import (
@@ -259,6 +259,22 @@ def test_unmap_maps_the_unit_interval_into_the_box(lo_um, width_um, u):
         assert lo <= box.unmap(x, x).a <= hi
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**5), st.integers(0, 10**5), st.integers(1, 10**5),
+       st.integers(0, 10**5), st.integers(2, 401), st.integers(2, 401))
+# a box on which np.linspace(8.2, 49.63, 101) misses 13 of these cells by 1 or 2 ulps
+@example(8200, 41430, 50000, 5000, 101, 51)
+def test_the_map_and_the_ascent_share_one_lattice(a_um, a_width_um, c_um, c_width_um, nx, ny):
+    # bounds in whole micrometres, as a config spells them
+    box = DesignBox(a_min=a_um / 1000, a_max=(a_um + a_width_um) / 1000,
+                    c_min=c_um / 1000, c_max=(c_um + c_width_um) / 1000)
+    a_values, c_values, _ = grid_scan(box, nx, ny, lambda a, c: np.zeros(a.shape))
+    for i in range(nx):
+        assert same_float(a_values[i], box.unmap(i / (nx - 1), 0.0).a)
+    for j in range(ny):
+        assert same_float(c_values[j], box.unmap(0.0, j / (ny - 1)).c)
+
+
 @pytest.mark.parametrize("box", OFF_BY_ONE_ULP_BOXES, ids=["a_max-49.63", "a_max-58.9"])
 def test_optimum_is_inside_the_box(cfg, setup, input_model, box):
     # both optima sit on the a_max edge, which the ascent reaches at ua = 1.0
@@ -291,8 +307,9 @@ def recording(objective):
 
 
 def ascend(evaluate, u0):
-    """One ascent with a scalar ``evaluate(ua, uc)``."""
-    return optimizer._ascent(u0, lambda points: [evaluate(*p) for p in points])
+    """One ascent with a scalar ``evaluate(ua, uc)``, which also gives the
+    start's value, as the map gives it to the optimizer's ascents."""
+    return optimizer._ascent(u0, evaluate(*u0), lambda points: [evaluate(*p) for p in points])
 
 
 def test_ascent_keeps_its_gradient_through_rejected_steps():
@@ -314,7 +331,8 @@ def test_ascent_on_a_flat_objective_evaluates_one_stencil():
     evaluate, points = recording(lambda ua, uc: 0.0)
     u, value = ascend(evaluate, (0.5, 0.5))
     assert (u, value) == ((0.5, 0.5), 0.0)
-    assert len(points) == 1 + 4  # the start and its four stencil points
+    # the adapter's start value, then the ascent's four stencil points
+    assert len(points) == 1 + 4 and points.count((0.5, 0.5)) == 1
 
 
 def sequential_ascend(evaluate, u0):
@@ -367,9 +385,9 @@ def tilted_quadratic(ua, uc, peak=(0.61, 0.43)):
 
 
 def walled_shelf(ua, uc):
-    """Not finite beyond ua = 0.7, which rejects starts there and holds the
-    climbers of a quadratic peaking at ua = 0.8 on that edge; flat and low
-    above uc = 0.8, where a start stops after its stencil."""
+    """Not finite beyond ua = 0.7, which holds the climbers of a quadratic
+    peaking at ua = 0.8 on that edge (no map start lies beyond it); flat
+    and low above uc = 0.8, where a start stops after its stencil."""
     if ua > 0.7:
         return math.nan
     if uc > 0.8:
@@ -380,6 +398,11 @@ def walled_shelf(ua, uc):
 # a 5 x 5 lattice of the unit square, and starts off it
 STARTS = [(ua, uc) for ua in (0.0, 0.25, 0.5, 0.75, 1.0)
           for uc in (0.0, 0.25, 0.5, 0.75, 1.0)] + [(0.7, 0.3), (0.69995, 0.81), (0.33, 0.9)]
+
+
+def finite_starts(objective):
+    """The starts that a map could give: those of finite value."""
+    return [u0 for u0 in STARTS if math.isfinite(objective(*u0))]
 
 
 def recording_current(objective):
@@ -395,30 +418,26 @@ def recording_current(objective):
 
 
 @pytest.mark.parametrize("objective", [tilted_quadratic, walled_shelf])
-def test_lockstep_gives_each_start_its_sequential_ascent(objective):
-    """Each start, run on its own as ``_optimize`` runs it, asks for the
-    oracle's points and ends with its bits.  (The name dates from when the
-    starts ran in lockstep rounds; they now run one after another.)"""
+def test_each_start_asks_for_the_oracles_points_and_ends_with_its_bits(objective):
+    """Each start, run with its value as ``_optimize`` runs it, asks for the
+    oracle's points less its current points and ends with its bits."""
     repeats = 0
-    for u0 in STARTS:
+    for u0 in finite_starts(objective):
         asks = []  # the list of points of each request, in order
 
         def evaluate(points):
             asks.append(points)
             return [objective(*p) for p in points]
-        result = optimizer._ascent(u0, evaluate)
+        result = optimizer._ascent(u0, objective(*u0), evaluate)
         oracle_evaluate, calls = recording_current(objective)
         want = sequential_ascend(oracle_evaluate, u0)
-        # the oracle's points, less each one that is its current point (the
-        # start aside): a stencil point or a candidate clipped onto it
-        points = [p for i, (p, u) in enumerate(calls) if i == 0 or p != u]
+        # the oracle's points, less each one that is its current point: the
+        # start, and a stencil point or a candidate clipped onto it
+        points = [p for p, u in calls if p != u]
         assert [p for ask in asks for p in ask] == points
-        repeats += len(calls) - len(points)
-        if want is None:
-            assert result is None
-        else:
-            assert np.array(result[0]).tobytes() == want[0].tobytes()
-            assert same_float(result[1], want[1])
+        repeats += len(calls) - 1 - len(points)
+        assert np.array(result[0]).tobytes() == want[0].tobytes()
+        assert same_float(result[1], want[1])
     assert repeats > 0, "some start should clip onto its current point"
 
 
@@ -441,16 +460,14 @@ def test_ascent_asks_for_a_corner_once():
     assert [p for p in oracle_points if p != (1.0, 1.0)] == [p for p in points if p != (1.0, 1.0)]
 
 
-def test_lockstep_of_one_is_the_sequential_ascent():
-    """One ascent through the scalar adapter ``ascend`` ends, for every start,
-    where the oracle ends, bit for bit."""
-    for u0 in STARTS:
+def test_the_scalar_adapter_ends_where_the_sequential_ascent_ends():
+    """One ascent through the scalar adapter ``ascend`` ends, for every
+    finite start, where the oracle ends, bit for bit."""
+    for u0 in finite_starts(walled_shelf):
         want = sequential_ascend(walled_shelf, u0)
         got = ascend(walled_shelf, u0)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array(got[0]).tobytes() == want[0].tobytes()
-            assert same_float(got[1], want[1])
+        assert np.array(got[0]).tobytes() == want[0].tobytes()
+        assert same_float(got[1], want[1])
 
 
 @pytest.fixture
@@ -468,10 +485,10 @@ def kernel_calls(monkeypatch):
 def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_request(
         setup, kernel_calls):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
-    assert res.evaluations == 234
+    assert res.evaluations == 233
     # the map's 231 cells are one block; the one ascent, from the corner
-    # (60, 50), asks for the corner and then for its two stencil points
-    assert [np.size(kw["c"]) for _, kw in kernel_calls] == [231, 1, 2]
+    # (60, 50), takes its value from the map and asks for its two stencil points
+    assert [np.size(kw["c"]) for _, kw in kernel_calls] == [231, 2]
 
 
 def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
@@ -500,7 +517,7 @@ def test_robust_optimizer_computes_the_cam_term_once_per_sample_transform(
 def test_no_feasible_cell_raises_after_the_two_maps_and_before_the_ascent(
         setup, input_model, kernel_calls, monkeypatch):
     ascents = []
-    monkeypatch.setattr(optimizer, "_ascent", lambda u0, evaluate: ascents.append(u0))
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0, f0, evaluate: ascents.append(u0))
     with pytest.raises(NoFeasiblePoint) as failed:
         optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3), setup,
                         input_model, draw_uniform_matrix(0, 64), (5, 3))
@@ -521,11 +538,12 @@ def test_one_sample_with_a_std_term_raises_before_any_kernel_call(
 
 def row_by_row(box, nx, ny, values_at):
     """Oracle: the lattice as it was before the blocks, one ``values_at``
-    call per row; kept verbatim."""
+    call per row; kept verbatim but for its axes, which it takes from the
+    ascent's mapping ``_lerp``, as the lattice does."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    a_values = np.linspace(box.a_min, box.a_max, nx)
-    c_values = np.linspace(box.c_min, box.c_max, ny)
+    a_values = np.array([optimizer._lerp(box.a_min, box.a_max, i / (nx - 1)) for i in range(nx)])
+    c_values = np.array([optimizer._lerp(box.c_min, box.c_max, j / (ny - 1)) for j in range(ny)])
     values = np.empty((nx, ny))
     for i, a in enumerate(a_values):
         values[i] = values_at(np.full(ny, a), c_values)
@@ -656,7 +674,7 @@ def assert_python_floats(res):
 def test_classical_result_is_frozen(setup):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
     # the ascent wins the tie with the certificate
-    assert res == frozen(60.0, 50.0, 8.74341728968971, 234, 8.74341728968971, 60.0, 50.0)
+    assert res == frozen(60.0, 50.0, 8.74341728968971, 233, 8.74341728968971, 60.0, 50.0)
     assert_python_floats(res)
 
 
@@ -666,17 +684,17 @@ STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)
 @pytest.mark.parametrize("weights, y_star, expected", [
     # shipped weights: the one start is the certificate's corner, whose
     # stencil points both fall
-    # (evaluations count the ascent's designs: the 21 x 11 certificate cells
-    # are the cells of the two maps)
+    # (evaluations count the ascents' designs less their starts, which are
+    # map cells: the 21 x 11 certificate cells are the cells of the two maps)
     (RobustWeights(), 0.5,
-     frozen(60.0, 55.0, 3.1813046036893007, 3, 3.1813046036893007, 60.0, 55.0,
+     frozen(60.0, 55.0, 3.1813046036893007, 2, 3.1813046036893007, 60.0, 55.0,
             0.9833984375)),
     # ascents end between cells, above the best feasible cell
     (STD_ONLY, 1.0,
-     frozen(50.94486799513742, 54.51358291506311, 0.25268361759985203, 222,
+     frozen(50.94486799513742, 54.51358291506311, 0.25268361759985203, 217,
             0.25236206290740454, 51.0, 54.5, 0.9501953125)),
     (STD_ONLY, 1.1,
-     frozen(53.89404685706767, 55.0, 0.24051057959999214, 83, 0.2400386770833939,
+     frozen(53.89404685706767, 55.0, 0.24051057959999214, 81, 0.2400386770833939,
             54.0, 55.0, 0.951171875)),
 ])
 def test_robust_result_is_frozen(setup, input_model, weights, y_star, expected):
@@ -733,7 +751,7 @@ def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatc
     # overflow to nan
     huge = dataclasses.replace(setup, nominal=dataclasses.replace(setup.nominal, Fg=1.0e307))
     ascents = []
-    monkeypatch.setattr(optimizer, "_ascent", lambda u0, evaluate: ascents.append(u0))
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0, f0, evaluate: ascents.append(u0))
     for plant in (dead, huge):
         with pytest.raises(AllStartsFailed) as failed:
             optimize_classical(DesignBox(), plant, grid=(5, 3))
@@ -750,9 +768,9 @@ def climb(box, grid, values_at, monkeypatch):
     starts = []
     ascent = optimizer._ascent
 
-    def recorded(u0, evaluate):
+    def recorded(u0, f0, evaluate):
         starts.append(u0)
-        return ascent(u0, evaluate)
+        return ascent(u0, f0, evaluate)
     monkeypatch.setattr(optimizer, "_ascent", recorded)
     return optimizer._optimize(box, grid_scan(box, *grid, values_at), values_at), starts
 
@@ -762,7 +780,7 @@ def test_a_flat_map_gives_one_start_at_its_first_cell(monkeypatch):
     res, starts = climb(box, (21, 11), lambda a, c: np.full(a.shape, 2.0), monkeypatch)
     assert starts == [(0.0, 0.0)]
     assert (res.s_opt, res.objective) == (DesignPoint(a=box.a_min, c=box.c_min), 2.0)
-    assert res.evaluations == 3  # the start and its two stencil points inside the box
+    assert res.evaluations == 2  # the start's two stencil points inside the box
 
 
 def two_bumps(a, c):
@@ -792,20 +810,39 @@ def test_each_ascent_request_is_one_values_at_call_of_its_own_points(monkeypatch
     requests = []  # per ascent, the designs of each of its requests
     ascent = optimizer._ascent
 
-    def recorded(u0, evaluate):
+    def recorded(u0, f0, evaluate):
+        start = dataclasses.astuple(box.unmap(*u0))
         mine = []
-        requests.append(mine)
+        requests.append((start, f0, mine))
 
         def asked(points):
             mine.append([dataclasses.astuple(box.unmap(*p)) for p in points])
             return evaluate(points)
-        return ascent(u0, asked)
+        return ascent(u0, f0, asked)
     monkeypatch.setattr(optimizer, "_ascent", recorded)
     calls.clear()
     res = optimizer._optimize(box, cells, spy)
     assert len(requests) == 2  # one ascent per bump
-    assert calls == [request for mine in requests for request in mine]
+    assert calls == [request for _, _, mine in requests for request in mine]
     assert res.evaluations == sum(map(len, calls))
+    a_values, c_values, values = cells
+    for start, f0, mine in requests:
+        # the start is its map cell, with the cell's value, and never asked for
+        i, j = a_values.tolist().index(start[0]), c_values.tolist().index(start[1])
+        assert same_float(f0, values[i, j])
+        assert all(start not in request for request in mine)
+
+
+def test_an_infinite_cell_is_neither_the_certificate_nor_the_optimum():
+    # +inf means rejected, like nan: the certificate is the best finite cell
+    box = DesignBox()
+
+    def values_at(a, c):
+        return np.where(a == 60.0, np.inf, -(a - 55.0) ** 2 - (c - 52.0) ** 2)
+    res = optimizer._optimize(box, grid_scan(box, 5, 3, values_at), values_at)
+    assert (res.certificate_point, res.certificate_value) == (DesignPoint(a=55.0, c=52.5), -0.25)
+    assert math.isfinite(res.objective) and res.objective > res.certificate_value
+    assert (res.s_opt.a, res.s_opt.c) == pytest.approx((55.0, 52.0), abs=1e-3)
 
 
 def brute_local_maxima(values):
@@ -850,13 +887,11 @@ def test_shipped_robust_optimum_is_the_certificate_cell(cfg, setup, input_model,
                           (cfg.output.grid_nx, cfg.output.grid_ny))
     assert (res.s_opt, res.certificate_point) == (DesignPoint(a=60.0, c=55.0),) * 2
     assert same_float(res.objective, res.certificate_value)
-    assert res.evaluations == 3  # one start, the corner, and its two stencil points
+    assert res.evaluations == 2  # one start, the corner: its two stencil points
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_ascent_rejects_non_finite_values(bad):
-    assert ascend(lambda ua, uc: bad, (0.5, 0.5)) is None
-
     # increasing in ua, but not evaluable beyond ua = 0.7
     u, value = ascend(lambda ua, uc: ua if ua <= 0.7 else bad, (0.5, 0.5))
     assert 0.69 < u[0] <= 0.7 and value == u[0]

@@ -185,26 +185,45 @@ def _flat_finite(samples, min_size: int) -> np.ndarray:
     return x
 
 
+def sample_stats(x: np.ndarray) -> tuple[float, float, float, float]:
+    """``(min, max, mean, std)`` of the flat sample ``x``: the one statistics
+    pass of ``uq`` and the robust objective.  The bits are those of
+    ``np.min``, ``np.max``, ``np.mean`` and ``np.std(ddof=1)`` (numpy's own
+    two-pass algorithm, with the sum taken once), except that a constant
+    sample (min == max) has std exactly 0.0, so ``std == 0.0`` is the one
+    test for zero spread.  The extremes propagate nan and an infinity lands
+    in one of them, so they are finite exactly when every sample is; mean
+    and std are nan otherwise."""
+    lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return lo, hi, math.nan, math.nan
+    n = x.shape[0]
+    mean = np.add.reduce(x) / n
+    if lo == hi:
+        return lo, hi, float(mean), 0.0
+    dev = x - mean
+    dev *= dev
+    return lo, hi, float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)))
+
+
 def summarize(samples) -> SummaryStats:
     """Mean, unbiased std, range, empirical 95% band, histogram and KDE.
 
     The 95% interval is the empirical 2.5%/97.5% quantile pair (linear
     interpolation); a mean +/- 1.96 std companion is reported alongside it.
-    The KDE fields are None for zero-spread samples.
+    The moments are :func:`sample_stats`'s, and the KDE fields are None
+    for zero-spread samples.
     """
     x = _flat_finite(samples, 2)
-
-    # left-to-right summation, so the convergence trace terminus matches exactly
-    mean = float(np.cumsum(x)[-1] / x.size)
-    std = float(np.std(x, ddof=1))
+    lo, hi, mean, std = sample_stats(x)
     lo_q, hi_q = (float(v) for v in np.quantile(x, [0.025, 0.975]))
     counts, edges = np.histogram(x, bins=sturges_bins(x.size))
     grid, density = kde(x) if std > 0.0 else (None, None)
     return SummaryStats(
         mean=mean,
         std=std,
-        min=float(np.min(x)),
-        max=float(np.max(x)),
+        min=lo,
+        max=hi,
         ci95=(lo_q, hi_q),
         ci95_normal=(mean - 1.96 * std, mean + 1.96 * std),
         hist_edges=edges,
@@ -217,8 +236,9 @@ def summarize(samples) -> SummaryStats:
 def convergence_trace(samples):
     """Prefix mean and prefix unbiased std for k = 1..nu.
 
-    ``running_mean[-1]`` equals ``summarize(samples).mean`` exactly (both
-    use plain left-to-right summation).  ``running_std[0]`` is defined as 0.
+    The prefix sums run left to right, so ``running_mean[-1]`` may differ
+    from the pairwise ``summarize(samples).mean`` in the last digit.
+    ``running_std[0]`` is defined as 0.
     """
     x = _flat_finite(samples, 1)
     k = np.arange(1, x.size + 1, dtype=float)
@@ -248,12 +268,11 @@ def kde(samples):
     the samples linearly binned onto ``_KDE_BINS`` points (Wand, JCGS 1994).
     """
     x = _flat_finite(samples, 2)
-    std = float(np.std(x, ddof=1))
+    lo, hi, _, std = sample_stats(x)
     if std == 0.0:
         raise DegenerateSample("all samples identical, bandwidth would be zero")
 
     h = 1.06 * std * x.size ** (-0.2)
-    lo, hi = np.min(x), np.max(x)
     grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, _KDE_GRID)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     centres, delta = np.linspace(lo, hi, _KDE_BINS, retstep=True)

@@ -170,25 +170,6 @@ def _per_design_values(fh_at, value_of):
     return values_at
 
 
-def _extremes(fh: np.ndarray) -> tuple[float, float]:
-    """``np.min`` and ``np.max`` of the sample, bit for bit.  Both
-    reductions propagate nan and an infinity lands in one of them, so they
-    are finite exactly when every sample is."""
-    return float(np.minimum.reduce(fh)), float(np.maximum.reduce(fh))
-
-
-def _mean_std(fh: np.ndarray, with_std: bool) -> tuple[float, float | None]:
-    """``np.mean`` and, if asked, ``np.std(ddof=1)`` of the sample, bit for
-    bit: numpy's own two-pass algorithm, with the sum taken once."""
-    n = fh.shape[0]
-    mean = np.add.reduce(fh) / n
-    if not with_std:
-        return float(mean), None
-    dev = fh - mean
-    dev *= dev
-    return float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)))
-
-
 def _check_sample_count(weights: RobustWeights, nu: int) -> None:
     """The std term of the robust objective needs two samples."""
     if weights.beta4 > 0.0 and nu < 2:
@@ -200,16 +181,11 @@ def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     any sample failed to evaluate or, with beta4 > 0, the sample has zero
     spread."""
     _check_sample_count(weights, fh.shape[0])
-    lo, hi = _extremes(fh)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return float("nan")
-    mean, std = _mean_std(fh, weights.beta4 > 0.0)
+    lo, hi, mean, std = mc_uq.sample_stats(fh)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (weights.beta4 > 0.0 and std == 0.0):
+        return math.nan
     value = weights.beta1 * lo + weights.beta2 * hi + weights.beta3 * mean
-    if std is not None:
-        if std == 0.0:
-            return math.nan
-        value += weights.beta4 / std
-    return value
+    return value + weights.beta4 / std if weights.beta4 > 0.0 else value
 
 
 def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:

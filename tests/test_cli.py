@@ -75,6 +75,15 @@ def test_uq_freeze_flags(tmp_path):
     assert all(row.split(",")[2] == "42.0" for row in rows)
 
 
+def test_uq_of_a_point_mass_writes_zero_spread_and_no_kde(tmp_path):
+    # both inputs frozen: every sample is the nominal force
+    out = tmp_path / "point"
+    assert run(["uq", "--out", out, "--nu", 300, "--freeze-alpha", 6, "--freeze-fs", 42]) == 0
+    stats = json.loads((out / "stats.json").read_text())["stats_kN"]
+    assert stats["std"] == 0.0 and stats["min"] == stats["max"]
+    assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv", "stats.json", "trace.csv"]
+
+
 def test_uq_holds_few_sample_long_arrays(tmp_path):
     # the ensemble's columns and the statistics' scratch, with no sample-long
     # list or whole-ensemble temporary: at most 12 floats a sample on the

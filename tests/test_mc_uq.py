@@ -177,9 +177,19 @@ def test_summarize_histogram_counts_and_quantile_sandwich(ensemble):
 
 
 def test_summarize_mean_independent_of_summation_order(ensemble):
+    # the pairwise mean of the one statistics pass, bit for bit
     stats = summarize(ensemble.outputs)
-    pairwise = float(np.mean(ensemble.outputs))
-    assert abs(stats.mean - pairwise) / abs(pairwise) < 0.01
+    assert np.float64(stats.mean).tobytes() == np.mean(ensemble.outputs).tobytes()
+
+
+def test_point_mass_has_zero_spread_and_no_kde():
+    # np.std of these three is 1.09e-15: the mean rounds off the constant
+    x = [7.2693735011397308] * 3
+    stats = summarize(x)
+    assert stats.std == 0.0 and stats.min == stats.max == x[0]
+    assert stats.kde_grid is None and stats.kde_density is None
+    with pytest.raises(DegenerateSample):
+        kde(x)
 
 
 def test_trace_small_sample():
@@ -207,9 +217,13 @@ def test_trace_constant_sample_is_flat():
     assert np.all(running_std < 1e-9)
 
 
-def test_trace_terminus_equals_summary_mean_exactly(ensemble):
-    running_mean, _ = convergence_trace(ensemble.outputs)
-    assert running_mean[-1] == summarize(ensemble.outputs).mean
+def test_trace_terminus_within_rounding_of_summary_mean(ensemble):
+    # the trace sums left to right and the summary pairwise: both are within
+    # rounding of the exact mean, n * eps * mean(|x|) apart at most
+    x = ensemble.outputs
+    running_mean, _ = convergence_trace(x)
+    bound = x.size * np.finfo(float).eps * float(np.mean(np.abs(x)))
+    assert abs(running_mean[-1] - summarize(x).mean) <= bound
 
 
 def test_trace_tail_fluctuation_within_clt_scale(ensemble):

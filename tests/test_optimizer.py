@@ -32,6 +32,7 @@ from brakeopt import (
     propagate,
     robust_objective,
     robust_values,
+    summarize,
 )
 from brakeopt import mc_uq, mechmodel, optimizer
 from brakeopt.optimizer import ModelSetup, OptimizationResult
@@ -122,13 +123,15 @@ def test_robust_objective_bit_identical_across_calls(setup, input_model, uniform
 
 
 def test_robust_objective_degenerate_ensemble(setup, input_model):
-    # identical uniforms on every row collapse the ensemble to one point
-    flat = np.full((16, 2), 0.25)
+    # identical uniforms on every row collapse the ensemble to one point; at
+    # 4,096 rows np.std of it is not 0.0, as the mean rounds off the point
     s = DesignPoint(a=55.0, c=52.7)
-    assert math.isnan(robust_objective(s, RobustWeights(), flat, input_model, setup))
-    # without the dispersion term the same ensemble is fine
     mean_only = RobustWeights(beta1=0.0, beta2=0.0, beta3=1.0, beta4=0.0)
-    assert math.isfinite(robust_objective(s, mean_only, flat, input_model, setup))
+    for nu in (16, 4096):
+        flat = np.full((nu, 2), 0.25)
+        assert math.isnan(robust_objective(s, RobustWeights(), flat, input_model, setup))
+        # without the dispersion term the same ensemble is fine
+        assert math.isfinite(robust_objective(s, mean_only, flat, input_model, setup))
 
 
 SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
@@ -295,6 +298,8 @@ def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
     weights = cfg.design.weights
     assert robust_objective(shipped, weights, uniforms, input_model, setup) \
         == optimizer._robust_value(weights, ens.outputs)
+    # one statistics pass: uq reports the robust objective's mean bit for bit
+    assert summarize(ens.outputs).mean == mc_uq.sample_stats(fh)[2]
 
 
 def recording(objective):
@@ -923,22 +928,24 @@ def same_float(x, y):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stat_samples())
+@example(np.full(3, NOMINAL_FH))  # np.std: 1.09e-15
+@example(np.full(4096, 7.25 * 0.3))  # np.std: 4.44e-16
 def test_one_statistics_pass_has_the_bits_of_numpy(x):
     with np.errstate(all="ignore"):  # nan, inf and 1e300**2 are part of the domain
-        lo, hi = optimizer._extremes(x)
-        mean, std = optimizer._mean_std(x, True)
+        lo, hi, mean, std = mc_uq.sample_stats(x)
         assert same_float(lo, np.min(x)) and same_float(hi, np.max(x))
-        assert same_float(mean, np.mean(x)) and same_float(std, np.std(x, ddof=1))
-        mean_only, no_std = optimizer._mean_std(x, False)
-        assert same_float(mean_only, mean) and no_std is None
-    finite = bool(np.all(np.isfinite(x)))
-    assert finite == (math.isfinite(lo) and math.isfinite(hi))
+        finite = bool(np.all(np.isfinite(x)))
+        assert finite == (math.isfinite(lo) and math.isfinite(hi))
+        if finite:
+            # a constant sample has zero spread, whatever np.std rounds to
+            assert same_float(mean, np.mean(x))
+            assert same_float(std, 0.0 if lo == hi else np.std(x, ddof=1))
+        else:
+            assert math.isnan(mean) and math.isnan(std)
 
     weights = RobustWeights()
     with np.errstate(over="ignore"):
-        if not finite:
-            assert math.isnan(optimizer._robust_value(weights, x))
-        elif std == 0.0:
+        if not finite or std == 0.0:
             assert math.isnan(optimizer._robust_value(weights, x))
         else:
             want = (weights.beta1 * float(np.min(x)) + weights.beta2 * float(np.max(x))

@@ -190,17 +190,18 @@ def sample_stats(x: np.ndarray) -> tuple[float, float, float, float]:
     pass of ``uq`` and the robust objective.  The bits are those of
     ``np.min``, ``np.max``, ``np.mean`` and ``np.std(ddof=1)`` (numpy's own
     two-pass algorithm, with the sum taken once), except that a constant
-    sample (min == max) has std exactly 0.0, so ``std == 0.0`` is the one
-    test for zero spread.  The extremes propagate nan and an infinity lands
+    sample (min == max) has mean exactly min and std exactly 0.0, so
+    ``std == 0.0`` is the one test for zero spread and the mean never
+    rounds off the constant.  The extremes propagate nan and an infinity lands
     in one of them, so they are finite exactly when every sample is; mean
     and std are nan otherwise."""
     lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return lo, hi, math.nan, math.nan
+    if lo == hi:
+        return lo, hi, lo, 0.0
     n = x.shape[0]
     mean = np.add.reduce(x) / n
-    if lo == hi:
-        return lo, hi, float(mean), 0.0
     dev = x - mean
     dev *= dev
     return lo, hi, float(mean), float(np.sqrt(np.add.reduce(dev) / (n - 1)))

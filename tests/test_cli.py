@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -80,8 +81,52 @@ def test_uq_of_a_point_mass_writes_zero_spread_and_no_kde(tmp_path):
     out = tmp_path / "point"
     assert run(["uq", "--out", out, "--nu", 300, "--freeze-alpha", 6, "--freeze-fs", 42]) == 0
     stats = json.loads((out / "stats.json").read_text())["stats_kN"]
-    assert stats["std"] == 0.0 and stats["min"] == stats["max"]
+    # the mean is the constant itself: np.mean rounds it one ulp off
+    assert stats["std"] == 0.0 and stats["mean"] == stats["min"] == stats["max"]
+    assert stats["ci95_normal"] == [stats["mean"], stats["mean"]]
     assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv", "stats.json", "trace.csv"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_uq_writes_the_ensemble_in_a_reaped_child(tmp_path, monkeypatch):
+    write_csv, pids = cli._write_csv, tmp_path / "pids"
+    pids.mkdir()
+
+    def recording(path, *args):
+        (pids / path.name).write_text(str(os.getpid()))
+        write_csv(path, *args)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    assert run(["uq", "--out", tmp_path / "uq", "--nu", 512]) == 0
+    writers = {p.name: int(p.read_text()) for p in pids.iterdir()}
+    assert writers.pop("ensemble.csv") != os.getpid()
+    assert writers == {"trace.csv": os.getpid(), "kde.csv": os.getpid()}
+    assert_no_child_left()
+
+
+def test_uq_fails_when_the_child_cannot_write_the_ensemble(tmp_path, capfd):
+    out = tmp_path / "uq"
+    (out / "ensemble.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="ensemble.csv"):
+        run(["uq", "--out", out, "--nu", 300])
+    assert_no_child_left()
+    assert "ensemble.csv" in capfd.readouterr().err  # the child's traceback
+
+
+def test_uq_reaps_the_child_before_a_failed_write_propagates(tmp_path):
+    argv = ["uq", "--nu", 20000]
+    clean, out = tmp_path / "clean", tmp_path / "uq"
+    assert run([*argv, "--out", clean]) == 0
+    (out / "trace.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="trace.csv"):
+        run([*argv, "--out", out])
+    # the child wrote its whole file before the exception got here
+    assert (out / "ensemble.csv").read_bytes() == (clean / "ensemble.csv").read_bytes()
+    assert_no_child_left()
 
 
 def test_uq_holds_few_sample_long_arrays(tmp_path):

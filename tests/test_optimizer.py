@@ -928,18 +928,20 @@ def same_float(x, y):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(stat_samples())
-@example(np.full(3, NOMINAL_FH))  # np.std: 1.09e-15
-@example(np.full(4096, 7.25 * 0.3))  # np.std: 4.44e-16
+@example(np.full(3, NOMINAL_FH))  # np.mean: one ulp off; np.std: 1.09e-15
+@example(np.full(4096, 7.25 * 0.3))  # np.mean: off the constant; np.std: 4.44e-16
 def test_one_statistics_pass_has_the_bits_of_numpy(x):
     with np.errstate(all="ignore"):  # nan, inf and 1e300**2 are part of the domain
         lo, hi, mean, std = mc_uq.sample_stats(x)
         assert same_float(lo, np.min(x)) and same_float(hi, np.max(x))
         finite = bool(np.all(np.isfinite(x)))
         assert finite == (math.isfinite(lo) and math.isfinite(hi))
-        if finite:
-            # a constant sample has zero spread, whatever np.std rounds to
-            assert same_float(mean, np.mean(x))
-            assert same_float(std, 0.0 if lo == hi else np.std(x, ddof=1))
+        if finite and lo == hi:
+            # a constant sample is its own mean with zero spread, whatever
+            # np.mean and np.std round to
+            assert mean == lo == hi and same_float(std, 0.0)
+        elif finite:
+            assert same_float(mean, np.mean(x)) and same_float(std, np.std(x, ddof=1))
         else:
             assert math.isnan(mean) and math.isnan(std)
 

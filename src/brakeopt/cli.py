@@ -23,8 +23,8 @@ from . import __version__, config as cfgmod, mc_uq, mechmodel, optimizer
 from .errors import BrakeOptError, ValidationError
 
 
-def _header(cfg, seed) -> str:
-    return f"# brakeopt {__version__} seed={seed} config_sha256={cfgmod.config_sha256(cfg)[:12]}\n"
+def _header(cfg) -> str:
+    return f"# brakeopt {__version__} seed={cfg.mc.seed} config_sha256={cfgmod.config_sha256(cfg)[:12]}\n"
 
 
 # rows formatted and written per block: large enough to amortize the
@@ -45,12 +45,12 @@ def _cells(column, lo: int, hi: int):
     return map(repr, values)
 
 
-def _write_csv(path: Path, cfg, seed, names, columns) -> None:
+def _write_csv(path: Path, cfg, names, columns) -> None:
     """Write equal-length 1-D columns (numpy arrays or ranges) under a
     provenance header and a line of column names."""
     nrows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(cfg, seed))
+        fh.write(_header(cfg))
         fh.write(",".join(names) + "\n")
         for lo in range(0, nrows, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, nrows)
@@ -59,7 +59,7 @@ def _write_csv(path: Path, cfg, seed, names, columns) -> None:
 
 
 @contextlib.contextmanager
-def _csv_in_child(path: Path, cfg, seed, names, columns):
+def _csv_in_child(path: Path, cfg, names, columns):
     """Write ``path`` with :func:`_write_csv` in a forked child while the
     body of the ``with`` runs in this process, then reap the child.
 
@@ -73,7 +73,7 @@ def _csv_in_child(path: Path, cfg, seed, names, columns):
     if pid == 0:
         code = 1
         try:
-            _write_csv(path, cfg, seed, names, columns)
+            _write_csv(path, cfg, names, columns)
             code = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
@@ -89,12 +89,12 @@ def _csv_in_child(path: Path, cfg, seed, names, columns):
                       f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
-def _write_json(path: Path, cfg, seed, payload: dict) -> None:
+def _write_json(path: Path, cfg, payload: dict) -> None:
     body = {
         "provenance": {
             "tool": "brakeopt",
             "version": __version__,
-            "seed": seed,
+            "seed": cfg.mc.seed,
             "config_sha256": cfgmod.config_sha256(cfg),
         },
         **payload,
@@ -149,10 +149,10 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
 
     # the largest artifact is written by a child on another core, in parallel
     # with the rest; each is bound by repr, one core makes its bytes no faster
-    with _csv_in_child(out / "ensemble.csv", cfg, seed,
+    with _csv_in_child(out / "ensemble.csv", cfg,
                        ["index", "alpha_deg", "fs_kN", "fh_kN", "valid"],
                        [range(ens.nu), ens.alpha_deg, ens.fs_kN, ens.outputs, ens.valid]):
-        _write_json(out / "stats.json", cfg, seed, {
+        _write_json(out / "stats.json", cfg, {
             "nu": ens.nu,
             "evaluated": int(finite.size),
             "invalid_count": ens.invalid_count,
@@ -171,12 +171,12 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
         })
 
         running_mean, running_std = mc_uq.convergence_trace(finite)
-        _write_csv(out / "trace.csv", cfg, seed,
+        _write_csv(out / "trace.csv", cfg,
                    ["n", "running_mean_kN", "running_std_kN"],
                    [range(1, finite.size + 1), running_mean, running_std])
 
         if stats.kde_grid is not None:
-            _write_csv(out / "kde.csv", cfg, seed,
+            _write_csv(out / "kde.csv", cfg,
                        ["fh_kN", "density_per_kN"],
                        [stats.kde_grid, stats.kde_density])
     print(f"uq: nu={nu} seed={seed} mean={stats.mean:.6g} kN std={stats.std:.6g} kN "
@@ -210,7 +210,7 @@ def _write_contour(cfg, kind: str, scan, out: Path) -> Path:
     """Write the ``kind`` map ``scan = (a_values, c_values, values)`` as CSV."""
     a, c, values = scan
     path = out / f"contour_{kind}.csv"
-    _write_csv(path, cfg, cfg.mc.seed, ["a_mm", "c_mm", _VALUE_COLUMNS[kind]],
+    _write_csv(path, cfg, ["a_mm", "c_mm", _VALUE_COLUMNS[kind]],
                [np.repeat(a, len(c)), np.tile(c, len(a)), values.ravel()])
     return path
 
@@ -220,7 +220,7 @@ def cmd_opt_classical(cfg) -> int:
     setup = cfgmod.setup_from(cfg)
     result = optimizer.optimize_classical(
         cfg.design.box, setup, grid=(cfg.output.grid_nx, cfg.output.grid_ny))
-    _write_json(out / "optimum.json", cfg, cfg.mc.seed,
+    _write_json(out / "optimum.json", cfg,
                 {"command": "opt-classical", **_optimum_payload(result, "kN")})
     print(f"opt-classical: s_opt=({result.s_opt.a:.6g}, {result.s_opt.c:.6g}) mm "
           f"Fh={result.objective:.6g} kN -> {out / 'optimum.json'}")
@@ -235,7 +235,7 @@ def cmd_opt_robust(cfg) -> int:
     result = optimizer.optimize_robust(
         cfg.design.box, cfg.design.weights, cfg.design.constraint, setup, model, uniforms,
         (cfg.output.grid_nx, cfg.output.grid_ny))
-    _write_json(out / "optimum.json", cfg, cfg.mc.seed,
+    _write_json(out / "optimum.json", cfg,
                 {"command": "opt-robust", **_optimum_payload(result, "weighted")})
     for kind, scan in result.maps.items():
         _write_contour(cfg, kind, scan, out)

@@ -174,25 +174,22 @@ def _build(cls, values, prefix=""):
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """Safe YAML loader that refuses a key given twice in one mapping
-    (plain ``safe_load`` keeps the last value without a word)."""
+    (plain ``safe_load`` keeps the last value without a word) and keeps the
+    line of each key of the document's mapping in ``key_lines``."""
+
+    key_lines = None
 
     def construct_mapping(self, node, deep=False):
-        seen = set()
+        lines = {}
         for key_node, _ in node.value:
             if isinstance(key_node, yaml.ScalarNode):
-                if key_node.value in seen:
-                    raise ParseError("duplicate config key",
-                                     line=key_node.start_mark.line + 1, key=key_node.value)
-                seen.add(key_node.value)
+                line = key_node.start_mark.line + 1
+                if key_node.value in lines:
+                    raise ParseError("duplicate config key", line=line, key=key_node.value)
+                lines[key_node.value] = line
+        if self.key_lines is None:  # the document's mapping is constructed first
+            self.key_lines = lines
         return super().construct_mapping(node, deep)
-
-
-def _key_line(text: str, key: str):
-    pattern = re.compile(r"^\s*" + re.escape(key) + r"\s*:")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if pattern.match(line):
-            return lineno
-    return None
 
 
 def _coerce(key, value):
@@ -222,12 +219,15 @@ def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Co
     ``overrides`` (flat key -> value) replace or add document values before
     the type checks, so they are validated exactly like the document.
     """
+    loader = _UniqueKeyLoader(text)
     try:
-        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+        raw = loader.get_single_data()
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ParseError(f"invalid YAML in {source}: {exc}",
                          line=None if line is None else line + 1) from exc
+    finally:
+        loader.dispose()
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -239,7 +239,7 @@ def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Co
         try:
             path, value = _coerce(key, value)
         except ValueError as exc:
-            line = None if key in overrides else _key_line(text, str(key))
+            line = None if key in overrides else loader.key_lines.get(str(key))
             raise ParseError(f"{exc} in {source}", line=line, key=str(key)) from None
         values[path] = value
 

@@ -351,17 +351,16 @@ def optimize_classical(
 
     The force is mapped on the dense grid first; an ascent then climbs from
     each local maximum of the map, and the result never undercuts the map's
-    best cell, its certificate.  ``evaluations`` counts the map's cells and
-    the ascents' designs.  Raises AllStartsFailed, before any ascent, when
-    no map cell has a finite value.
+    best cell, its certificate.  ``evaluations`` counts the ascents'
+    designs.  Raises AllStartsFailed, before any ascent, when no map cell
+    has a finite value.
     """
     values_at = classical_values(setup)
     cells = grid_scan(box, grid[0], grid[1], values_at)
     if not np.isfinite(cells[2]).any():
         raise AllStartsFailed(f"no cell of the {grid[0]}x{grid[1]} map has a finite braking "
                               "force (a singular denominator or an overflow)")
-    result = _optimize(box, cells, values_at)
-    return dataclasses.replace(result, evaluations=result.evaluations + cells[2].size)
+    return _optimize(box, cells, values_at)
 
 
 def optimize_robust(

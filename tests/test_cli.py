@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from brakeopt import (
-    ConstraintSpec, DesignBox, RobustWeights, ValidationError, cli, mc_uq, optimizer)
+    ConstraintSpec, DesignBox, RobustWeights, ValidationError, __version__, cli, mc_uq,
+    optimizer)
 from brakeopt.cli import main
-from brakeopt.config import config_to_text, default_config, default_config_path
+from brakeopt.config import config_to_text, default_config, default_config_path, load_config
+from test_config import MISSPELT
 
 UQ_FILES = ("ensemble.csv", "stats.json", "trace.csv", "kde.csv")
 
@@ -212,23 +214,24 @@ def _reference_fmt(value) -> str:
     return repr(float(value))
 
 
-def _reference_csv(cfg, seed, names, columns) -> str:
+def _reference_csv(cfg, names, columns) -> str:
     rows = zip(*columns)
-    return (cli._header(cfg, seed) + ",".join(names) + "\n"
+    return (cli._header(cfg) + ",".join(names) + "\n"
             + "".join(",".join(_reference_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def test_csv_spelling_of_special_values(tmp_path):
-    cfg = default_config()
+    cfg = load_config(default_config_path(), {"mc.seed": 5})
     names = ["i", "x", "k", "ok"]
     columns = [range(7),
                np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]),
                np.array([0, -1, 2**53 + 1, 7, -(2**62), 10, 3], dtype=np.int64),
                np.array([True, False, True, True, False, False, True])]
     path = tmp_path / "t.csv"
-    cli._write_csv(path, cfg, 5, names, columns)
+    cli._write_csv(path, cfg, names, columns)
     text = path.read_text()
-    assert text == _reference_csv(cfg, 5, names, columns)
+    assert text == _reference_csv(cfg, names, columns)
+    assert text.startswith(f"# brakeopt {__version__} seed=5 config_sha256=")
     assert text.splitlines()[2:] == [
         "0,nan,0,1", "1,inf,-1,0", "2,-inf,9007199254740993,1", "3,-0.0,7,1",
         "4,5e-324,-4611686018427387904,0", "5,1e+300,10,0", "6,0.1,3,1"]
@@ -243,9 +246,9 @@ def test_csv_rows_across_block_boundaries_match_reference(tmp_path):
     names = ["n", "x", "y", "valid"]
     columns = [range(1, n + 1), x, np.cumsum(x[::-1]), x > 0]
     path = tmp_path / "blocks.csv"
-    cli._write_csv(path, cfg, 0, names, columns)
+    cli._write_csv(path, cfg, names, columns)
     text = path.read_text()
-    assert text == _reference_csv(cfg, 0, names, columns)
+    assert text == _reference_csv(cfg, names, columns)
     read_back = [float(line.split(",")[1]) for line in text.splitlines()[2:]]
     np.testing.assert_array_equal(read_back, x)
 
@@ -283,6 +286,15 @@ def test_unknown_key_maps_to_parse_error_code(tmp_path, capsys):
     bad.write_text(config_to_text(default_config()) + "nonsense.key: 1\n")
     assert run(["eval", "--config", bad]) == 10
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("text, key, line", MISSPELT)
+def test_parse_error_names_the_line_of_a_quoted_or_flow_style_key(tmp_path, capsys,
+                                                                   text, key, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert run(["eval", "--config", bad]) == 10
+    assert f"(line {line}, key {key!r})" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_missing_config_file_maps_to_parse_error(tmp_path, capsys):

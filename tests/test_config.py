@@ -166,6 +166,33 @@ def test_repeated_key_is_rejected_at_the_repeat():
     assert (err.value.key, err.value.line) == ("geometry.a_mm", len(text.splitlines()) + 1)
 
 
+def _misspelt():
+    """(document, key, line) of an unknown or mistyped key in a quoted or a
+    flow-style spelling, which a line-by-line scan of the text would miss."""
+    text = default_config_path().read_text()
+    end = len(text.splitlines()) + 1
+    flow = config_to_text(default_config()).splitlines()
+    mistyped, line = _shipped_with("mc.nu", 1.5)
+    return [pytest.param(text + '"geometry.zz_mm": 1.0\n', "geometry.zz_mm", end,
+                         id="double-quoted"),
+            pytest.param(text + "'geometry.zz_mm': 1.0\n", "geometry.zz_mm", end,
+                         id="single-quoted"),
+            pytest.param("{" + ",\n ".join(flow) + ", geometry.zz_mm: 1.0}\n",
+                         "geometry.zz_mm", len(flow), id="flow-style"),
+            pytest.param(mistyped.replace("\nmc.nu:", '\n"mc.nu":'), "mc.nu", line,
+                         id="quoted-mistyped")]
+
+
+MISSPELT = _misspelt()
+
+
+@pytest.mark.parametrize("text, key, line", MISSPELT)
+def test_parse_error_takes_the_key_line_from_the_yaml_parse(text, key, line):
+    with pytest.raises(ParseError) as err:
+        parse_config_text(text)
+    assert (err.value.key, err.value.line) == (key, line)
+
+
 def test_overrides_are_checked_like_file_values():
     path = default_config_path()
     cfg = load_config(path, {"mc.seed": 5, "output.grid_nx": 7, "output.dir": "elsewhere"})

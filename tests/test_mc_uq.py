@@ -44,6 +44,39 @@ def test_rows_derive_from_index_alone():
         assert np.array_equal(uniform_row(42, i), mat[i])
 
 
+_MASK64 = 2**64 - 1
+
+
+def philox_row(seed: int, i: int) -> tuple[float, float]:
+    """Row i of ``draw_uniform_matrix(seed, nu)`` without numpy: Philox4x64-10
+    (Salmon et al., SC'11) with numpy's key layout, at counter (i >> 1) + 1,
+    words 2(i & 1) and 2(i & 1) + 1 of the block, each as (w >> 11) * 2**-53."""
+    counter = (i >> 1) + 1
+    x = [(counter >> (64 * k)) & _MASK64 for k in range(4)]
+    k0, k1 = seed & _MASK64, seed >> 64
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ x[3] ^ k1, p0 & _MASK64]
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    off = 2 * (i & 1)
+    return (x[off] >> 11) * 2.0**-53, (x[off + 1] >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_draw_matches_an_independent_philox(seed):
+    oracle = np.array([philox_row(seed, i) for i in range(1000)])
+    assert oracle.tobytes() == draw_uniform_matrix(seed, 1000).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_oracle_carries_its_counter_into_the_second_word(seed):
+    # rows 2**65 - 2 and 2**65 - 1 sit at counter 2**64, past the first word
+    for i in range(2**65 - 4, 2**65):
+        bitgen = np.random.Philox(key=seed, counter=i >> 1)
+        block = np.random.Generator(bitgen).random(4)
+        assert np.array(philox_row(seed, i)).tobytes() == block[2 * (i & 1):][:2].tobytes()
+
+
 def test_column_means_near_half():
     for seed in (1, 2):
         values = draw_uniform_matrix(seed, 4096)

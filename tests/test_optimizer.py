@@ -490,10 +490,22 @@ def kernel_calls(monkeypatch):
 def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_request(
         setup, kernel_calls):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
-    assert res.evaluations == 233
+    assert res.evaluations == 2
     # the map's 231 cells are one block; the one ascent, from the corner
     # (60, 50), takes its value from the map and asks for its two stencil points
     assert [np.size(kw["c"]) for _, kw in kernel_calls] == [231, 2]
+
+
+@pytest.mark.parametrize("grid", [(5, 3), (401, 201)], ids=["5x3", "401x201"])
+def test_classical_evaluations_are_the_designs_of_the_ascent_requests(
+        setup, kernel_calls, grid):
+    res = optimize_classical(DesignBox(), setup, grid=grid)
+    nx, ny = grid
+    sizes = [np.size(kw["c"]) for _, kw in kernel_calls]
+    blocks = -(-nx // max(1, optimizer._BLOCK // ny))  # the map's calls come first
+    assert sum(sizes[:blocks]) == nx * ny
+    # the one ascent, from the corner (60, 50), asks for its two stencil points
+    assert res.evaluations == sum(sizes[blocks:]) == 2
 
 
 def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
@@ -679,8 +691,14 @@ def assert_python_floats(res):
 def test_classical_result_is_frozen(setup):
     res = optimize_classical(DesignBox(), setup, grid=(21, 11))
     # the ascent wins the tie with the certificate
-    assert res == frozen(60.0, 50.0, 8.74341728968971, 233, 8.74341728968971, 60.0, 50.0)
+    assert res == frozen(60.0, 50.0, 8.74341728968971, 2, 8.74341728968971, 60.0, 50.0)
     assert_python_floats(res)
+
+
+def test_fine_classical_result_is_frozen(setup):
+    # a 401x201 map of 21 blocks of whole rows, the last one partial
+    res = optimize_classical(DesignBox(), setup, grid=(401, 201))
+    assert res == frozen(60.0, 50.0, 8.74341728968971, 2, 8.74341728968971, 60.0, 50.0)
 
 
 STD_ONLY = RobustWeights(beta1=0.0, beta2=0.0, beta3=0.0, beta4=1.0)

@@ -13,7 +13,9 @@ Two independent evaluation routes are provided:
   ``braking_force_ensemble`` evaluates it over sample arrays, and
   ``braking_force`` is the same body on one sample.  The cam angle enters
   it only through ``cam_axial``, which does not depend on the design, so a
-  caller that evaluates one ensemble at many designs computes it once.
+  caller that evaluates one ensemble at many designs computes it once.  A
+  singular den4 raises on both routes; a singular den1 raises on the scalar
+  route and is masked per entry on the ensemble route.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -132,13 +134,13 @@ def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c
     """The closed form, elementwise over scalars or broadcastable arrays of
     the cam's ``axial`` factor (see :func:`cam_axial`), the spring force and
     the lengths a and c, which stand in for ``geom.a`` and ``geom.c``.
-    Returns ``(den1, den4, n1, n2, n3, n4, fh)``; den4 is always one number.
-    Both public routes evaluate this one body, which keeps them bitwise
-    identical.
+    Returns ``(den1, n1, n2, n3, n4, fh)``.  Both public routes evaluate
+    this one body, which keeps them bitwise identical.
 
-    Evaluation order N4 -> N1 -> N2 -> N3, then Fh = T1 + T2 + T3 + T4 summed
-    left to right.  The body divides by den1 and den4 unchecked: the caller
-    runs it under ``np.errstate`` and handles singular denominators.
+    den4 depends on the plant alone, so it is tested here, once for both
+    routes: a singular den4 raises SingularDenominator.  Evaluation order N4
+    -> N1 -> N2 -> N3, then Fh = T1 + T2 + T3 + T4 summed left to right.
+    den1 is divided by unchecked, under the caller's ``np.errstate``.
 
     The contacts press when N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 +
     T2 with axial = mu1*sin(alpha) + cos(alpha) > 0 and T2 = mu2*N2, so
@@ -150,6 +152,8 @@ def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c
     dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
     den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    if abs(den4) <= SINGULAR_TOL:
+        raise SingularDenominator("mu4*(n+l) - m", den4)
     fsa = Fs * a
     n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
     n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
@@ -161,22 +165,19 @@ def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c
     fh += t2
     fh += (geom.f / geom.R) * n3
     fh += fric.mu4 * n4
-    return den1, den4, n1, n2, n3, n4, fh
+    return den1, n1, n2, n3, n4, fh
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh:
     the ensemble body on one sample.  Raises SingularDenominator at a
-    singular denominator, den4 first."""
-    # Fs as np.float64, so that an exactly zero denominator gives inf under
-    # errstate instead of a ZeroDivisionError
+    singular denominator: den4 in the body, then den1."""
+    # Fs as np.float64: a zero den1 gives inf under errstate, no ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, den4, n1, n2, n3, n4, fh = _closed_form(
+        den1, n1, n2, n3, n4, fh = _closed_form(
             geom, fric, load.Fg, load.Fb,
             cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)),
             np.float64(load.Fs), geom.a, geom.c)
-    if abs(den4) <= SINGULAR_TOL:
-        raise SingularDenominator("mu4*(n+l) - m", den4)
     if abs(den1) <= SINGULAR_TOL:
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
     n1, n2, n3, n4 = float(n1), float(n2), float(n3), float(n4)
@@ -262,19 +263,17 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
     and of the design lengths ``a`` and ``c`` (default ``geom.a``,
     ``geom.c``), all broadcast together.
 
-    Returns ``(fh, valid, ok)``.  ``ok[i]`` is False where a denominator is
-    singular for that entry; such entries carry ``fh = nan`` and
-    ``valid = False`` instead of aborting the batch.
+    Returns ``(fh, valid, ok)``.  ``ok[i]`` is False where den1 is singular
+    for that entry, which then carries ``fh = nan`` and ``valid = False``.
+    A singular den4 raises SingularDenominator, as in :func:`braking_force`.
     """
     axial = np.asarray(axial, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     a = geom.a if a is None else a
     c = geom.c if c is None else c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, den4, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, axial, Fs, a, c)
+        den1, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, axial, Fs, a, c)
         ok = np.abs(den1) > SINGULAR_TOL
-        if abs(den4) <= SINGULAR_TOL:  # den4 is one number: every entry fails
-            ok = ok & False
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
         valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _closed_form

@@ -133,7 +133,7 @@ class OptimizationResult:
 
 def classical_values(setup: ModelSetup):
     """Design function of the classical problem: the braking force (kN) at
-    the nominal loads, one kernel call per batch, nan where a denominator is
+    the nominal loads, one kernel call per batch, nan where den1 is
     singular."""
     load = setup.nominal
     axial = mechmodel.cam_axial(setup.fric, math.sin(load.alpha), math.cos(load.alpha))
@@ -359,7 +359,7 @@ def optimize_classical(
     cells = grid_scan(box, grid[0], grid[1], values_at)
     if not np.isfinite(cells[2]).any():
         raise AllStartsFailed(f"no cell of the {grid[0]}x{grid[1]} map has a finite braking "
-                              "force (a singular denominator or an overflow)")
+                              "force (a singular den1 or an overflow)")
     return _optimize(box, cells, values_at)
 
 

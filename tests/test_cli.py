@@ -339,6 +339,10 @@ def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
 # a config edit in an argv of the table below: the argument is replaced by the
 # path of the shipped config with ``old`` replaced by ``new``
 UNREACHABLE_Y_STAR = ("design.y_star_kN: 0.5\n", "design.y_star_kN: 1000.0\n")
+# den4 = mu4*(n+l) - m = 0.0: no design and no sample of this plant can be evaluated
+SINGULAR_PLANT = ("geometry.m_mm: 40.0\n", "geometry.m_mm: 9.975\n")
+# no denominator is near 0, but every force of the map overflows
+HUGE_LOAD = ("loads.Fg_kN: 50.0\n", "loads.Fg_kN: 1.0e+307\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -352,6 +356,15 @@ UNREACHABLE_Y_STAR = ("design.y_star_kN: 0.5\n", "design.y_star_kN: 1000.0\n")
     (["contour", "--kind", "robust", "--nu", 1, "--grid", "3x2"], 15),
     # no design meets the constraint: the sample count is still checked first
     (["opt-robust", "--config", UNREACHABLE_Y_STAR, "--nu", 1, "--grid", "3x2"], 15),
+    # a singular plant is one error, raised by the first kernel call of every command
+    (["uq", "--config", SINGULAR_PLANT, "--nu", 300], 12),
+    (["opt-classical", "--config", SINGULAR_PLANT, "--grid", "5x3"], 12),
+    (["opt-robust", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"], 12),
+    (["contour", "--kind", "classical", "--config", SINGULAR_PLANT, "--grid", "5x3"], 12),
+    (["contour", "--kind", "robust", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"], 12),
+    (["contour", "--kind", "constraint", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"],
+     12),
+    (["opt-classical", "--config", HUGE_LOAD, "--grid", "5x3"], 19),
 ])
 def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
     def edited_config(old, new):
@@ -364,7 +377,10 @@ def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
     argv = [edited_config(*arg) if isinstance(arg, tuple) else arg for arg in argv]
     out = tmp_path / "o"
     assert run([*argv, "--out", out]) == code
-    assert json.loads(capsys.readouterr().err)["exit_code"] == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == code
+    if code == 12:
+        assert err["error"] == "SingularDenominator" and "mu4*(n+l) - m" in err["message"]
     assert list(out.iterdir()) == []
 
 

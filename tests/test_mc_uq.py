@@ -19,6 +19,7 @@ from brakeopt import (
     draw_uniform_matrix,
     kde,
     propagate,
+    solve_equilibrium,
     summarize,
 )
 from brakeopt import maxent, mc_uq, mechmodel
@@ -118,6 +119,56 @@ def test_propagate_larger_run_confirms_mean(cfg, input_model, ensemble):
     small_mean = float(np.mean(ensemble.outputs))
     big_mean = float(np.mean(big.outputs))
     assert abs(small_mean - big_mean) / abs(big_mean) < 0.02
+
+
+def gauss_legendre(dist, points):
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on
+    ``dist``'s support, each weight times the density at its node."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    half = (dist.hi - dist.lo) / 2
+    x = dist.lo + half * (t + 1.0)
+    return x, half * w * np.array([maxent.pdf(dist, v) for v in x])
+
+
+def exact_moments(cfg, input_model, points=200):
+    """(E[Fh], std[Fh]) in kN over the two independent input laws, by
+    quadrature, with no sampling.  At a fixed cam angle Fh is affine in the
+    spring force, Fh = p + q*Fs, with p and q from two 6x6 solves at Fs = 0
+    and Fs = 1, so the moments of Fh are a 1-D sum over the angle of p, q
+    and the first two moments of Fs."""
+    fs, fs_w = gauss_legendre(input_model.fs_dist, points)
+    m1, m2 = float(fs_w @ fs), float(fs_w @ fs**2)
+    alpha, alpha_w = gauss_legendre(input_model.alpha_dist, points)
+    pq = []
+    for a in alpha:
+        p, p_plus_q = (solve_equilibrium(cfg.geometry, cfg.friction, LoadCase.from_degrees(
+            cfg.loads.Fg_kN, cfg.loads.Fb_kN, Fs, a)).Fh for Fs in (0.0, 1.0))
+        pq.append((p, p_plus_q - p))
+    p, q = np.array(pq).T
+    mean = float(alpha_w @ (p + q * m1))
+    second = float(alpha_w @ (p * p + 2.0 * p * q * m1 + q * q * m2))
+    return mean, math.sqrt(second - mean * mean)
+
+
+@pytest.fixture(scope="module")
+def exact(cfg, input_model):
+    return exact_moments(cfg, input_model)
+
+
+def test_exact_moments_are_converged_in_the_quadrature(cfg, input_model, exact):
+    assert exact == pytest.approx((7.268705, 4.441673), abs=5e-7)
+    assert exact_moments(cfg, input_model, 100) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monte_carlo_moments_match_the_exact_reference(cfg, input_model, exact, seed):
+    nu = 2**16
+    ens = propagate(input_model, draw_uniform_matrix(seed, nu),
+                    cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
+    _, _, mean, std = mc_uq.sample_stats(ens.outputs)
+    exact_mean, exact_std = exact
+    assert abs(mean - exact_mean) <= 4.0 * std / math.sqrt(nu)
+    assert abs(std - exact_std) <= 0.01 * exact_std
 
 
 def test_propagate_point_mass_limit_reduces_to_nominal(cfg):

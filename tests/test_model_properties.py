@@ -3,10 +3,12 @@ spring force, including points next to the two singular denominators.
 
 The scalar route (``braking_force``) and the ensemble route
 (``braking_force_ensemble``) must agree on which samples are singular and,
-everywhere else, bit for bit.  They must agree with a 50-digit solve of
-the same balance equations (mpmath) to within a tolerance scaled by how
-ill-conditioned the closed-form denominators are, and so must the
-independent 6x6 solve, also with the closed form directly.  The same holds
+everywhere else, bit for bit.  A singular den4 is a fault of the plant: both
+routes raise the same SingularDenominator for it, in every call shape.
+They must agree with a 50-digit solve of the same balance equations
+(mpmath) to within a tolerance scaled by how ill-conditioned the
+closed-form denominators are, and so must the independent 6x6 solve, also
+with the closed form directly.  The same holds
 for a classical design map, which passes the design lengths to the
 ensemble route in blocks of whole lattice rows.
 Finally, the ensemble route must keep the bits of its first, plain
@@ -18,10 +20,12 @@ compared with each other and with the oracle's four-term test.
 """
 
 import dataclasses
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +60,21 @@ frictions = st.floats(0.01, 0.99)
 offsets = st.one_of(
     st.none(),
     st.builds(lambda x, sign: sign * x, st.sampled_from(NEAR_SINGULAR), st.sampled_from((1.0, -1.0))))
+
+
+def singular_den4(geom, fric):
+    """The (name, value) of the SingularDenominator that both routes raise
+    for this plant, or None where den4 is regular."""
+    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    return ("mu4*(n+l) - m", den4) if abs(den4) <= SINGULAR_TOL else None
+
+
+def den4_error(call, *args, **kwargs):
+    """(name, value) of the SingularDenominator that ``call(*args, **kwargs)``
+    raises."""
+    with pytest.raises(SingularDenominator) as err:
+        call(*args, **kwargs)
+    return err.value.name, err.value.value
 
 
 def contact_roots(geom, fric, Fg, Fb, alpha):
@@ -158,10 +177,16 @@ def at_contact_root(geom, fric, Fg, Fb, alpha, Fs):
 def test_scalar_and_ensemble_routes_agree_and_match_the_linear_solve(case):
     geom, fric, Fg, Fb, alphas, forces = case
     sin_a, cos_a = trig_arrays(alphas)
-    fh, valid, ok = braking_force_ensemble(geom, fric, Fg, Fb, cam_axial(fric, sin_a, cos_a),
-                                           forces)
-    for i, (alpha, Fs) in enumerate(zip(alphas, forces)):
-        load = LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha)
+    ensemble = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb,
+                                 cam_axial(fric, sin_a, cos_a), forces)
+    loads = [LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha) for alpha, Fs in zip(alphas, forces)]
+    want = singular_den4(geom, fric)
+    if want is not None:
+        assert den4_error(ensemble) == want
+        assert all(den4_error(braking_force, geom, fric, load) == want for load in loads)
+        return
+    fh, valid, ok = ensemble()
+    for i, (alpha, Fs, load) in enumerate(zip(alphas, forces, loads)):
         try:
             sol = braking_force(geom, fric, load)
         except SingularDenominator as exc:
@@ -275,6 +300,12 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
 @given(classical_maps())
 def test_classical_map_cells_equal_the_scalar_route(case):
     setup, box, nx, ny = case
+    want = singular_den4(setup.geom, setup.fric)
+    if want is not None:
+        assert den4_error(grid_scan, box, nx, ny, classical_values(setup)) == want
+        corner = DesignPoint(a=box.a_min, c=box.c_min)
+        assert den4_error(classical_objective, corner, setup) == want
+        return
     a_values, c_values, values = grid_scan(box, nx, ny, classical_values(setup))
     for i, a in enumerate(a_values):
         for j, c in enumerate(c_values):
@@ -289,7 +320,8 @@ def test_classical_map_cells_equal_the_scalar_route(case):
 
 def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
     """Oracle: the ensemble kernel as first written, one expression per
-    normal and no shared terms; the kernel must return its bits."""
+    normal and no shared terms; the kernel must return its bits.  ``ok``
+    tests den1 alone: the kernel raises at a singular den4."""
     sin_a = np.asarray(sin_a, dtype=float)
     cos_a = np.asarray(cos_a, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -298,7 +330,7 @@ def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
     dwe = geom.d + geom.e * fric.mu2
     den1 = fric.mu1 * sin_a + cos_a + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    ok = (np.abs(den1) > SINGULAR_TOL) & (abs(den4) > SINGULAR_TOL)
+    ok = np.abs(den1) > SINGULAR_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n4 = ((Fg + Fb) * geom.l / 2 - Fs * a) / den4
         n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
@@ -365,7 +397,13 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
     # the oracle takes sin/cos alpha and spells the cam's axial factor
     # itself, so this covers cam_axial and the kernel together
     geom, fric, Fg, Fb, sin_a, cos_a, Fs, design = call
-    got = braking_force_ensemble(geom, fric, Fg, Fb, cam_axial(fric, sin_a, cos_a), Fs, **design)
+    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb,
+                               cam_axial(fric, sin_a, cos_a), Fs, **design)
+    want = singular_den4(geom, fric)
+    if want is not None:
+        assert den4_error(kernel) == want
+        return
+    got = kernel()
     want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
     for name, x, y in zip(("fh", "valid", "ok"), got, want):
         assert same_bits(x, y), name
@@ -377,9 +415,16 @@ def test_design_batch_equals_one_call_per_design(case, data):
     geom, fric, Fg, Fb, alphas, forces = case
     design = data.draw(design_batches(geom))
     axial, Fs = cam_axial(fric, math.sin(alphas[0]), math.cos(alphas[0])), forces[0]
-    batch = braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, **design)
-    for i, (a, c) in enumerate(zip(design["a"].tolist(), design["c"].tolist())):
-        one = braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, a=a, c=c)
+    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb, axial, Fs)
+    designs = list(zip(design["a"].tolist(), design["c"].tolist()))
+    want = singular_den4(geom, fric)
+    if want is not None:
+        assert den4_error(kernel, **design) == want
+        assert all(den4_error(kernel, a=a, c=c) == want for a, c in designs)
+        return
+    batch = kernel(**design)
+    for i, (a, c) in enumerate(designs):
+        one = kernel(a=a, c=c)
         for name, x, y in zip(("fh", "valid", "ok"), batch, one):
             assert same_bits(x[i:i + 1], np.reshape(y, 1)), name
 
@@ -390,24 +435,31 @@ def test_scalar_route_is_the_kernel_on_a_batch_of_one(case):
     geom, fric, Fg, Fb, alphas, forces = case
     alpha, Fs = alphas[0], forces[0]
     axial = cam_axial(fric, np.array(math.sin(alpha)), np.array(math.cos(alpha)))
-    fh, valid, ok = braking_force_ensemble(geom, fric, Fg, Fb, axial, np.array(Fs))
+    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb, axial, np.array(Fs))
+    scalar = functools.partial(braking_force, geom, fric,
+                               LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha))
+    want = singular_den4(geom, fric)
+    if want is not None:
+        assert den4_error(kernel) == den4_error(scalar) == want
+        return
+    fh, valid, ok = kernel()
     assert np.shape(fh) == np.shape(valid) == np.shape(ok) == ()
     try:
-        sol = braking_force(geom, fric, LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha))
+        sol = scalar()
     except SingularDenominator:
         assert not ok and not valid and math.isnan(fh)
         return
     assert ok and same_bits(fh, sol.Fh) and bool(valid) == sol.valid
 
 
-def test_singular_den4_fails_every_entry_in_the_broadcast_shape():
+def test_singular_den4_raises_the_scalar_routes_error_in_every_broadcast_shape():
     fric = FrictionSet(0.1, 0.1, 0.15)
     geom = BrakeGeometry(a=55.0, b=16.6, c=52.7, d=34.5, e=60.7, f=0.005,
                          l=49.0, m=0.15 * (17.5 + 49.0), n=17.5, R=29.0)
+    want = den4_error(braking_force, geom, fric, LoadCase(50.0, 30.0, 40.0, 0.0))
+    assert want == singular_den4(geom, fric)
     sin_a, cos_a = trig_arrays([0.0, 0.1, 0.2])
-    for args, shape in (((cam_axial(fric, sin_a, cos_a), np.array([40.0, 41.0, 42.0])), (3,)),
-                        ((cam_axial(fric, 0.0, 1.0), 40.0), (4,))):
-        design = {"c": np.linspace(50.0, 55.0, 4)} if shape == (4,) else {}
-        fh, valid, ok = braking_force_ensemble(geom, fric, 50.0, 30.0, *args, **design)
-        assert fh.shape == valid.shape == ok.shape == shape
-        assert np.all(np.isnan(fh)) and not valid.any() and not ok.any()
+    for args, design in (((cam_axial(fric, sin_a, cos_a), np.array([40.0, 41.0, 42.0])), {}),
+                         ((cam_axial(fric, 0.0, 1.0), 40.0), {"c": np.linspace(50.0, 55.0, 4)}),
+                         ((np.array(cam_axial(fric, 0.0, 1.0)), np.array(40.0)), {})):
+        assert den4_error(braking_force_ensemble, geom, fric, 50.0, 30.0, *args, **design) == want

@@ -768,20 +768,27 @@ def test_certificate_and_maps_have_the_bits_of_the_per_cell_lattice(
 
 
 def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatch):
-    # m = 9.975 mm puts den4 at 0 for every (a, c): no map cell is finite
+    ascents = []
+    monkeypatch.setattr(optimizer, "_ascent", lambda u0, f0, evaluate: ascents.append(u0))
+    # m = 9.975 mm puts den4 at 0: the plant itself is singular, so the map's
+    # one kernel call raises, for every (a, c) at once
     dead = dataclasses.replace(setup, geom=dataclasses.replace(setup.geom, m=9.975))
+    with pytest.raises(SingularDenominator) as singular:
+        optimize_classical(DesignBox(), dead, grid=(5, 3))
+    err = singular.value
+    assert (err.name, err.value, err.exit_code) == ("mu4*(n+l) - m", 0.0, 12)
     # no denominator is near 0 (den4 = -30, den1 >= 0.85), but the forces
     # overflow to nan
     huge = dataclasses.replace(setup, nominal=dataclasses.replace(setup.nominal, Fg=1.0e307))
-    ascents = []
-    monkeypatch.setattr(optimizer, "_ascent", lambda u0, f0, evaluate: ascents.append(u0))
-    for plant in (dead, huge):
+    # a box of one c column on the den1 pole: den1 is 0.0 in every cell
+    pole = DesignBox(a_min=50.0, a_max=60.0, c_min=den1_pole(setup), c_max=den1_pole(setup))
+    for plant, box in ((huge, DesignBox()), (setup, pole)):
         with pytest.raises(AllStartsFailed) as failed:
-            optimize_classical(DesignBox(), plant, grid=(5, 3))
+            optimize_classical(box, plant, grid=(5, 3))
         assert failed.value.exit_code == 19
         assert "finite" in str(failed.value) and "hit a singular" not in str(failed.value)
     # one kernel call per map, whose 5 x 3 cells are one block, and no ascent
-    assert len(kernel_calls) == 2
+    assert len(kernel_calls) == 3
     assert ascents == []
 
 

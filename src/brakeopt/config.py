@@ -210,7 +210,10 @@ def _coerce(key, value):
         raise ValueError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float):
         raise ValueError(f"expected an integer, got {value!r}")
-    return path, kind(value)
+    try:
+        return path, kind(value)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer too large for a float") from None
 
 
 def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Config:
@@ -219,15 +222,19 @@ def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Co
     ``overrides`` (flat key -> value) replace or add document values before
     the type checks, so they are validated exactly like the document.
     """
-    loader = _UniqueKeyLoader(text)
     try:
-        raw = loader.get_single_data()
-    except yaml.YAMLError as exc:
+        # the reader checks the characters of the whole text when it is built
+        loader = _UniqueKeyLoader(text)
+        try:
+            raw = loader.get_single_data()
+        finally:
+            loader.dispose()
+    # a ValueError comes from a scalar that YAML reads but Python cannot
+    # build: a date such as 2020-13-45, or an integer of over 4,300 digits
+    except (yaml.YAMLError, ValueError) as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ParseError(f"invalid YAML in {source}: {exc}",
                          line=None if line is None else line + 1) from exc
-    finally:
-        loader.dispose()
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -256,7 +263,7 @@ def load_config(path, overrides=None) -> Config:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path), overrides=overrides)
 

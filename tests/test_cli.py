@@ -62,6 +62,9 @@ def test_uq_writes_all_artifacts_with_units(tmp_path):
     assert stats["provenance"]["seed"] == 0
     assert stats["nu"] == 512
     assert "ci95_quantile" in stats["stats_kN"] and "ci95_normal" in stats["stats_kN"]
+    # one statistics pass: the reported mean has the bits of np.mean of the evaluated samples
+    fh = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=2, usecols=3)
+    assert stats["stats_kN"]["mean"] == float(np.mean(fh[np.isfinite(fh)]))
 
 
 def test_uq_runs_are_byte_identical(tmp_path):
@@ -162,13 +165,23 @@ def test_opt_classical_writes_optimum(tmp_path):
 
 
 def test_opt_robust_writes_optimum_and_contours(tmp_path):
-    out = tmp_path / "orb"
-    assert run(["opt-robust", "--out", out, "--nu", 1024, "--grid", "21x11"]) == 0
-    doc = json.loads((out / "optimum.json").read_text())
-    assert doc["feasible"] is True
-    assert doc["constraint_probability"] >= 0.95
-    assert (out / "contour_robust.csv").exists()
-    assert (out / "contour_constraint.csv").exists()
+    # the shipped problem, and one whose constraint rules out the best robust cells
+    active = tmp_path / "active.yaml"
+    active.write_text(config_to_text(load_config(default_config_path(), {
+        "design.beta1": 0.0, "design.beta2": 0.0, "design.beta3": 0.0, "design.beta4": 1.0,
+        "design.y_star_kN": 1.0})))
+    for config in (default_config_path(), active):
+        out = tmp_path / config.stem
+        assert run(["opt-robust", "--config", config, "--out", out, "--nu", 1024,
+                    "--grid", "21x11"]) == 0
+        doc = json.loads((out / "optimum.json").read_text())
+        assert doc["feasible"] is True
+        assert doc["constraint_probability"] >= 0.95
+        # the certificate is the best robust cell whose constraint cell is >= 1 - p_r
+        robust, constraint = (np.loadtxt(out / f"contour_{kind}.csv", delimiter=",",
+                                         skiprows=2, usecols=2)
+                              for kind in ("robust", "constraint"))
+        assert doc["certificate"]["value"] == np.nanmax(robust[constraint >= 0.95])
 
 
 def test_opt_robust_contours_match_contour_command(tmp_path):

@@ -79,8 +79,15 @@ def test_missing_required_key_is_rejected(cfg):
 
 
 def test_broken_yaml_reports_line():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_config_text("geometry.a_mm: [unterminated\n")
+    assert err.value.line == 2
+    shipped = default_config_path().read_text()
+    # a non-printable character, and scalars that YAML reads but Python cannot build
+    for text in (shipped + 'geometry.zz_mm: "\x00"\n', shipped + "geometry.zz_mm: 2020-13-45\n",
+                 shipped.replace("geometry.a_mm: 55.0\n", "geometry.a_mm: 1" + "0" * 5000 + "\n")):
+        with pytest.raises(ParseError, match="invalid YAML"):
+            parse_config_text(text)
 
 
 def test_integer_keys_reject_floats(cfg):
@@ -107,6 +114,10 @@ def test_hash_ignores_output_routing_but_not_model(cfg):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_config(tmp_path / "nope.yaml")
+    not_utf8 = tmp_path / "latin-1.yaml"
+    not_utf8.write_bytes(default_config_path().read_bytes() + b"# \xff\n")
+    with pytest.raises(ParseError, match="cannot read config file"):
+        load_config(not_utf8)
 
 
 def test_loading_does_not_mutate_the_file():
@@ -141,7 +152,8 @@ def _shipped_with(key, value):
     return "".join(lines), index + 1
 
 
-_WRONG_TYPE = {int: ("4096.5", "true"), float: ("abc", "true"), str: ("5",)}
+# an integer of 401 digits is beyond the float range
+_WRONG_TYPE = {int: ("4096.5", "true"), float: ("abc", "true", "1" + "0" * 400), str: ("5",)}
 
 
 @pytest.mark.parametrize("key", list(_SCHEMA))

@@ -22,7 +22,7 @@ from brakeopt import (
     solve_equilibrium,
     summarize,
 )
-from brakeopt import maxent, mc_uq, mechmodel
+from brakeopt import maxent, mc_uq, mechmodel, optimizer
 from brakeopt.mc_uq import sturges_bins, uniform_row
 from test_maxent import EDGE_US, law_of, oracle_sample_inverse_cdf
 
@@ -130,34 +130,62 @@ def gauss_legendre(dist, points):
     return x, half * w * np.array([maxent.pdf(dist, v) for v in x])
 
 
-def exact_moments(cfg, input_model, points=200):
-    """(E[Fh], std[Fh]) in kN over the two independent input laws, by
-    quadrature, with no sampling.  At a fixed cam angle Fh is affine in the
-    spring force, Fh = p + q*Fs, with p and q from two 6x6 solves at Fs = 0
-    and Fs = 1, so the moments of Fh are a 1-D sum over the angle of p, q
-    and the first two moments of Fs."""
-    fs, fs_w = gauss_legendre(input_model.fs_dist, points)
+def probability_of(dist, lo, hi):
+    """P(lo <= X <= hi) for X of law ``dist``."""
+    return max(maxent.cdf(dist, hi) - maxent.cdf(dist, lo), 0.0)
+
+
+def exact_reference(cfg, input_model, points=200):
+    """(E[Fh], std[Fh], P(valid), P(|Fh| > y*)) over the two independent
+    input laws, by quadrature, with no sampling.  At a fixed cam angle Fh
+    and the normals N1 and N2 are affine in the spring force, Fh = p + q*Fs,
+    with p and q from two 6x6 solves at Fs = 0 and Fs = 1.  So the moments of
+    Fh are a 1-D sum over the angle of p, q and the first two moments of Fs.
+    A sample is valid when N1, N2 >= 0, an interval of Fs, and |Fh| > y* on
+    two half-lines of Fs; their probabilities at each angle are differences
+    of the Fs law's CDF."""
+    fs_dist, y_star = input_model.fs_dist, cfg.design.constraint.y_star
+    fs, fs_w = gauss_legendre(fs_dist, points)
     m1, m2 = float(fs_w @ fs), float(fs_w @ fs**2)
     alpha, alpha_w = gauss_legendre(input_model.alpha_dist, points)
-    pq = []
+    pq, p_valid, p_exceed = [], [], []
     for a in alpha:
-        p, p_plus_q = (solve_equilibrium(cfg.geometry, cfg.friction, LoadCase.from_degrees(
-            cfg.loads.Fg_kN, cfg.loads.Fb_kN, Fs, a)).Fh for Fs in (0.0, 1.0))
-        pq.append((p, p_plus_q - p))
+        at_0, at_1 = (solve_equilibrium(cfg.geometry, cfg.friction, LoadCase.from_degrees(
+            cfg.loads.Fg_kN, cfg.loads.Fb_kN, Fs, a)) for Fs in (0.0, 1.0))
+        lo, hi = -math.inf, math.inf
+        for n0, n1 in ((at_0.N1, at_1.N1), (at_0.N2, at_1.N2)):
+            slope = n1 - n0  # n0 + slope*Fs >= 0
+            if slope > 0.0:
+                lo = max(lo, -n0 / slope)
+            elif slope < 0.0:
+                hi = min(hi, -n0 / slope)
+            elif n0 < 0.0:
+                hi = -math.inf
+        p_valid.append(probability_of(fs_dist, lo, hi))
+        p, q = at_0.Fh, at_1.Fh - at_0.Fh
+        if q == 0.0:
+            p_exceed.append(float(abs(p) > y_star))
+        else:
+            # the Fs where p + q*Fs is -y* and +y*, in increasing order
+            below, above = sorted(((-y_star - p) / q, (y_star - p) / q))
+            p_exceed.append(1.0 - probability_of(fs_dist, below, above))
+        pq.append((p, q))
     p, q = np.array(pq).T
     mean = float(alpha_w @ (p + q * m1))
     second = float(alpha_w @ (p * p + 2.0 * p * q * m1 + q * q * m2))
-    return mean, math.sqrt(second - mean * mean)
+    return (mean, math.sqrt(second - mean * mean),
+            float(alpha_w @ np.array(p_valid)), float(alpha_w @ np.array(p_exceed)))
 
 
 @pytest.fixture(scope="module")
 def exact(cfg, input_model):
-    return exact_moments(cfg, input_model)
+    return exact_reference(cfg, input_model)
 
 
 def test_exact_moments_are_converged_in_the_quadrature(cfg, input_model, exact):
-    assert exact == pytest.approx((7.268705, 4.441673), abs=5e-7)
-    assert exact_moments(cfg, input_model, 100) == pytest.approx(exact, rel=1e-12)
+    assert exact == pytest.approx((7.268705, 4.441673, 0.6941004, 0.9795309), abs=5e-7)
+    for points in (100, 400):
+        assert exact_reference(cfg, input_model, points) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -166,9 +194,14 @@ def test_monte_carlo_moments_match_the_exact_reference(cfg, input_model, exact, 
     ens = propagate(input_model, draw_uniform_matrix(seed, nu),
                     cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     _, _, mean, std = mc_uq.sample_stats(ens.outputs)
-    exact_mean, exact_std = exact
+    exact_mean, exact_std = exact[:2]
     assert abs(mean - exact_mean) <= 4.0 * std / math.sqrt(nu)
     assert abs(std - exact_std) <= 0.01 * exact_std
+    # the chance constraint's own count: finite samples with |Fh| > y*
+    estimates = (float(np.mean(ens.valid)),
+                 optimizer._constraint_value(cfg.design.constraint, ens.outputs))
+    for estimate, p in zip(estimates, exact[2:]):
+        assert abs(estimate - p) <= 4.0 * math.sqrt(p * (1.0 - p) / nu), (estimate, p)
 
 
 def test_propagate_point_mass_limit_reduces_to_nominal(cfg):

@@ -7,6 +7,13 @@ back to defaults.  The ``geometry``, ``friction``, ``loads`` and ``random``
 sections are required, while omitted ``mc``, ``design`` and ``output`` keys
 take their dataclass field defaults.  Domain invariants are enforced while
 the dataclasses are built, at parse time.
+
+The document is parsed by libyaml's C parser (``yaml.CSafeLoader``), about
+ten times as fast as PyYAML's pure-Python one; there is no fallback, so a
+PyYAML built without libyaml fails at import.  Broken YAML raises
+``ParseError`` with its line and libyaml's wording.  libyaml accepts a tab
+used as whitespace around a key or a value, and a byte-order mark at the
+start of a blank or comment line, where PyYAML's own parser refuses both.
 """
 
 # no ``from __future__ import annotations``: _build and _leaves read the
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import maxent, mechmodel, optimizer
@@ -67,14 +75,19 @@ class RandomModel:
             raise MeanOutOfSupport(self.fs_lo_kN, self.fs_hi_kN, self.fs_mean_kN)
 
 
+# the largest nu whose (nu, 2) float64 uniform matrix numpy will try to
+# allocate; above it numpy raises ValueError (2**59 - 1 on 64-bit platforms)
+_NU_MAX = np.iinfo(np.intp).max // 16
+
+
 @dataclass(frozen=True)
 class McSettings:
     nu: int = 4096
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.nu, int) and self.nu >= 1):
-            raise ValidationError("mc.nu must be an integer >= 1", self.nu)
+        if not (isinstance(self.nu, int) and 1 <= self.nu <= _NU_MAX):
+            raise ValidationError(f"mc.nu must be an integer in [1, {_NU_MAX}]", self.nu)
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValidationError("mc.seed must be a 64-bit unsigned integer", self.seed)
 
@@ -172,10 +185,11 @@ def _build(cls, values, prefix=""):
     return cls(**kwargs)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """Safe YAML loader that refuses a key given twice in one mapping
-    (plain ``safe_load`` keeps the last value without a word) and keeps the
-    line of each key of the document's mapping in ``key_lines``."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """Safe YAML loader on libyaml's C parser that refuses a key given twice
+    in one mapping (plain ``safe_load`` keeps the last value without a word)
+    and keeps the line of each key of the document's mapping in
+    ``key_lines``."""
 
     key_lines = None
 
@@ -189,7 +203,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 lines[key_node.value] = line
         if self.key_lines is None:  # the document's mapping is constructed first
             self.key_lines = lines
-        return super().construct_mapping(node, deep)
+        # named rather than super(), so a loader on another parser can share this method
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
 
 
 def _coerce(key, value):
@@ -223,7 +238,7 @@ def parse_config_text(text: str, source: str = "<string>", overrides=None) -> Co
     the type checks, so they are validated exactly like the document.
     """
     try:
-        # the reader checks the characters of the whole text when it is built
+        # building the loader encodes the text, which fails on a lone surrogate
         loader = _UniqueKeyLoader(text)
         try:
             raw = loader.get_single_data()

@@ -13,7 +13,8 @@ from brakeopt import (
     ConstraintSpec, DesignBox, RobustWeights, ValidationError, __version__, cli, mc_uq,
     optimizer)
 from brakeopt.cli import main
-from brakeopt.config import config_to_text, default_config, default_config_path, load_config
+from brakeopt.config import (
+    _NU_MAX, config_to_text, default_config, default_config_path, load_config)
 from test_config import MISSPELT
 
 UQ_FILES = ("ensemble.csv", "stats.json", "trace.csv", "kde.csv")
@@ -346,6 +347,22 @@ def test_seed_and_nu_flags_write_the_same_bytes_as_the_file_keys(tmp_path):
 def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
     assert run(["uq", "--out", tmp_path / "o", *flags]) == 11
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nu", [_NU_MAX + 1, 10**40])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_nu_numpy_cannot_allocate_is_a_validation_error(tmp_path, capsys, nu, via):
+    if via == "flag":
+        argv = ["uq", "--nu", nu]
+    else:
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(config_to_text(default_config()).replace("mc.nu: 4096\n", f"mc.nu: {nu}\n"))
+        argv = ["uq", "--config", bad]
+    assert run([*argv, "--out", tmp_path / "o"]) == 11
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("ValidationError", 11)
+    assert "mc.nu" in err["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,15 +1,20 @@
 """Config parsing, validation, canonical serialization and hashing."""
 
 import dataclasses
+import random
 import typing
 
+import numpy as np
 import pytest
 import yaml
 
-from brakeopt import MeanOutOfSupport, ParseError, ValidationError
+from brakeopt import BrakeOptError, MeanOutOfSupport, ParseError, ValidationError
+from brakeopt import config as cfgmod
 from brakeopt.config import (
+    _NU_MAX,
     _SCHEMA,
     Config,
+    McSettings,
     _coerce,
     config_sha256,
     config_to_text,
@@ -215,3 +220,101 @@ def test_overrides_are_checked_like_file_values():
     assert (err.value.key, err.value.line) == ("mc.nu", None)
     with pytest.raises(ValidationError, match="mc.nu"):
         load_config(path, {"mc.nu": 0})
+
+
+def test_nu_is_bounded_by_the_largest_uniform_matrix_numpy_accepts():
+    assert McSettings(nu=_NU_MAX).nu == _NU_MAX
+    with pytest.raises(ValidationError, match="mc.nu"):
+        McSettings(nu=_NU_MAX + 1)
+    # numpy refuses the (nu, 2) matrix above the bound before it allocates anything
+    with pytest.raises(ValueError):
+        np.empty((_NU_MAX + 1, 2))
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """The config loader on PyYAML's pure-Python scanner and parser: the
+    reference that the libyaml loader is compared against."""
+
+    key_lines = None
+    construct_mapping = cfgmod._UniqueKeyLoader.construct_mapping
+
+
+def _outcome(text, loader):
+    """The canonical text of the parsed config, or the error that
+    ``parse_config_text`` raises, when it parses with ``loader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cfgmod, "_UniqueKeyLoader", loader)
+        try:
+            return config_to_text(parse_config_text(text))
+        except BrakeOptError as exc:
+            return type(exc).__name__, exc.exit_code, getattr(exc, "line", None), \
+                getattr(exc, "key", None)
+
+
+# one token each, inserted at random places into the shipped document
+_TOKENS = {
+    "nul": "\x00", "bel": "\x07", "nel": "\x85", "tab": "\t", "bom": "\ufeff", "dquote": '"',
+    "squote": "'", "bracket": "[", "brace": "{", "anchor": "&a ", "alias": "*a",
+    "str-tag": "!!str ", "int-tag": "!!int ", "local-tag": "!x ", "complex-key": "? ",
+    "sequence": "- ", "doc-start": "---", "doc-end": "...", "directive": "%YAML 1.1",
+    "crlf": "\r\n", "cr": "\r", "comment": "#", "colon": ": ", "literal": "|", "folded": ">",
+    "null": "~", "hex": "0x1F", "underscore": "1_000", "dotless-exp": "1e5", "inf": ".inf",
+    "bad-date": "2020-13-45", "bool": "yes", "huge-int": "1" + "0" * 4999,
+}
+# libyaml reads a tab as whitespace around a key or a value and as part of a
+# plain scalar, and skips a byte-order mark at the start of a blank or
+# comment line; PyYAML's parser refuses both
+_LIBYAML_ONLY = ("\t", "\ufeff")
+
+
+def _with_token(token, rng):
+    lines = default_config_path().read_text().splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    j = rng.randrange(len(lines[i]))  # before any character of the line, its break included
+    lines[i] = lines[i][:j] + token + lines[i][j:]
+    return "".join(lines)
+
+
+def _broken_documents():
+    """Every broken config document of the tests above."""
+    shipped = default_config_path().read_text()
+    canonical = config_to_text(default_config())
+    yield "geometry.a_mm: [unterminated\n"
+    yield shipped + 'geometry.zz_mm: "\x00"\n'
+    yield shipped + "geometry.zz_mm: 2020-13-45\n"
+    yield shipped.replace("geometry.a_mm: 55.0\n", "geometry.a_mm: 1" + "0" * 5000 + "\n")
+    yield shipped + "geometry.a_mm: 58.0\n"
+    for old, new in (("friction.mu1: 0.1\n", "friction.mu1: 1.5\n"),
+                     ("geometry.a_mm: 55.0\n", ""),
+                     ("mc.nu: 4096\n", "mc.nu: 4096.5\n"),
+                     ("random.fs_mean_kN: 42.0\n", "random.fs_mean_kN: 60.0\n")):
+        yield canonical.replace(old, new)
+    yield canonical + "geometry.q_mm: 1.0\n"
+    for key, (_, kind) in _SCHEMA.items():
+        for value in _WRONG_TYPE[kind]:
+            yield _shipped_with(key, value)[0]
+    yield _shipped_with("mc.nu", _NU_MAX + 1)[0]
+    for param in MISSPELT:
+        yield param.values[0]
+
+
+@pytest.mark.parametrize("token", [pytest.param(t, id=name) for name, t in _TOKENS.items()]
+                         + [pytest.param(None, id="broken-documents")])
+def test_libyaml_loader_agrees_with_the_pure_python_parser(token):
+    if token is None:
+        docs = list(_broken_documents())
+    else:
+        rng = random.Random(token)
+        docs = [_with_token(token, rng) for _ in range(30)]
+    for doc in docs:
+        got, reference = _outcome(doc, cfgmod._UniqueKeyLoader), _outcome(doc, _PurePythonLoader)
+        if got == reference:
+            continue
+        # the one difference allowed: libyaml reads a tab or a byte-order mark
+        # that PyYAML refuses, and then either agrees with the document
+        # without it or fails at the same line, naming a key or not
+        assert token in _LIBYAML_ONLY and isinstance(reference, tuple), (doc, got, reference)
+        if isinstance(got, str):
+            assert got == _outcome(doc.replace(token, ""), _PurePythonLoader), doc
+        else:
+            assert got[0] == "ParseError" and got[:3] == reference[:3], (doc, got, reference)

@@ -9,6 +9,7 @@ from .errors import (  # noqa: F401
     InsufficientSamples,
     MeanOutOfSupport,
     NoFeasiblePoint,
+    OutOfMemory,
     ParseError,
     SingularDenominator,
     SingularSystem,
@@ -41,10 +42,8 @@ from .optimizer import (  # noqa: F401
     DesignPoint,
     RobustWeights,
     classical_values,
-    constraint_values,
     grid_scan,
     optimize_classical,
     optimize_robust,
     robust_objective,
-    robust_values,
 )

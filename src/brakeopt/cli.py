@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as cfgmod, mc_uq, mechmodel, optimizer
-from .errors import BrakeOptError, ValidationError
+from .errors import BrakeOptError, OutOfMemory, ValidationError
 
 
 def _header(cfg) -> str:
@@ -244,21 +244,12 @@ def cmd_opt_robust(cfg) -> int:
     return 0
 
 
-def cmd_contour(cfg, kind: str) -> int:
+def cmd_contour(cfg) -> int:
     out = _out_dir(cfg)
-    setup = cfgmod.setup_from(cfg)
-    if kind == "classical":
-        values_at = optimizer.classical_values(setup)
-    else:
-        model = cfgmod.input_model_from(cfg)
-        uniforms = mc_uq.draw_uniform_matrix(cfg.mc.seed, cfg.mc.nu)
-        if kind == "robust":
-            values_at = optimizer.robust_values(setup, model, uniforms, cfg.design.weights)
-        else:
-            values_at = optimizer.constraint_values(setup, model, uniforms, cfg.design.constraint)
+    values_at = optimizer.classical_values(cfgmod.setup_from(cfg))
     scan = optimizer.grid_scan(cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, values_at)
-    path = _write_contour(cfg, kind, scan, out)
-    print(f"contour: kind={kind} grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
+    path = _write_contour(cfg, "classical", scan, out)
+    print(f"contour: kind=classical grid={cfg.output.grid_nx}x{cfg.output.grid_ny} -> {path}")
     return 0
 
 
@@ -289,9 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("opt-classical", help="maximize nominal braking force over the box"))
     common(sub.add_parser("opt-robust", help="maximize the robust objective under the chance constraint"))
 
-    p_ct = sub.add_parser("contour", help="write one dense grid map as CSV")
+    p_ct = sub.add_parser("contour", help="write the classical grid map as CSV")
     common(p_ct)
-    p_ct.add_argument("--kind", choices=tuple(_VALUE_COLUMNS), required=True)
+    # opt-robust writes the robust and constraint maps
+    p_ct.add_argument("--kind", choices=("classical",), required=True)
     return parser
 
 
@@ -313,8 +305,10 @@ def main(argv=None) -> int:
             return cmd_opt_classical(cfg)
         if args.command == "opt-robust":
             return cmd_opt_robust(cfg)
-        return cmd_contour(cfg, args.kind)
-    except BrakeOptError as exc:
+        return cmd_contour(cfg)
+    except (BrakeOptError, MemoryError) as caught:
+        exc = caught if isinstance(caught, BrakeOptError) else OutOfMemory(
+            str(caught) or "out of memory")
         json.dump({"error": type(exc).__name__,
                    "exit_code": exc.exit_code,
                    "message": str(exc)}, sys.stderr)

@@ -87,3 +87,9 @@ class AllStartsFailed(BrakeOptError):
     no start point."""
 
     exit_code = 19
+
+
+class OutOfMemory(BrakeOptError):
+    """An array that the run needs cannot be allocated."""
+
+    exit_code = 21

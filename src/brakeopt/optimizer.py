@@ -22,10 +22,11 @@ Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
 over equal-shape arrays: a block of whole lattice rows, or the points of one
-request of an ascent.  :func:`classical_values`, :func:`robust_values` and
-:func:`constraint_values` build the three maps' design functions; the
-sampled ones take the run's drawn ``(nu, 2)`` uniform matrix, transform it
-once and compute the design-invariant cam term once with it.
+request of an ascent.  :func:`classical_values` builds the classical map's
+design function.  :func:`optimize_robust` builds the robust and constraint
+maps itself, and returns them with its result; each of its sampled design
+functions transforms the run's drawn ``(nu, 2)`` uniform matrix once and
+computes the design-invariant cam term once with it.
 """
 
 from __future__ import annotations
@@ -194,22 +195,6 @@ def _constraint_value(cspec: ConstraintSpec, fh: np.ndarray) -> float:
     return hits / fh.shape[0]
 
 
-def robust_values(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray,
-                  weights: RobustWeights):
-    """Design function of the robust map: the robust objective over the
-    ensemble of the drawn ``uniforms``, nan where :func:`_robust_value` is."""
-    return _per_design_values(_ensemble_fh(setup, input_model, uniforms),
-                              lambda fh: _robust_value(weights, fh))
-
-
-def constraint_values(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray,
-                      cspec: ConstraintSpec):
-    """Design function of the constraint map: the empirical probability
-    P{|Fh| > y*} over the ensemble of the drawn ``uniforms``."""
-    return _per_design_values(_ensemble_fh(setup, input_model, uniforms),
-                              lambda fh: _constraint_value(cspec, fh))
-
-
 def robust_objective(
     s: DesignPoint,
     weights: RobustWeights,
@@ -217,8 +202,9 @@ def robust_objective(
     input_model: maxent.InputModel,
     setup: ModelSetup,
 ) -> float:
-    """The robust map at one design: bit-identical to its cell of
-    :func:`robust_values` and to the optimizer's value of a feasible design."""
+    """The robust map at one design: bit-identical to its cell of the
+    robust map of :func:`optimize_robust` and to the optimizer's value of a
+    feasible design."""
     return _robust_value(weights, _ensemble_fh(setup, input_model, uniforms)(s.a, s.c))
 
 
@@ -383,17 +369,23 @@ def optimize_robust(
     value nan, so the ascent rejects it.  ``evaluations`` counts the
     ascents' designs.  Raises InsufficientSamples, before any design is
     evaluated, when beta4 > 0 and there is one sample, and NoFeasiblePoint,
-    before any ascent, when no grid cell is feasible.
+    before any ascent, when no grid cell is feasible; its message names the
+    largest constraint probability of the grid and its cell.
     """
     _check_sample_count(weights, len(uniforms))
-    robust = grid_scan(box, *grid, robust_values(setup, input_model, uniforms, weights))
-    prob = grid_scan(box, *grid, constraint_values(setup, input_model, uniforms, cspec))
+    robust = grid_scan(box, *grid, _per_design_values(
+        _ensemble_fh(setup, input_model, uniforms), lambda fh: _robust_value(weights, fh)))
+    prob = grid_scan(box, *grid, _per_design_values(
+        _ensemble_fh(setup, input_model, uniforms), lambda fh: _constraint_value(cspec, fh)))
     threshold = 1.0 - cspec.p_r
     cells = robust[0], robust[1], np.where(prob[2] >= threshold, robust[2], np.nan)
     if not np.isfinite(cells[2]).any():
+        i, j = np.unravel_index(np.argmax(prob[2]), prob[2].shape)
         raise NoFeasiblePoint(
-            f"no cell of the {grid[0]}x{grid[1]} certificate grid satisfies "
-            f"P(|Fh| > {cspec.y_star}) >= {threshold}")
+            f"no cell of the {grid[0]}x{grid[1]} certificate grid has a finite robust value "
+            f"and P(|Fh| > {cspec.y_star}) >= {threshold}; the largest probability is "
+            f"{float(prob[2][i, j])!r}, at (a, c) = ({float(prob[0][i])!r}, "
+            f"{float(prob[1][j])!r}) mm")
     fh_at = _ensemble_fh(setup, input_model, uniforms)
 
     def value_of(fh: np.ndarray) -> float:

@@ -185,38 +185,32 @@ def test_opt_robust_writes_optimum_and_contours(tmp_path):
         assert doc["certificate"]["value"] == np.nanmax(robust[constraint >= 0.95])
 
 
-def test_opt_robust_contours_match_contour_command(tmp_path):
-    common = ["--seed", 3, "--nu", 128, "--grid", "7x5"]
-    assert run(["opt-robust", "--out", tmp_path / "orb", *common]) == 0
-    for kind in ("robust", "constraint"):
-        assert run(["contour", "--kind", kind, "--out", tmp_path / kind, *common]) == 0
-        name = f"contour_{kind}.csv"
-        assert (tmp_path / "orb" / name).read_bytes() == (tmp_path / kind / name).read_bytes()
-
-
 def test_opt_robust_draws_one_uniform_matrix_for_the_optimizer_and_both_maps(
         tmp_path, monkeypatch):
-    drawn, received = [], {}
-    draw = mc_uq.draw_uniform_matrix
+    drawn, received = [], []
+    draw, transform, optimize = (mc_uq.draw_uniform_matrix, mc_uq.sample_inputs,
+                                 optimizer.optimize_robust)
 
     def recorded_draw(seed, nu):
         drawn.append(draw(seed, nu))
         return drawn[-1]
 
-    def receiving(name, fn, position):
-        def wrapper(*args):
-            received[name] = args[position]
-            return fn(*args)
-        return wrapper
+    def recorded_transform(input_model, uniforms):
+        received.append(uniforms)
+        return transform(input_model, uniforms)
+
+    def recorded_optimize(*args):
+        received.append(args[5])
+        return optimize(*args)
 
     monkeypatch.setattr(mc_uq, "draw_uniform_matrix", recorded_draw)
-    for name, position in (("optimize_robust", 5), ("robust_values", 2),
-                           ("constraint_values", 2)):
-        monkeypatch.setattr(optimizer, name, receiving(name, getattr(optimizer, name), position))
+    monkeypatch.setattr(mc_uq, "sample_inputs", recorded_transform)
+    monkeypatch.setattr(optimizer, "optimize_robust", recorded_optimize)
     assert run(["opt-robust", "--out", tmp_path, "--nu", 64, "--grid", "5x3"]) == 0
     assert len(drawn) == 1
-    assert sorted(received) == ["constraint_values", "optimize_robust", "robust_values"]
-    assert all(uniforms is drawn[0] for uniforms in received.values())
+    # the optimizer, then each sample transform: one per map and one for the ascents
+    assert len(received) > 1
+    assert all(uniforms is drawn[0] for uniforms in received)
 
 
 def _reference_fmt(value) -> str:
@@ -278,10 +272,12 @@ def test_contour_grid_shape_and_values(tmp_path, capsys):
 
 
 def test_unknown_contour_kind_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as usage:
-        run(["contour", "--kind", "nonsense", "--out", tmp_path / "ct"])
-    assert usage.value.code == 2
-    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    # opt-robust alone writes the robust and constraint maps
+    for kind in ("robust", "constraint", "nonsense"):
+        with pytest.raises(SystemExit) as usage:
+            run(["contour", "--kind", kind, "--out", tmp_path / "ct"])
+        assert usage.value.code == 2
+        assert f"invalid choice: '{kind}'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -322,7 +318,12 @@ def test_infeasible_constraint_maps_to_exit_code(tmp_path, capsys):
                                                             "design.y_star_kN: 1000.0\n"))
     assert run(["opt-robust", "--config", bad, "--out", tmp_path / "x",
                 "--nu", 256, "--grid", "5x3"]) == 18
-    assert json.loads(capsys.readouterr().err)["error"] == "NoFeasiblePoint"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoFeasiblePoint"
+    # no sample reaches 1000 kN: every cell has probability 0, the first is named
+    assert err["message"].endswith(
+        "the largest probability is 0.0, at (a, c) = (50.0, 50.0) mm")
+    assert list((tmp_path / "x").iterdir()) == []
 
 
 def test_cli_never_mutates_config(tmp_path):
@@ -383,17 +384,19 @@ HUGE_LOAD = ("loads.Fg_kN: 50.0\n", "loads.Fg_kN: 1.0e+307\n")
     (["uq", "--freeze-fs", -5], 11),
     (["uq", "--freeze-fs", "inf"], 11),
     (["opt-robust", "--nu", 1, "--grid", "3x2"], 15),
-    (["contour", "--kind", "robust", "--nu", 1, "--grid", "3x2"], 15),
-    # no design meets the constraint: the sample count is still checked first
+    # a singular plant or no design that meets the constraint: the sample
+    # count is still checked first, before any design is evaluated
+    (["opt-robust", "--config", SINGULAR_PLANT, "--nu", 1, "--grid", "3x2"], 15),
     (["opt-robust", "--config", UNREACHABLE_Y_STAR, "--nu", 1, "--grid", "3x2"], 15),
     # a singular plant is one error, raised by the first kernel call of every command
     (["uq", "--config", SINGULAR_PLANT, "--nu", 300], 12),
     (["opt-classical", "--config", SINGULAR_PLANT, "--grid", "5x3"], 12),
     (["opt-robust", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"], 12),
     (["contour", "--kind", "classical", "--config", SINGULAR_PLANT, "--grid", "5x3"], 12),
-    (["contour", "--kind", "robust", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"], 12),
-    (["contour", "--kind", "constraint", "--config", SINGULAR_PLANT, "--nu", 64, "--grid", "5x3"],
-     12),
+    # the (nu, 2) uniform matrix would take 8 EiB, past the address space, so
+    # numpy allocates nothing
+    (["uq", "--nu", _NU_MAX], 21),
+    (["opt-robust", "--nu", _NU_MAX], 21),
     (["opt-classical", "--config", HUGE_LOAD, "--grid", "5x3"], 19),
 ])
 def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
@@ -411,6 +414,8 @@ def test_failing_run_writes_no_artifact(tmp_path, capsys, argv, code):
     assert err["exit_code"] == code
     if code == 12:
         assert err["error"] == "SingularDenominator" and "mu4*(n+l) - m" in err["message"]
+    if code == 21:
+        assert err["error"] == "OutOfMemory" and "allocate" in err["message"]
     assert list(out.iterdir()) == []
 
 

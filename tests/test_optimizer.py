@@ -24,14 +24,12 @@ from brakeopt import (
     ValidationError,
     braking_force,
     classical_values,
-    constraint_values,
     draw_uniform_matrix,
     grid_scan,
     optimize_classical,
     optimize_robust,
     propagate,
     robust_objective,
-    robust_values,
     summarize,
 )
 from brakeopt import mc_uq, mechmodel, optimizer
@@ -138,10 +136,15 @@ SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
 
 
 def constraint_at_shipped_design(setup, input_model, cspec, nu):
-    _, _, values = grid_scan(SHIPPED_POINT, 2, 2, constraint_values(
-        setup, input_model, draw_uniform_matrix(0, nu), cspec))
-    assert np.all(values == values[0, 0])
-    return values[0, 0]
+    fh_at = optimizer._ensemble_fh(setup, input_model, draw_uniform_matrix(0, nu))
+    return optimizer._constraint_value(cspec, fh_at(55.0, 52.7))
+
+
+def sampled_map(box, grid, setup, input_model, uniforms, value_of):
+    """A sampled map as optimize_robust scans it: one ensemble call per cell,
+    its braking forces mapped to the cell's value by ``value_of(fh)``."""
+    fh_at = optimizer._ensemble_fh(setup, input_model, uniforms)
+    return grid_scan(box, *grid, optimizer._per_design_values(fh_at, value_of))
 
 
 def test_empirical_constraint_trivial_levels(setup, input_model):
@@ -173,8 +176,8 @@ def test_optimize_robust_vacuous_constraint_matches_grid_max(setup, input_model)
     cspec = ConstraintSpec(y_star=0.0, p_r=1.0 - 1e-9)
     uniforms = draw_uniform_matrix(0, 1024)
     res = optimize_robust(box, RobustWeights(), cspec, setup, input_model, uniforms, (21, 11))
-    _, _, values = grid_scan(box, 21, 11,
-                             robust_values(setup, input_model, uniforms, RobustWeights()))
+    _, _, values = res.maps["robust"]
+    assert np.all(res.maps["constraint"][2] >= 1.0 - cspec.p_r)
     assert res.certificate_value == np.nanmax(values)
     assert res.objective >= np.nanmax(values) - 1e-6
 
@@ -187,21 +190,20 @@ def test_optimize_robust_impossible_level_raises(setup, input_model):
 
 def test_tight_level_splits_grid_into_both_classes(setup, input_model):
     # y* = 1.1 kN makes the chance constraint genuinely active inside the box
-    uniforms = draw_uniform_matrix(0, 4096)
-    _, _, values = grid_scan(DesignBox(), 21, 11, constraint_values(
-        setup, input_model, uniforms, ConstraintSpec(y_star=1.1)))
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1),
+                          setup, input_model, draw_uniform_matrix(0, 4096), (21, 11))
+    _, _, values = res.maps["constraint"]
     feasible = np.count_nonzero(values >= 0.95)
     assert 0 < feasible < values.size
-    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1),
-                          setup, input_model, uniforms, (21, 11))
     assert res.constraint_prob >= 0.95
     assert res.objective >= res.certificate_value - 1e-6
 
 
 def test_shipped_constraint_level_leaves_whole_box_feasible(setup, input_model):
     # at y* = 0.5, P_r = 5% every cell of the shipped box passes the constraint
-    _, _, values = grid_scan(DesignBox(), 21, 11, constraint_values(
-        setup, input_model, draw_uniform_matrix(0, 4096), ConstraintSpec()))
+    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), setup, input_model,
+                          draw_uniform_matrix(0, 4096), (21, 11))
+    _, _, values = res.maps["constraint"]
     assert np.all(values >= 0.95)
     assert np.all(values <= 1.0)
     assert values.min() < values.max()  # map is not flat
@@ -214,13 +216,15 @@ def test_grid_scan_rejects_bad_resolution(setup):
 
 def test_one_sample_ensemble(setup, input_model):
     one = draw_uniform_matrix(0, 1)
+
+    def one_sample_map(value_of):
+        return sampled_map(DesignBox(), (2, 2), setup, input_model, one, value_of)[2]
+
     with pytest.raises(InsufficientSamples):
-        grid_scan(DesignBox(), 2, 2, robust_values(setup, input_model, one, RobustWeights()))
+        one_sample_map(lambda fh: optimizer._robust_value(RobustWeights(), fh))
     no_std = RobustWeights(beta1=0.25, beta2=0.25, beta3=0.5, beta4=0.0)
-    _, _, robust = grid_scan(DesignBox(), 2, 2, robust_values(setup, input_model, one, no_std))
-    assert np.all(np.isfinite(robust))
-    _, _, constraint = grid_scan(DesignBox(), 2, 2, constraint_values(
-        setup, input_model, one, ConstraintSpec()))
+    assert np.all(np.isfinite(one_sample_map(lambda fh: optimizer._robust_value(no_std, fh))))
+    constraint = one_sample_map(lambda fh: optimizer._constraint_value(ConstraintSpec(), fh))
     assert set(constraint.ravel()) <= {0.0, 1.0}
 
 
@@ -601,14 +605,15 @@ def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole)
     assert sizes == [min(rows, nx - i) * ny for i in range(0, nx, rows)]
 
 
-@pytest.mark.parametrize("build, setting", [
-    (robust_values, RobustWeights()),
+@pytest.mark.parametrize("value_of", [
+    lambda fh: optimizer._robust_value(RobustWeights(), fh),
     # y* = 1.1 kN puts the constraint map's cells on both sides of 0.95
-    (constraint_values, ConstraintSpec(y_star=1.1)),
+    lambda fh: optimizer._constraint_value(ConstraintSpec(y_star=1.1), fh),
 ], ids=["robust", "constraint"])
 def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, kernel_calls,
-                                                       build, setting):
-    args = (DesignBox(), 21, 11, build(setup, input_model, draw_uniform_matrix(0, 256), setting))
+                                                       value_of):
+    fh_at = optimizer._ensemble_fh(setup, input_model, draw_uniform_matrix(0, 256))
+    args = (DesignBox(), 21, 11, optimizer._per_design_values(fh_at, value_of))
     got = grid_scan(*args)
     # one ensemble call per cell, at a design of two Python floats
     assert len(kernel_calls) == 21 * 11
@@ -731,7 +736,6 @@ def lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid)
     """Oracle: the robust certificate as the optimizer found it before it
     read the two maps, from its own per-cell lattice of the constrained
     value (nan where the constraint fails, else the robust value)."""
-    fh_at = optimizer._ensemble_fh(setup, input_model, uniforms)
     threshold = 1.0 - cspec.p_r
 
     def value_of(fh):
@@ -739,8 +743,7 @@ def lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid)
             return math.nan
         return optimizer._robust_value(weights, fh)
 
-    a_values, c_values, values = grid_scan(
-        box, grid[0], grid[1], optimizer._per_design_values(fh_at, value_of))
+    a_values, c_values, values = sampled_map(box, grid, setup, input_model, uniforms, value_of)
     i, j = np.unravel_index(np.nanargmax(values), values.shape)
     return DesignPoint(a=a_values[i], c=c_values[j]), values[i, j]
 
@@ -760,9 +763,10 @@ def test_certificate_and_maps_have_the_bits_of_the_per_cell_lattice(
     assert same_float(res.certificate_point.c, point.c)
 
     assert list(res.maps) == ["robust", "constraint"]
-    want = {"robust": grid_scan(box, *grid, robust_values(setup, input_model, uniforms, weights)),
-            "constraint": grid_scan(box, *grid,
-                                    constraint_values(setup, input_model, uniforms, cspec))}
+    want = {"robust": sampled_map(box, grid, setup, input_model, uniforms,
+                                  lambda fh: optimizer._robust_value(weights, fh)),
+            "constraint": sampled_map(box, grid, setup, input_model, uniforms,
+                                      lambda fh: optimizer._constraint_value(cspec, fh))}
     for kind, scan in res.maps.items():
         assert all(same_bits(x, y) for x, y in zip(scan, want[kind], strict=True)), kind
 

@@ -280,10 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("opt-classical", help="maximize nominal braking force over the box"))
     common(sub.add_parser("opt-robust", help="maximize the robust objective under the chance constraint"))
 
-    p_ct = sub.add_parser("contour", help="write the classical grid map as CSV")
-    common(p_ct)
-    # opt-robust writes the robust and constraint maps
-    p_ct.add_argument("--kind", choices=("classical",), required=True)
+    common(sub.add_parser("contour", help="write the classical grid map as CSV"))
     return parser
 
 

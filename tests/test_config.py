@@ -125,13 +125,6 @@ def test_load_config_missing_file(tmp_path):
         load_config(not_utf8)
 
 
-def test_loading_does_not_mutate_the_file():
-    path = default_config_path()
-    before = path.read_bytes()
-    default_config()
-    assert path.read_bytes() == before
-
-
 def _field_types(cls, prefix=""):
     """(field path, annotated type) of every non-dataclass field under ``cls``."""
     hints = typing.get_type_hints(cls)

@@ -27,18 +27,6 @@ from brakeopt.mc_uq import sturges_bins, uniform_row
 from test_maxent import EDGE_US, law_of, oracle_sample_inverse_cdf
 
 
-def test_draw_is_deterministic():
-    a = draw_uniform_matrix(42, 1)
-    b = draw_uniform_matrix(42, 1)
-    assert np.array_equal(a, b)
-
-
-def test_draw_prefix_property():
-    small = draw_uniform_matrix(42, 4096)
-    large = draw_uniform_matrix(42, 8192)
-    assert np.array_equal(small, large[:4096])
-
-
 def test_rows_derive_from_index_alone():
     mat = draw_uniform_matrix(42, 64)
     for i in (0, 1, 2, 31, 63):
@@ -65,8 +53,10 @@ def philox_row(seed: int, i: int) -> tuple[float, float]:
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
 def test_draw_matches_an_independent_philox(seed):
-    oracle = np.array([philox_row(seed, i) for i in range(1000)])
-    assert oracle.tobytes() == draw_uniform_matrix(seed, 1000).tobytes()
+    # each nu draws a prefix of one stream, an odd nu ending inside a Philox block
+    oracle = np.array([philox_row(seed, i) for i in range(4096)])
+    for nu in (1, 999, 1000, 4096, 8192):
+        assert oracle[:nu].tobytes() == draw_uniform_matrix(seed, nu)[:4096].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -76,12 +66,6 @@ def test_philox_oracle_carries_its_counter_into_the_second_word(seed):
         bitgen = np.random.Philox(key=seed, counter=i >> 1)
         block = np.random.Generator(bitgen).random(4)
         assert np.array(philox_row(seed, i)).tobytes() == block[2 * (i & 1):][:2].tobytes()
-
-
-def test_column_means_near_half():
-    for seed in (1, 2):
-        values = draw_uniform_matrix(seed, 4096)
-        assert np.all(np.abs(values.mean(axis=0) - 0.5) < 0.03)
 
 
 def test_draw_rejects_bad_arguments():
@@ -111,14 +95,6 @@ def test_propagate_invalid_count_regression(ensemble):
     # seed 0, shipped config: frozen by a verified run
     assert ensemble.invalid_count == int(np.count_nonzero(~ensemble.valid))
     assert ensemble.invalid_count == 1276
-
-
-def test_propagate_larger_run_confirms_mean(cfg, input_model, ensemble):
-    big = propagate(input_model, draw_uniform_matrix(123, 65536),
-                    cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
-    small_mean = float(np.mean(ensemble.outputs))
-    big_mean = float(np.mean(big.outputs))
-    assert abs(small_mean - big_mean) / abs(big_mean) < 0.02
 
 
 def gauss_legendre(dist, points):
@@ -414,7 +390,7 @@ def assert_within_binning_bound(x):
     assert np.max(np.abs(density - exact)) <= bound
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(nu=st.one_of(st.integers(3, 64), st.integers(3, 20_000)),
        kind=st.sampled_from(["normal", "exponential", "two-cluster"]),
        shift=st.floats(-1e4, 1e4), scale=st.floats(0.01, 100.0),

@@ -26,7 +26,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brakeopt import (
@@ -41,6 +41,7 @@ from brakeopt import (
     grid_scan,
     solve_equilibrium,
 )
+from brakeopt.config import default_config, setup_from
 from brakeopt.mechmodel import SINGULAR_TOL, braking_force_ensemble, cam_axial, trig_arrays
 from brakeopt.optimizer import ModelSetup
 
@@ -172,7 +173,7 @@ def at_contact_root(geom, fric, Fg, Fb, alpha, Fs):
                for r in contact_roots(geom, fric, Fg, Fb, alpha))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(brake_cases())
 def test_scalar_and_ensemble_routes_agree_and_match_the_linear_solve(case):
     geom, fric, Fg, Fb, alphas, forces = case
@@ -296,8 +297,9 @@ def classical_objective(s: DesignPoint, setup: ModelSetup) -> float:
     return braking_force(geom, setup.fric, setup.nominal).Fh
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(classical_maps())
+@example((setup_from(default_config()), DesignBox(), 2, 2))  # the shipped plant's box corners
 def test_classical_map_cells_equal_the_scalar_route(case):
     setup, box, nx, ny = case
     want = singular_den4(setup.geom, setup.fric)
@@ -391,7 +393,7 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(kernel_calls())
 def test_kernel_keeps_the_bits_of_the_plain_formula(call):
     # the oracle takes sin/cos alpha and spells the cam's axial factor
@@ -409,7 +411,7 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
         assert same_bits(x, y), name
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(brake_cases(), st.data())
 def test_design_batch_equals_one_call_per_design(case, data):
     geom, fric, Fg, Fb, alphas, forces = case
@@ -429,7 +431,7 @@ def test_design_batch_equals_one_call_per_design(case, data):
             assert same_bits(x[i:i + 1], np.reshape(y, 1)), name
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(brake_cases())
 def test_scalar_route_is_the_kernel_on_a_batch_of_one(case):
     geom, fric, Fg, Fb, alphas, forces = case

@@ -260,27 +260,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"brakeopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="config file (default: shipped configuration)")
-        p.add_argument("--out", type=str, default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-        p.add_argument("--nu", type=int, default=None, help="sample count override")
-        p.add_argument("--grid", type=_grid_arg, default=None, help="grid override, e.g. 101x51")
-
-    common(sub.add_parser("eval", help="print the deterministic force balance"))
-
-    p_uq = sub.add_parser("uq", help="propagate input uncertainty, write ensemble artifacts")
-    common(p_uq)
-    p_uq.add_argument("--freeze-alpha", type=float, default=None, metavar="DEG",
-                      help="hold the cam angle fixed at this value")
-    p_uq.add_argument("--freeze-fs", type=float, default=None, metavar="KN",
-                      help="hold the spring force fixed at this value")
-
-    common(sub.add_parser("opt-classical", help="maximize nominal braking force over the box"))
-    common(sub.add_parser("opt-robust", help="maximize the robust objective under the chance constraint"))
-
-    common(sub.add_parser("contour", help="write the classical grid map as CSV"))
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command
+    common.add_argument("--config", type=Path, default=None,
+                        help="config file (default: shipped configuration)")
+    common.add_argument("--out", type=str, default=None, help="output directory override")
+    common.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
+    common.add_argument("--nu", type=int, default=None, help="sample count override")
+    common.add_argument("--grid", type=_grid_arg, default=None, help="grid override, e.g. 101x51")
+    helps = {"eval": "print the deterministic force balance",
+             "uq": "propagate input uncertainty, write ensemble artifacts",
+             "opt-classical": "maximize nominal braking force over the box",
+             "opt-robust": "maximize the robust objective under the chance constraint",
+             "contour": "write the classical grid map as CSV"}
+    commands = {name: sub.add_parser(name, parents=[common], help=text)
+                for name, text in helps.items()}
+    commands["uq"].add_argument("--freeze-alpha", type=float, default=None, metavar="DEG",
+                                help="hold the cam angle fixed at this value")
+    commands["uq"].add_argument("--freeze-fs", type=float, default=None, metavar="KN",
+                                help="hold the spring force fixed at this value")
     return parser
 
 

@@ -277,4 +277,5 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
         valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _closed_form
-    return fh, valid, ok
+    # broadcast only where den1 lacks axes of fh (a lattice block), not per sample call
+    return fh, valid, ok if ok.shape == fh.shape else np.broadcast_to(ok, fh.shape)

@@ -21,12 +21,13 @@ never asks for the design it stands on, whose value it holds.
 Ascent, certificate and contour maps share one convention: a design's value
 is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
-over equal-shape arrays: a block of whole lattice rows, or the points of one
-request of an ascent.  :func:`classical_values` builds the classical map's
-design function.  :func:`optimize_robust` builds the robust and constraint
-maps itself, and returns them with its result; each of its sampled design
-functions transforms the run's drawn ``(nu, 2)`` uniform matrix once and
-computes the design-invariant cam term once with it.
+over arrays that broadcast together: a block of whole lattice rows, as a
+``(k, 1)`` column of a against the ``(ny,)`` row of c, or the equal-shape
+points of one request of an ascent.  :func:`classical_values` builds the
+classical map's design function.  :func:`optimize_robust` builds the robust
+and constraint maps itself, and returns them with its result; each of its
+sampled design functions transforms the run's drawn ``(nu, 2)`` uniform
+matrix once and computes the design-invariant cam term once with it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .errors import AllStartsFailed, InsufficientSamples, NoFeasiblePoint, Valid
 
 # ascent steps and the FD stencil are fractions of the box width
 _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = 200, 0.25, 1e-8, 1e-4
-# designs per lattice call, in whole rows: fastest or near it in a block-size
-# sweep of a 401x201 classical lattice, and small enough that a large lattice
-# does not hold its temporaries all at once
-_BLOCK = 4096
+# designs per lattice call, in whole rows: fastest in a hot-loop sweep of the
+# 401x201 classical map (1.1 ms; 1.4 at 4,096, 1.3 at 16,384, 2.4 in one call),
+# and small enough that a large lattice does not hold its temporaries at once
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,12 @@ def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np
 
 
 def _per_design_values(fh_at, value_of):
-    """Design function that makes one ensemble call ``fh_at`` per design and
-    maps its braking forces to a value with ``value_of(fh)``."""
+    """Design function that makes one ensemble call ``fh_at(a, c)`` per design,
+    on two Python floats, and maps its forces to a value with ``value_of``."""
     def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.fromiter((value_of(fh_at(x, y))
-                            for x, y in zip(map(float, a), map(float, c))), float, a.size)
+        a, c = np.broadcast_arrays(a, c)
+        values = map(value_of, map(fh_at, a.ravel().tolist(), c.ravel().tolist()))
+        return np.fromiter(values, float, a.size).reshape(a.shape)
     return values_at
 
 
@@ -263,9 +265,10 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
               values_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(a_values, c_values, values)``: the design function ``values_at`` on
     the dense row-major nx x ny lattice of the box, in blocks of whole rows
-    of at most ``_BLOCK`` designs (one row if a row is longer), written into
-    one preallocated array.  The axes are those of :meth:`DesignBox.unmap`.
-    A cell's value does not depend on its block."""
+    of at most ``_BLOCK`` designs (one row if a row is longer), each asked
+    for as a ``(k, 1)`` column of a against the ``(ny,)`` row of c and stored
+    as it comes.  The axes are those of :meth:`DesignBox.unmap`.  A cell's
+    value does not depend on its block."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
     a_values = np.array([_lerp(box.a_min, box.a_max, i / (nx - 1)) for i in range(nx)])
@@ -273,9 +276,7 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     values = np.empty((nx, ny))
     rows = max(1, _BLOCK // ny)
     for i in range(0, nx, rows):
-        a_block = a_values[i:i + rows]
-        block = values_at(np.repeat(a_block, ny), np.tile(c_values, len(a_block)))
-        values[i:i + len(a_block)] = np.reshape(block, (len(a_block), ny))
+        values[i:i + rows] = values_at(a_values[i:i + rows, None], c_values)
     return a_values, c_values, values
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ def test_unknown_contour_kind_is_a_usage_error(tmp_path, capsys):
         assert usage.value.code == 2
         assert f"unrecognized arguments: --kind {kind}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_takes_the_common_options_and_uq_alone_the_freeze_flags(capsys):
+    parser = cli._build_parser()
+    common = ["--config", "c.yaml", "--out", "o", "--seed", "3", "--nu", "64", "--grid", "5x3"]
+    for command in ("eval", "uq", "opt-classical", "opt-robust", "contour"):
+        args = parser.parse_args([command, *common])
+        assert (args.command, args.config, args.out, args.seed, args.nu, args.grid) == (
+            command, Path("c.yaml"), "o", 3, 64, (5, 3))
+        for flag in ("--freeze-alpha", "--freeze-fs"):
+            argv = [command, flag, "2.5"]
+            if command == "uq":
+                assert vars(parser.parse_args(argv))[flag[2:].replace("-", "_")] == 2.5
+                continue
+            with pytest.raises(SystemExit) as usage:
+                parser.parse_args(argv)
+            assert usage.value.code == 2
+            assert f"unrecognized arguments: {flag} 2.5" in capsys.readouterr().err
 
 
 def test_validation_error_maps_to_exit_code_and_json(tmp_path, capsys):

@@ -344,7 +344,7 @@ def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
     return fh, valid, ok
 
 
-KERNEL_SHAPES = ("batch of one", "classical row", "design batch", "samples")
+KERNEL_SHAPES = ("batch of one", "classical row", "design batch", "lattice block", "samples")
 
 
 @st.composite
@@ -362,14 +362,18 @@ def kernel_calls(draw):
     0-d angle, force and c (a batch of one); a scalar angle and force with a
     row of c that holds the plant's own, possibly near-singular, c (a
     classical row); a scalar angle and force with (n,) rows of a and c (a
-    design batch, as one request of an ascent); or (n,) samples
-    with a scalar c.  ``design`` holds the design lengths a and c passed to
-    the kernel, if any."""
+    design batch, as one request of an ascent), or with a (k, 1) column of a
+    against that (n,) row of c (a lattice block, as one block of a map); or
+    (n,) samples with a scalar c.  ``design`` holds the design lengths a and c
+    passed to the kernel, if any."""
     geom, fric, Fg, Fb, alphas, forces = draw(brake_cases())
     shape = draw(st.sampled_from(KERNEL_SHAPES))
-    if shape == "design batch":
+    if shape in ("design batch", "lattice block"):
+        design = draw(design_batches(geom))
+        if shape == "lattice block":
+            design["a"] = np.array(draw(st.lists(lengths, min_size=1, max_size=4)))[:, None]
         return (geom, fric, Fg, Fb, math.sin(alphas[0]), math.cos(alphas[0]), forces[0],
-                draw(design_batches(geom)))
+                design)
     design = {}
     if draw(st.booleans()):
         design["a"] = draw(lengths)
@@ -406,9 +410,13 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
         assert den4_error(kernel) == want
         return
     got = kernel()
-    want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **design)
+    # the oracle takes equal-shape copies of the design lengths, so its ok has
+    # the shape of fh also on a lattice block, where den1 varies along c alone
+    equal = {k: v.copy() for k, v in zip(design, np.broadcast_arrays(*design.values()))}
+    want = plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, **equal)
+    shape = np.broadcast(sin_a, Fs, *design.values()).shape
     for name, x, y in zip(("fh", "valid", "ok"), got, want):
-        assert same_bits(x, y), name
+        assert np.shape(x) == shape and same_bits(x, y), name
 
 
 @settings(max_examples=200)

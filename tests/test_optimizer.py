@@ -430,7 +430,7 @@ def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_requ
     assert res.evaluations == 2
     # the map's 231 cells are one block; the one ascent, from the corner
     # (60, 50), takes its value from the map and asks for its two stencil points
-    assert [np.size(kw["c"]) for _, kw in kernel_calls] == [231, 2]
+    assert [np.broadcast(kw["a"], kw["c"]).size for _, kw in kernel_calls] == [231, 2]
 
 
 @pytest.mark.parametrize("grid", [(5, 3), (401, 201)], ids=["5x3", "401x201"])
@@ -438,7 +438,7 @@ def test_classical_evaluations_are_the_designs_of_the_ascent_requests(
         setup, kernel_calls, grid):
     res = optimize_classical(DesignBox(), setup, grid=grid)
     nx, ny = grid
-    sizes = [np.size(kw["c"]) for _, kw in kernel_calls]
+    sizes = [np.broadcast(kw["a"], kw["c"]).size for _, kw in kernel_calls]
     blocks = -(-nx // max(1, optimizer._BLOCK // ny))  # the map's calls come first
     assert sum(sizes[:blocks]) == nx * ny
     # the one ascent, from the corner (60, 50), asks for its two stencil points
@@ -512,10 +512,12 @@ def den1_pole(setup):
 
 
 @pytest.mark.parametrize("nx, ny, at_pole", [
-    (401, 201, False),  # blocks of 20 rows, the last block one row
-    (3, 5000, False),   # a row longer than a block: one row per block
+    (401, 201, False),  # blocks of 40 rows, the last block one row
+    (3, 5000, False),   # a row longer than half a block: one row per block
+    (3, optimizer._BLOCK + 1, False),  # a row longer than a block: one row per block
     (2, 2, False),      # the smallest lattice: one block
-    (64, 100, True),    # blocks of 40 and 24 rows, each with a singular column
+    (64, 100, True),    # one block of 64 rows, with a singular column
+    (100, 100, True),   # blocks of 81 and 19 rows, each with a singular column
 ])
 def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole):
     box = DesignBox()
@@ -526,15 +528,15 @@ def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole)
     sizes = []
 
     def spy(a, c):
-        assert a.shape == c.shape
-        sizes.append(c.size)
+        assert a.shape == (a.size, 1) and c.shape == (ny,)  # a column of a, the row of c
+        sizes.append(np.broadcast(a, c).size)
         return values_at(a, c)
 
     got = grid_scan(box, nx, ny, spy)
     want = row_by_row(box, nx, ny, values_at)
     assert all(same_bits(x, y) for x, y in zip(got, want))
     assert np.isnan(got[2][:, -1]).all() == at_pole
-    rows = max(1, 4096 // ny)  # whole rows, at most 4,096 designs unless a row is longer
+    rows = max(1, optimizer._BLOCK // ny)  # whole rows; one row if a row is longer
     assert sizes == [min(rows, nx - i) * ny for i in range(0, nx, rows)]
 
 

@@ -263,8 +263,9 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
     and of the design lengths ``a`` and ``c`` (default ``geom.a``,
     ``geom.c``), all broadcast together.
 
-    Returns ``(fh, valid, ok)``.  ``ok[i]`` is False where den1 is singular
-    for that entry, which then carries ``fh = nan`` and ``valid = False``.
+    Returns ``(fh, valid, ok)``.  ``ok`` has den1's shape, which broadcasts
+    against fh's; it is False where den1 is singular, and the entries of fh
+    there carry ``fh = nan`` and ``valid = False``.
     A singular den4 raises SingularDenominator, as in :func:`braking_force`.
     """
     axial = np.asarray(axial, dtype=float)
@@ -277,5 +278,4 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
         valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _closed_form
-    # broadcast only where den1 lacks axes of fh (a lattice block), not per sample call
-    return fh, valid, ok if ok.shape == fh.shape else np.broadcast_to(ok, fh.shape)
+    return fh, valid, ok

@@ -16,7 +16,6 @@ from brakeopt import (
 from brakeopt.cli import main
 from brakeopt.config import (
     _NU_MAX, config_to_text, default_config, default_config_path, load_config)
-from test_config import MISSPELT
 
 UQ_FILES = ("ensemble.csv", "stats.json", "trace.csv", "kde.csv")
 
@@ -304,27 +303,17 @@ def test_validation_error_maps_to_exit_code_and_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert err["exit_code"] == 11
+    assert "friction coefficient mu1" in err["message"]
 
 
 def test_unknown_key_maps_to_parse_error_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(config_to_text(default_config()) + "nonsense.key: 1\n")
-    assert run(["eval", "--config", bad]) == 10
-    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
-
-
-@pytest.mark.parametrize("text, key, line", MISSPELT)
-def test_parse_error_names_the_line_of_a_quoted_or_flow_style_key(tmp_path, capsys,
-                                                                   text, key, line):
-    bad = tmp_path / "bad.yaml"
+    text = config_to_text(default_config()) + "nonsense.key: 1\n"
     bad.write_text(text)
     assert run(["eval", "--config", bad]) == 10
-    assert f"(line {line}, key {key!r})" in json.loads(capsys.readouterr().err)["message"]
-
-
-def test_missing_config_file_maps_to_parse_error(tmp_path, capsys):
-    assert run(["eval", "--config", tmp_path / "absent.yaml"]) == 10
-    capsys.readouterr()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(f"(line {len(text.splitlines())}, key 'nonsense.key')")
 
 
 def test_infeasible_constraint_maps_to_exit_code(tmp_path, capsys):

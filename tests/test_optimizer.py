@@ -115,12 +115,6 @@ def test_optimize_robust_vacuous_constraint_matches_grid_max(setup, input_model)
     assert res.objective >= np.nanmax(values) - 1e-6
 
 
-def test_optimize_robust_impossible_level_raises(setup, input_model):
-    with pytest.raises(NoFeasiblePoint):
-        optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1e3),
-                        setup, input_model, draw_uniform_matrix(0, 512), (11, 6))
-
-
 def test_tight_level_splits_grid_into_both_classes(setup, input_model):
     # y* = 1.1 kN makes the chance constraint genuinely active inside the box
     res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(y_star=1.1),
@@ -210,9 +204,9 @@ def test_the_map_and_the_ascent_share_one_lattice(a_um, a_width_um, c_um, c_widt
                     c_min=c_um / 1000, c_max=(c_um + c_width_um) / 1000)
     a_values, c_values, _ = grid_scan(box, nx, ny, lambda a, c: np.zeros(a.shape))
     for i in range(nx):
-        assert same_float(a_values[i], box.unmap(i / (nx - 1), 0.0).a)
+        assert same_bits(a_values[i], box.unmap(i / (nx - 1), 0.0).a)
     for j in range(ny):
-        assert same_float(c_values[j], box.unmap(0.0, j / (ny - 1)).c)
+        assert same_bits(c_values[j], box.unmap(0.0, j / (ny - 1)).c)
 
 
 @pytest.mark.parametrize("box", OFF_BY_ONE_ULP_BOXES, ids=["a_max-49.63", "a_max-58.9"])
@@ -379,7 +373,7 @@ def test_each_start_asks_for_the_oracles_points_and_ends_with_its_bits(objective
         assert [p for ask in asks for p in ask] == points
         repeats += len(calls) - 1 - len(points)
         assert np.array(result[0]).tobytes() == want[0].tobytes()
-        assert same_float(result[1], want[1])
+        assert same_bits(result[1], want[1])
     assert repeats > 0, "some start should clip onto its current point"
 
 
@@ -409,7 +403,7 @@ def test_the_scalar_adapter_ends_where_the_sequential_ascent_ends():
         want = sequential_ascend(walled_shelf, u0)
         got = ascend(walled_shelf, u0)
         assert np.array(got[0]).tobytes() == want[0].tobytes()
-        assert same_float(got[1], want[1])
+        assert same_bits(got[1], want[1])
 
 
 @pytest.fixture
@@ -443,13 +437,6 @@ def test_classical_evaluations_are_the_designs_of_the_ascent_requests(
     assert sum(sizes[:blocks]) == nx * ny
     # the one ascent, from the corner (60, 50), asks for its two stencil points
     assert res.evaluations == sum(sizes[blocks:]) == 2
-
-
-def test_robust_optimizer_makes_one_ensemble_call_per_design(setup, input_model, kernel_calls):
-    res = optimize_robust(DesignBox(), RobustWeights(), ConstraintSpec(), setup, input_model,
-                          draw_uniform_matrix(0, 256), (21, 11))
-    # the ascent, the recheck of the optimum and one scan of each map
-    assert len(kernel_calls) == res.evaluations + 1 + 2 * 21 * 11
 
 
 def test_robust_optimizer_computes_the_cam_term_once_per_sample_transform(
@@ -694,9 +681,9 @@ def test_certificate_and_maps_have_the_bits_of_the_per_cell_lattice(
     uniforms = draw_uniform_matrix(0, 1024)
     res = optimize_robust(box, weights, cspec, setup, input_model, uniforms, grid)
     point, value = lattice_certificate(box, weights, cspec, setup, input_model, uniforms, grid)
-    assert same_float(res.certificate_value, value)
-    assert same_float(res.certificate_point.a, point.a)
-    assert same_float(res.certificate_point.c, point.c)
+    assert same_bits(res.certificate_value, value)
+    assert same_bits(res.certificate_point.a, point.a)
+    assert same_bits(res.certificate_point.c, point.c)
 
     assert list(res.maps) == ["robust", "constraint"]
     want = {"robust": sampled_map(box, grid, setup, input_model, uniforms,
@@ -799,7 +786,7 @@ def test_each_ascent_request_is_one_values_at_call_of_its_own_points(monkeypatch
     for start, f0, mine in requests:
         # the start is its map cell, with the cell's value, and never asked for
         i, j = a_values.tolist().index(start[0]), c_values.tolist().index(start[1])
-        assert same_float(f0, values[i, j])
+        assert same_bits(f0, values[i, j])
         assert all(start not in request for request in mine)
 
 
@@ -856,7 +843,7 @@ def test_shipped_robust_optimum_is_the_certificate_cell(cfg, setup, input_model,
                           draw_uniform_matrix(seed, cfg.mc.nu),
                           (cfg.output.grid_nx, cfg.output.grid_ny))
     assert (res.s_opt, res.certificate_point) == (DesignPoint(a=60.0, c=55.0),) * 2
-    assert same_float(res.objective, res.certificate_value)
+    assert same_bits(res.objective, res.certificate_value)
     assert res.evaluations == 2  # one start, the corner: its two stencil points
     if seed == 0:
         assert res.objective == 3.1119575407819045
@@ -889,10 +876,6 @@ def stat_samples(draw):
     return x
 
 
-def same_float(x, y):
-    return np.float64(x).tobytes() == np.float64(y).tobytes()
-
-
 @settings(max_examples=300)
 @given(stat_samples())
 @example(np.full(3, NOMINAL_FH))  # np.mean: one ulp off; np.std: 1.09e-15
@@ -900,15 +883,15 @@ def same_float(x, y):
 def test_one_statistics_pass_has_the_bits_of_numpy(x):
     with np.errstate(all="ignore"):  # nan, inf and 1e300**2 are part of the domain
         lo, hi, mean, std = mc_uq.sample_stats(x)
-        assert same_float(lo, np.min(x)) and same_float(hi, np.max(x))
+        assert same_bits(lo, np.min(x)) and same_bits(hi, np.max(x))
         finite = bool(np.all(np.isfinite(x)))
         assert finite == (math.isfinite(lo) and math.isfinite(hi))
         if finite and lo == hi:
             # a constant sample is its own mean with zero spread, whatever
             # np.mean and np.std round to
-            assert mean == lo == hi and same_float(std, 0.0)
+            assert mean == lo == hi and same_bits(std, 0.0)
         elif finite:
-            assert same_float(mean, np.mean(x)) and same_float(std, np.std(x, ddof=1))
+            assert same_bits(mean, np.mean(x)) and same_bits(std, np.std(x, ddof=1))
         else:
             assert math.isnan(mean) and math.isnan(std)
 
@@ -919,6 +902,6 @@ def test_one_statistics_pass_has_the_bits_of_numpy(x):
         else:
             want = (weights.beta1 * float(np.min(x)) + weights.beta2 * float(np.max(x))
                     + weights.beta3 * float(np.mean(x)) + weights.beta4 / float(np.std(x, ddof=1)))
-            assert same_float(optimizer._robust_value(weights, x), want)
+            assert same_bits(optimizer._robust_value(weights, x), want)
     with pytest.raises(InsufficientSamples):
         optimizer._robust_value(weights, x[:1])

@@ -253,36 +253,38 @@ def cmd_contour(cfg) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="brakeopt",
-        description="Safety-gear brake model: evaluation, Monte Carlo UQ and design optimization.")
-    parser.add_argument("--version", action="version", version=f"brakeopt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)  # the options of every command
-    common.add_argument("--config", type=Path, default=None,
-                        help="config file (default: shipped configuration)")
-    common.add_argument("--out", type=str, default=None, help="output directory override")
-    common.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-    common.add_argument("--nu", type=int, default=None, help="sample count override")
-    common.add_argument("--grid", type=_grid_arg, default=None, help="grid override, e.g. 101x51")
-    helps = {"eval": "print the deterministic force balance",
+_COMMANDS = {"eval": "print the deterministic force balance",
              "uq": "propagate input uncertainty, write ensemble artifacts",
              "opt-classical": "maximize nominal braking force over the box",
              "opt-robust": "maximize the robust objective under the chance constraint",
              "contour": "write the classical grid map as CSV"}
-    commands = {name: sub.add_parser(name, parents=[common], help=text)
-                for name, text in helps.items()}
-    commands["uq"].add_argument("--freeze-alpha", type=float, default=None, metavar="DEG",
-                                help="hold the cam angle fixed at this value")
-    commands["uq"].add_argument("--freeze-fs", type=float, default=None, metavar="KN",
-                                help="hold the spring force fixed at this value")
-    return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """One parser for every command; options may come before or after it."""
+    parser = argparse.ArgumentParser(
+        prog="brakeopt", usage="%(prog)s [options] COMMAND [options]",
+        description="Safety-gear brake model: evaluation, Monte Carlo UQ and design optimization.",
+        epilog="commands:\n" + "".join(f"  {name:<15}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=f"brakeopt {__version__}")
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help="see commands below")
+    parser.add_argument("--config", type=Path, help="config file (default: shipped configuration)")
+    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--seed", type=int, help="Monte Carlo seed override")
+    parser.add_argument("--nu", type=int, help="sample count override")
+    parser.add_argument("--grid", type=_grid_arg, help="grid override, e.g. 101x51")
+    parser.add_argument("--freeze-alpha", type=float, metavar="DEG", help="uq only: fixed cam angle")
+    parser.add_argument("--freeze-fs", type=float, metavar="KN", help="uq only: fixed spring force")
+    args = parser.parse_args(argv)
+    for flag, value in (("--freeze-alpha", args.freeze_alpha), ("--freeze-fs", args.freeze_fs)):
+        if value is not None and args.command != "uq":
+            parser.error(f"{flag} applies to uq only, not to {args.command}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     flags = {"mc.seed": args.seed, "mc.nu": args.nu, "output.dir": args.out}
     if args.grid is not None:
         flags["output.grid_nx"], flags["output.grid_ny"] = args.grid
@@ -291,15 +293,10 @@ def main(argv=None) -> int:
         path = cfgmod.default_config_path() if args.config is None else args.config
         cfg = cfgmod.load_config(path, overrides)
 
-        if args.command == "eval":
-            return cmd_eval(cfg)
         if args.command == "uq":
             return cmd_uq(cfg, args.freeze_alpha, args.freeze_fs)
-        if args.command == "opt-classical":
-            return cmd_opt_classical(cfg)
-        if args.command == "opt-robust":
-            return cmd_opt_robust(cfg)
-        return cmd_contour(cfg)
+        return {"eval": cmd_eval, "opt-classical": cmd_opt_classical,
+                "opt-robust": cmd_opt_robust, "contour": cmd_contour}[args.command](cfg)
     except (BrakeOptError, MemoryError) as caught:
         exc = caught if isinstance(caught, BrakeOptError) else OutOfMemory(
             str(caught) or "out of memory")

@@ -106,6 +106,8 @@ class OutputSettings:
     grid_ny: int = 51
 
     def __post_init__(self):
+        if self.dir == "":  # Path("") is the current directory
+            raise ValidationError("output.dir must name a directory", self.dir)
         if not (isinstance(self.grid_nx, int) and isinstance(self.grid_ny, int)
                 and self.grid_nx >= 2 and self.grid_ny >= 2):
             raise ValidationError("output grid must be at least 2x2",

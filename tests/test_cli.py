@@ -278,21 +278,31 @@ def test_unknown_contour_kind_is_a_usage_error(tmp_path, capsys):
 
 
 def test_every_command_takes_the_common_options_and_uq_alone_the_freeze_flags(capsys):
-    parser = cli._build_parser()
     common = ["--config", "c.yaml", "--out", "o", "--seed", "3", "--nu", "64", "--grid", "5x3"]
     for command in ("eval", "uq", "opt-classical", "opt-robust", "contour"):
-        args = parser.parse_args([command, *common])
-        assert (args.command, args.config, args.out, args.seed, args.nu, args.grid) == (
-            command, Path("c.yaml"), "o", 3, 64, (5, 3))
+        for argv in ([command, *common], [*common, command], [*common[:4], command, *common[4:]]):
+            args = cli._parse_args(argv)
+            assert (args.command, args.config, args.out, args.seed, args.nu, args.grid) == (
+                command, Path("c.yaml"), "o", 3, 64, (5, 3))
         for flag in ("--freeze-alpha", "--freeze-fs"):
-            argv = [command, flag, "2.5"]
-            if command == "uq":
-                assert vars(parser.parse_args(argv))[flag[2:].replace("-", "_")] == 2.5
-                continue
-            with pytest.raises(SystemExit) as usage:
-                parser.parse_args(argv)
-            assert usage.value.code == 2
-            assert f"unrecognized arguments: {flag} 2.5" in capsys.readouterr().err
+            for argv in ([command, flag, "2.5"], [flag, "2.5", command]):
+                if command == "uq":
+                    assert vars(cli._parse_args(argv))[flag[2:].replace("-", "_")] == 2.5
+                    continue
+                with pytest.raises(SystemExit) as usage:
+                    cli._parse_args(argv)
+                assert usage.value.code == 2
+                assert f"{flag} applies to uq only, not to {command}" in capsys.readouterr().err
+    # the one help lists every command with its description
+    with pytest.raises(SystemExit) as done:
+        cli._parse_args(["-h"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("eval", "uq", "opt-classical", "opt-robust", "contour"):
+        assert re.search(rf"^  {command} +{re.escape(cli._COMMANDS[command])}$", out, re.M)
+    with pytest.raises(SystemExit) as done:
+        cli._parse_args(["--version"])
+    assert (done.value.code, capsys.readouterr().out) == (0, f"brakeopt {__version__}\n")
 
 
 def test_validation_error_maps_to_exit_code_and_json(tmp_path, capsys):
@@ -431,13 +441,15 @@ def test_unusable_output_dir_fails_before_any_model_work(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli.cfgmod, "input_model_from", no_model_work)
     monkeypatch.setattr(cli.cfgmod, "setup_from", no_model_work)
+    monkeypatch.chdir(tmp_path)  # an empty --out would write here
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    assert run([*command, "--out", taken]) == 11
-    err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["exit_code"]) == ("ValidationError", 11)
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-    assert taken.read_text() == "not a directory\n"
+    for out in (taken, ""):
+        assert run([*command, "--out", out]) == 11
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("ValidationError", 11)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("key, cls, field, value", [

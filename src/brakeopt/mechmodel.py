@@ -274,8 +274,9 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
     c = geom.c if c is None else c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den1, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, axial, Fs, a, c)
+        valid = np.minimum(n1, n2) >= 0  # N3, N4 follow, see _closed_form
         ok = np.abs(den1) > SINGULAR_TOL
         if not ok.all():
             fh = np.where(ok, fh, np.nan)
-        valid = ok & (np.minimum(n1, n2) >= 0)  # N3, N4 follow, see _closed_form
+            valid &= ok
     return fh, valid, ok

@@ -271,8 +271,10 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     value does not depend on its block."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    a_values = np.array([_lerp(box.a_min, box.a_max, i / (nx - 1)) for i in range(nx)])
-    c_values = np.array([_lerp(box.c_min, box.c_max, j / (ny - 1)) for j in range(ny)])
+    # _lerp's operations in its order, with its u == 1.0 case as the last entry
+    a_values, c_values = (lo + np.arange(n) / (n - 1) * (hi - lo) for lo, hi, n in
+                          ((box.a_min, box.a_max, nx), (box.c_min, box.c_max, ny)))
+    a_values[-1], c_values[-1] = box.a_max, box.c_max
     values = np.empty((nx, ny))
     rows = max(1, _BLOCK // ny)
     for i in range(0, nx, rows):
@@ -284,19 +286,36 @@ def _local_maxima(values: np.ndarray) -> list[list[int]]:
     """The ``[i, j]`` of each local maximum of the map, in row-major order: a
     finite cell that no finite 8-neighbour beats.  A neighbour beats a cell
     with a greater value, or with an equal one when it comes first in
-    row-major order, so a flat map gives one start, its first cell.  Each
-    neighbour pair is compared once, on two shifted slices of the map."""
-    finite = np.isfinite(values)
-    peak = finite.copy()
+    row-major order, so a flat map gives one start, its first cell.  A screen
+    of whole-map comparisons on shifted slices of the flat map drops each
+    cell beaten by a row or a column neighbour; only the survivors, few on a
+    smooth map, are then tested against their four diagonal neighbours."""
     nx, ny = values.shape
-    # the offsets to the neighbours that come later in row-major order
-    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        early = slice(0, nx - di), slice(max(-dj, 0), ny - max(dj, 0))
-        late = slice(di, nx), slice(max(dj, 0), ny - max(-dj, 0))
-        first, second = values[early], values[late]
-        peak[late] &= ~(finite[early] & (first >= second))
-        peak[early] &= ~(finite[late] & (second > first))
-    return np.argwhere(peak).tolist()
+    flat = values.ravel()
+    not_finite = ~np.isfinite(flat)
+    peak, stays = ~not_finite, np.empty(flat.size, bool)
+    # the flat pairs (p, p + step) are row neighbours at step 1, less those
+    # that wrap from the end of a row to the start of the next, and column
+    # neighbours at step ny; ``stays`` takes each side's verdict in turn
+    for step, wraps in ((1, slice(ny - 1, None, ny)), (ny, slice(0))):
+        first, second, verdict = flat[:-step], flat[step:], stays[:-step]
+        np.less(first, second, out=verdict)
+        verdict |= not_finite[:-step]
+        verdict[wraps] = True
+        peak[step:] &= verdict
+        np.less_equal(second, first, out=verdict)
+        verdict |= not_finite[step:]
+        verdict[wraps] = True
+        peak[:-step] &= verdict
+    survivors = np.flatnonzero(peak)
+    for di, dj in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        i, j = np.divmod(survivors, ny)
+        inside = (i > 0 if di < 0 else i < nx - 1) & (j > 0 if dj < 0 else j < ny - 1)
+        # a neighbour off the map wraps around onto it, and is not inside
+        v, w = flat[survivors], flat[(survivors + (di * ny + dj)) % flat.size]
+        beaten = inside & np.isfinite(w) & (w >= v if di < 0 else w > v)
+        survivors = survivors[~beaten]
+    return [list(divmod(p, ny)) for p in survivors.tolist()]
 
 
 def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
@@ -318,7 +337,8 @@ def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
     def evaluate(points: list) -> list:
         nonlocal evaluations
         evaluations += len(points)
-        a, c = np.array([dataclasses.astuple(box.unmap(*p)) for p in points]).T
+        designs = [box.unmap(*p) for p in points]
+        a, c = np.array([(s.a, s.c) for s in designs]).T
         return values_at(a, c).tolist()
 
     ends = [_ascent((i / (nx - 1), j / (ny - 1)), float(values[i, j]), evaluate)

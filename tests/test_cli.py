@@ -328,15 +328,17 @@ def test_unknown_key_maps_to_parse_error_code(tmp_path, capsys):
 
 def test_infeasible_constraint_maps_to_exit_code(tmp_path, capsys):
     bad = tmp_path / "hard.yaml"
-    bad.write_text(config_to_text(default_config()).replace("design.y_star_kN: 0.5\n",
-                                                            "design.y_star_kN: 1000.0\n"))
+    bad.write_text(config_to_text(default_config()).replace("design.p_r: 0.05\n",
+                                                            "design.p_r: 0.001\n"))
     assert run(["opt-robust", "--config", bad, "--out", tmp_path / "x",
                 "--nu", 256, "--grid", "5x3"]) == 18
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoFeasiblePoint"
-    # no sample reaches 1000 kN: every cell has probability 0, the first is named
+    # the cells' probabilities run from 0.97265625 at the first cell to
+    # 0.98828125, below 0.999, at (52.5, 52.5) and (55.0, 50.0): the first
+    # largest is named
     assert err["message"].endswith(
-        "the largest probability is 0.0, at (a, c) = (50.0, 50.0) mm")
+        "the largest probability is 0.98828125, at (a, c) = (52.5, 52.5) mm")
     assert list((tmp_path / "x").iterdir()) == []
 
 

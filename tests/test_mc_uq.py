@@ -251,6 +251,7 @@ def test_summarize_histogram_counts_and_quantile_sandwich(ensemble):
     assert stats.min <= stats.ci95[0] <= stats.mean <= stats.ci95[1] <= stats.max
     q = np.quantile(ensemble.outputs, [0.025, 0.5, 0.975])
     assert stats.min <= q[0] <= q[1] <= q[2] <= stats.max
+    assert stats.ci95 == (q[0], q[2])  # the linear quantiles
 
 
 def test_summarize_mean_independent_of_summation_order(ensemble):

@@ -98,6 +98,35 @@ def test_empirical_constraint_trivial_levels(setup, input_model):
     assert constraint_at_shipped_design(setup, input_model, ConstraintSpec(y_star=1e3), 1024) == 0.0
 
 
+# four chosen samples: at a = 50 mm, |Fh| lies below 3.0 kN for the second
+# at every c, above 9.8 kN for the last two, and for the first (the least Fs)
+# falls from 8.39 to 7.45 kN as c goes from 50 to 55 mm
+CHOSEN_UNIFORMS = np.array([[0.5, 0.0], [0.5, 0.05], [0.2, 0.9], [0.8, 0.95]])
+
+
+def test_a_sample_at_the_constraint_level_is_not_a_hit(setup, input_model):
+    # |Fh| > y* is strict: with y* at the k-th least of four distinct |Fh|,
+    # the 3 - k samples above it are the hits
+    fh = optimizer._ensemble_fh(setup, input_model, CHOSEN_UNIFORMS)(50.0, 50.0)
+    levels = sorted(abs(f) for f in fh.tolist())
+    assert len(set(levels)) == 4
+    for k, y_star in enumerate(levels):
+        assert optimizer._constraint_value(ConstraintSpec(y_star=y_star), fh) == (3 - k) / 4
+
+
+def test_a_design_at_exactly_one_minus_p_r_is_feasible(setup, input_model):
+    # at y* = 8 kN three of the four samples pass up to c = 52.1 mm, so the
+    # probability there is 3/4, which is 1.0 - 0.25 in floats; the robust
+    # value grows with c, so the ascent climbs through such designs
+    box = DesignBox(a_min=50.0, a_max=50.0, c_min=50.0, c_max=55.0)
+    res = optimize_robust(box, RobustWeights(), ConstraintSpec(y_star=8.0, p_r=0.25), setup,
+                          input_model, CHOSEN_UNIFORMS, (2, 2))
+    assert res.maps["constraint"][2].tolist() == [[0.75, 0.5], [0.75, 0.5]]
+    assert res.certificate_point == DesignPoint(a=50.0, c=50.0)
+    assert 50.0 < res.s_opt.c < 55.0 and res.objective > res.certificate_value
+    assert res.constraint_prob == 0.75
+
+
 def test_empirical_constraint_at_shipped_design(setup, input_model):
     prob = constraint_at_shipped_design(setup, input_model, ConstraintSpec(), 4096)
     assert prob >= 0.95
@@ -830,8 +859,36 @@ def small_maps(draw):
     return np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
 
 
-@settings(max_examples=300)
-@given(small_maps())
+@st.composite
+def checkered_maps(draw):
+    """Maps of up to 30 x 30 cells: a checkerboard of 0 and 2 plus one of few
+    values per cell.  Most high cells beat their row and column neighbours,
+    so up to hundreds of them are left for the diagonal test."""
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cell = st.sampled_from((0.0, 1.0, math.nan, math.inf))
+    cells = np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    return cells + 2.0 * (np.add.outer(np.arange(nx), np.arange(ny)) % 2)
+
+
+def centre_and_diagonal(di, dj, value):
+    """A 3 x 3 map of zeros with 1 at the centre, which so beats its row and
+    column neighbours, and ``value`` at its diagonal neighbour (di, dj)."""
+    values = np.zeros((3, 3))
+    values[1, 1], values[1 + di, 1 + dj] = 1.0, value
+    return values
+
+
+@settings(max_examples=400)
+@given(st.one_of(small_maps(), checkered_maps()))
+@example(centre_and_diagonal(-1, -1, 1.0))  # an earlier diagonal beats on a tie
+@example(centre_and_diagonal(-1, 1, 1.0))
+@example(centre_and_diagonal(1, -1, 1.0))  # a later one only when greater
+@example(centre_and_diagonal(1, 1, 1.0))
+@example(centre_and_diagonal(1, -1, 2.0))
+@example(centre_and_diagonal(1, 1, 2.0))
+@example(np.full((4, 5), math.nan))
+@example(np.array([[0.0, 2.0, 2.0, 1.0, 3.0]]))
+@example(np.array([[0.0, 2.0, 2.0, 1.0, 3.0]]).T)
 def test_local_maxima_equal_the_cell_by_cell_rule(values):
     assert optimizer._local_maxima(values) == brute_local_maxima(values)
 

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (  # noqa: F401
     AllStartsFailed,
     BrakeOptError,
-    DegenerateSample,
     InsufficientSamples,
     MeanOutOfSupport,
     NoFeasiblePoint,
@@ -32,7 +31,6 @@ from .maxent import (  # noqa: F401
 from .mc_uq import (  # noqa: F401
     convergence_trace,
     draw_uniform_matrix,
-    kde,
     propagate,
     summarize,
 )

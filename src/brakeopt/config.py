@@ -205,7 +205,7 @@ class _UniqueKeyLoader(yaml.CSafeLoader):
                 lines[key_node.value] = line
         if self.key_lines is None:  # the document's mapping is constructed first
             self.key_lines = lines
-        # named rather than super(), so a loader on another parser can share this method
+        # named, not super(): the tests' pure-Python reference loader shares this method
         return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
 
 

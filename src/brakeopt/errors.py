@@ -70,12 +70,6 @@ class InsufficientSamples(BrakeOptError):
     exit_code = 15
 
 
-class DegenerateSample(BrakeOptError):
-    """Sample has zero spread; a density estimate is undefined."""
-
-    exit_code = 16
-
-
 class NoFeasiblePoint(BrakeOptError):
     """No design in the search grid satisfies the probabilistic constraint."""
 

@@ -6,10 +6,9 @@ least-biased density is a truncated exponential
     pdf(x) = exp(-log_norm - rate * x)   on [lo, hi],  0 elsewhere.
 
 ``rate`` is the Lagrange multiplier of the mean constraint and ``log_norm``
-the one of the normalization constraint; ``log_norm`` is not stored but
-derived from ``rate`` inside :func:`pdf`, so the density integrates to one
-by construction.  When the prescribed mean is the midpoint of the support
-the distribution degenerates into a uniform (rate = 0).
+the one of the normalization constraint; ``log_norm`` is not stored, since
+``rate`` and the support fix it.  When the prescribed mean is the midpoint
+of the support the distribution degenerates into a uniform (rate = 0).
 
 With no cross-moment information the joint law of several inputs is the
 plain product of the marginals, held by :class:`InputModel`.
@@ -23,24 +22,12 @@ from dataclasses import dataclass
 
 from .errors import MeanOutOfSupport, ValidationError
 
-#: Below this |rate * (hi - lo)| the mean and normalizer switch to series
-#: expansions; direct evaluation loses precision to cancellation there.
+#: Below this |rate * (hi - lo)| the mean switches to a series expansion;
+#: direct evaluation loses precision to cancellation there.
 _SERIES_CUTOFF = 0.05
-#: Below this |rate * (hi - lo)| (the smallest normal float) the sampler and
-#: the cdf use the uniform law: expm1 of a subnormal keeps too few bits.
+#: Below this |rate * (hi - lo)| (the smallest normal float) the sampler
+#: uses the uniform law: expm1 of a subnormal keeps too few bits.
 _TINY = sys.float_info.min
-
-
-def _log_phi(z):
-    """log((1 - exp(-z)) / z), continuous through z = 0, overflow-safe."""
-    if z == 0.0:
-        return 0.0
-    if z <= -700.0:
-        # phi(z) ~ exp(-z)/(-z); stay in log space
-        return -z - math.log(-z)
-    if z >= 700.0:
-        return -math.log(z)
-    return math.log(-math.expm1(-z) / z)
 
 
 @dataclass(frozen=True)
@@ -54,7 +41,7 @@ class TruncatedExponential:
             raise ValidationError("support requires lo < hi", (self.lo, self.hi))
         if not math.isfinite(self.rate):
             raise ValidationError("rate must be finite", self.rate)
-        # the law of the sampler and the cdf, fixed once per distribution:
+        # the law of the sampler, fixed once per distribution:
         # expm1(-z) with z = rate * (hi - lo) where it is finite or inf (never
         # 0.0), 0.0 where |z| < _TINY (uniform law) and None where expm1(-z)
         # overflows (z < -709.78).  Not a field, so ==, hash, repr and
@@ -135,37 +122,6 @@ def fit_truncexp(lo, hi, target_mean) -> TruncatedExponential:
         else:
             r_hi = r_mid
     return TruncatedExponential(lo, hi, 0.5 * (r_lo + r_hi))
-
-
-def pdf(dist: TruncatedExponential, x) -> float:
-    """Density at x; exactly zero outside the support."""
-    if x < dist.lo or x > dist.hi:
-        return 0.0
-    width = dist.hi - dist.lo
-    log_norm = -dist.rate * dist.lo + math.log(width) + _log_phi(dist.rate * width)
-    return math.exp(-log_norm - dist.rate * x)
-
-
-def cdf(dist: TruncatedExponential, x) -> float:
-    """Distribution function, clamped to 0 and 1 outside the support."""
-    if x <= dist.lo:
-        return 0.0
-    if x >= dist.hi:
-        return 1.0
-    em1 = dist._expm1_neg_z
-    if em1:
-        try:
-            num = math.expm1(-dist.rate * (x - dist.lo))
-        except OverflowError:
-            num = math.inf
-        # num is inf only at z = -inf, where inf / inf is nan: take the overflow form
-        if num < math.inf:
-            return num / em1
-    elif em1 is not None:
-        return (x - dist.lo) / (dist.hi - dist.lo)
-    # z < -709.78: divide exp(-z) out of numerator and denominator
-    return (math.exp(dist.rate * (dist.hi - x)) * math.expm1(dist.rate * (x - dist.lo))
-            / math.expm1(dist.rate * (dist.hi - dist.lo)))
 
 
 def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mechmodel
-from .errors import DegenerateSample, InsufficientSamples, ValidationError
+from .errors import InsufficientSamples, ValidationError
 
 _BLOCK = 4096  # samples per kernel call in propagate
 _KDE_BINS = 2048  # lattice points of the binned KDE
@@ -219,7 +219,7 @@ def summarize(samples) -> SummaryStats:
     lo, hi, mean, std = sample_stats(x)
     lo_q, hi_q = (float(v) for v in np.quantile(x, [0.025, 0.975]))
     counts, edges = np.histogram(x, bins=sturges_bins(x.size))
-    grid, density = kde(x) if std > 0.0 else (None, None)
+    grid, density = kde(x, lo, hi, std) if std > 0.0 else (None, None)
     return SummaryStats(
         mean=mean,
         std=std,
@@ -260,19 +260,16 @@ def convergence_trace(samples):
     return running_mean, np.sqrt(var, out=var)
 
 
-def kde(samples):
-    """Gaussian-kernel density on a uniform grid spanning the padded range.
+def kde(x: np.ndarray, lo: float, hi: float, std: float):
+    """Gaussian-kernel density on a uniform grid spanning the padded range:
+    the KDE step of :func:`summarize`, which passes its flat finite sample
+    ``x`` with the min, max and std (> 0) of its one statistics pass.
 
     Bandwidth is the normal-reference rule h = 1.06 * std * nu^(-1/5); the
     grid spans [min - 3h, max + 3h] so the curve decays to ~0 at the ends
     and its trapezoid integral stays within 1e-3 of one.  The kernels sit on
     the samples linearly binned onto ``_KDE_BINS`` points (Wand, JCGS 1994).
     """
-    x = _flat_finite(samples, 2)
-    lo, hi, _, std = sample_stats(x)
-    if std == 0.0:
-        raise DegenerateSample("all samples identical, bandwidth would be zero")
-
     h = 1.06 * std * x.size ** (-0.2)
     grid = np.linspace(lo - 3.0 * h, hi + 3.0 * h, _KDE_GRID)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))

@@ -173,17 +173,10 @@ def _per_design_values(fh_at, value_of):
     return values_at
 
 
-def _check_sample_count(weights: RobustWeights, nu: int) -> None:
-    """The std term of the robust objective needs two samples."""
-    if weights.beta4 > 0.0 and nu < 2:
-        raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {nu}")
-
-
 def _robust_value(weights: RobustWeights, fh: np.ndarray) -> float:
     """beta1*min + beta2*max + beta3*mean + beta4/std over the sample; nan if
     any sample failed to evaluate or, with beta4 > 0, the sample has zero
-    spread."""
-    _check_sample_count(weights, fh.shape[0])
+    spread (one sample included)."""
     lo, hi, mean, std = mc_uq.sample_stats(fh)
     if not (math.isfinite(lo) and math.isfinite(hi)) or (weights.beta4 > 0.0 and std == 0.0):
         return math.nan
@@ -393,7 +386,8 @@ def optimize_robust(
     before any ascent, when no grid cell is feasible; its message names the
     largest constraint probability of the grid and its cell.
     """
-    _check_sample_count(weights, len(uniforms))
+    if weights.beta4 > 0.0 and len(uniforms) < 2:
+        raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {len(uniforms)}")
     robust = grid_scan(box, *grid, _per_design_values(
         _ensemble_fh(setup, input_model, uniforms), lambda fh: _robust_value(weights, fh)))
     prob = grid_scan(box, *grid, _per_design_values(

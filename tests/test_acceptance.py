@@ -30,7 +30,7 @@ from brakeopt import (
     solve_equilibrium,
 )
 from brakeopt.cli import main as cli_main
-from brakeopt.maxent import cdf
+from oracles import cdf
 
 
 @contextmanager

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brakeopt import (
-    DegenerateSample,
     InsufficientSamples,
     LoadCase,
     ValidationError,
@@ -17,13 +16,13 @@ from brakeopt import (
     build_input_model,
     convergence_trace,
     draw_uniform_matrix,
-    kde,
     propagate,
     solve_equilibrium,
     summarize,
 )
 from brakeopt import maxent, mc_uq, mechmodel, optimizer
 from brakeopt.mc_uq import sturges_bins, uniform_row
+from oracles import cdf, pdf
 from test_maxent import EDGE_US, law_of, oracle_sample_inverse_cdf
 
 
@@ -103,12 +102,12 @@ def gauss_legendre(dist, points):
     t, w = np.polynomial.legendre.leggauss(points)
     half = (dist.hi - dist.lo) / 2
     x = dist.lo + half * (t + 1.0)
-    return x, half * w * np.array([maxent.pdf(dist, v) for v in x])
+    return x, half * w * np.array([pdf(dist, v) for v in x])
 
 
 def probability_of(dist, lo, hi):
     """P(lo <= X <= hi) for X of law ``dist``."""
-    return max(maxent.cdf(dist, hi) - maxent.cdf(dist, lo), 0.0)
+    return max(cdf(dist, hi) - cdf(dist, lo), 0.0)
 
 
 def exact_reference(cfg, input_model, points=200):
@@ -267,8 +266,6 @@ def test_point_mass_has_zero_spread_and_no_kde():
     assert stats.std == 0.0 and stats.min == stats.max == x[0]
     assert stats.ci95 == (x[0], x[0])
     assert stats.kde_grid is None and stats.kde_density is None
-    with pytest.raises(DegenerateSample):
-        kde(x)
 
 
 def test_trace_small_sample():
@@ -312,6 +309,12 @@ def test_trace_tail_fluctuation_within_clt_scale(ensemble):
         3.0 * running_std[n - 1] / math.sqrt(n // 2)
 
 
+def kde(samples):
+    """The density curve of ``summarize(samples)``: ``(kde_grid, kde_density)``."""
+    stats = summarize(samples)
+    return stats.kde_grid, stats.kde_density
+
+
 def test_kde_recovers_uniform_density():
     draws = draw_uniform_matrix(8, 100_000)[:, 0]
     grid, density = kde(draws)
@@ -321,37 +324,19 @@ def test_kde_recovers_uniform_density():
 
 def test_kde_normalization_and_grid_span(ensemble):
     grid, density = kde(ensemble.outputs)
-    assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
+    # the trapezoid rule, spelled for every numpy that pyproject.toml allows
+    integral = np.sum(np.diff(grid) * (density[1:] + density[:-1]) / 2.0)
+    assert integral == pytest.approx(1.0, abs=1e-3)
     h = 1.06 * np.std(ensemble.outputs, ddof=1) * ensemble.nu ** (-0.2)
     assert grid[0] == pytest.approx(ensemble.outputs.min() - 3.0 * h, rel=1e-12)
     assert grid[-1] == pytest.approx(ensemble.outputs.max() + 3.0 * h, rel=1e-12)
 
 
-def test_kde_degenerate_and_tiny_inputs():
-    with pytest.raises(DegenerateSample):
-        kde([0.0, 0.0])
-    with pytest.raises(InsufficientSamples):
-        kde([1.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_kde_rejects_non_finite_samples(bad):
-    with pytest.raises(ValidationError):
-        kde([0.0, bad, 1.0])
-
-
 def exact_kde(samples, grid_size: int = 256):
-    """Oracle: the exact Gaussian sum over every sample, with no binning."""
+    """Oracle: the exact Gaussian sum over every sample, with no binning, on
+    a flat sample of at least two values and nonzero spread."""
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InsufficientSamples(f"need at least 2 samples in a flat array, got shape {x.shape}")
-    std = float(np.std(x, ddof=1))
-    if std == 0.0:
-        raise DegenerateSample("all samples identical, bandwidth would be zero")
-    if grid_size < 2:
-        raise ValidationError("kde grid_size must be >= 2", grid_size)
-
-    h = 1.06 * std * x.size ** (-0.2)
+    h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
     grid = np.linspace(np.min(x) - 3.0 * h, np.max(x) + 3.0 * h, grid_size)
     density = np.zeros(grid_size)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
@@ -518,7 +503,10 @@ def streamed_layer_samples(cfg, input_model):
 def test_blocked_kde_has_the_bits_of_the_single_matrix(cfg, input_model):
     assert mc_uq._KDE_GRID % mc_uq._KDE_ROWS == 0 and mc_uq._KDE_ROWS < mc_uq._KDE_GRID
     for x in streamed_layer_samples(cfg, input_model):
-        for got, want in zip(kde(x), single_matrix_kde(x)):
+        # the step itself: summarize's histogram rejects the last sample,
+        # whose range of one ulp is too narrow for its bins
+        lo, hi, _, std = mc_uq.sample_stats(x)
+        for got, want in zip(mc_uq.kde(x, lo, hi, std), single_matrix_kde(x)):
             assert got.tobytes() == want.tobytes()
 
 

@@ -23,7 +23,6 @@ from .mechmodel import (  # noqa: F401
 )
 from .maxent import (  # noqa: F401
     TruncatedExponential,
-    build_input_model,
     fit_truncexp,
     mean_of,
     sample_inverse_cdf,

@@ -123,7 +123,7 @@ def _grid_arg(text: str):
     return int(m.group(1)), int(m.group(2))
 
 
-def cmd_eval(cfg) -> int:
+def cmd_eval(cfg, args) -> int:
     sol = mechmodel.braking_force(cfg.geometry, cfg.friction, cfgmod.nominal_load(cfg))
     print(f"alpha_deg = {cfg.random.alpha_mean_deg!r}")
     print(f"Fs_kN = {cfg.random.fs_mean_kN!r}")
@@ -133,7 +133,7 @@ def cmd_eval(cfg) -> int:
     return 0
 
 
-def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
+def cmd_uq(cfg, args) -> int:
     out = _out_dir(cfg)
     seed, nu = cfg.mc.seed, cfg.mc.nu
     model = cfgmod.input_model_from(cfg)
@@ -141,7 +141,7 @@ def cmd_uq(cfg, freeze_alpha, freeze_fs) -> int:
     ens = mc_uq.propagate(
         model, uniforms, cfg.geometry, cfg.friction,
         cfg.loads.Fg_kN, cfg.loads.Fb_kN,
-        freeze_alpha_deg=freeze_alpha, freeze_fs_kn=freeze_fs)
+        freeze_alpha_deg=args.freeze_alpha, freeze_fs_kn=args.freeze_fs)
     del uniforms  # no artifact needs them, and they are 2 floats a sample
     # summarized before the first write, so a failing run leaves no artifact
     finite = ens.outputs[np.isfinite(ens.outputs)]
@@ -215,7 +215,7 @@ def _write_contour(cfg, kind: str, scan, out: Path) -> Path:
     return path
 
 
-def cmd_opt_classical(cfg) -> int:
+def cmd_opt_classical(cfg, args) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     result = optimizer.optimize_classical(
@@ -227,7 +227,7 @@ def cmd_opt_classical(cfg) -> int:
     return 0
 
 
-def cmd_opt_robust(cfg) -> int:
+def cmd_opt_robust(cfg, args) -> int:
     out = _out_dir(cfg)
     setup = cfgmod.setup_from(cfg)
     model = cfgmod.input_model_from(cfg)
@@ -244,7 +244,7 @@ def cmd_opt_robust(cfg) -> int:
     return 0
 
 
-def cmd_contour(cfg) -> int:
+def cmd_contour(cfg, args) -> int:
     out = _out_dir(cfg)
     values_at = optimizer.classical_values(cfgmod.setup_from(cfg))
     scan = optimizer.grid_scan(cfg.design.box, cfg.output.grid_nx, cfg.output.grid_ny, values_at)
@@ -253,11 +253,13 @@ def cmd_contour(cfg) -> int:
     return 0
 
 
-_COMMANDS = {"eval": "print the deterministic force balance",
-             "uq": "propagate input uncertainty, write ensemble artifacts",
-             "opt-classical": "maximize nominal braking force over the box",
-             "opt-robust": "maximize the robust objective under the chance constraint",
-             "contour": "write the classical grid map as CSV"}
+# command -> (handler, help line); a handler takes the config and the parsed arguments
+_COMMANDS = {"eval": (cmd_eval, "print the deterministic force balance"),
+             "uq": (cmd_uq, "propagate input uncertainty, write ensemble artifacts"),
+             "opt-classical": (cmd_opt_classical, "maximize nominal braking force over the box"),
+             "opt-robust": (cmd_opt_robust,
+                            "maximize the robust objective under the chance constraint"),
+             "contour": (cmd_contour, "write the classical grid map as CSV")}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -265,7 +267,7 @@ def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="brakeopt", usage="%(prog)s [options] COMMAND [options]",
         description="Safety-gear brake model: evaluation, Monte Carlo UQ and design optimization.",
-        epilog="commands:\n" + "".join(f"  {name:<15}{text}\n" for name, text in _COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {cmd:<15}{text}\n" for cmd, (_, text) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"brakeopt {__version__}")
     parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help="see commands below")
@@ -292,11 +294,7 @@ def main(argv=None) -> int:
     try:
         path = cfgmod.default_config_path() if args.config is None else args.config
         cfg = cfgmod.load_config(path, overrides)
-
-        if args.command == "uq":
-            return cmd_uq(cfg, args.freeze_alpha, args.freeze_fs)
-        return {"eval": cmd_eval, "opt-classical": cmd_opt_classical,
-                "opt-robust": cmd_opt_robust, "contour": cmd_contour}[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg, args)
     except (BrakeOptError, MemoryError) as caught:
         exc = caught if isinstance(caught, BrakeOptError) else OutOfMemory(
             str(caught) or "out of memory")

@@ -331,9 +331,9 @@ def default_config() -> Config:
 
 def input_model_from(cfg: Config) -> maxent.InputModel:
     rm = cfg.random
-    return maxent.build_input_model(
-        alpha_lo=rm.alpha_lo_deg, alpha_hi=rm.alpha_hi_deg, alpha_mean=rm.alpha_mean_deg,
-        fs_lo=rm.fs_lo_kN, fs_hi=rm.fs_hi_kN, fs_mean=rm.fs_mean_kN)
+    return maxent.InputModel(
+        alpha_dist=maxent.fit_truncexp(rm.alpha_lo_deg, rm.alpha_hi_deg, rm.alpha_mean_deg),
+        fs_dist=maxent.fit_truncexp(rm.fs_lo_kN, rm.fs_hi_kN, rm.fs_mean_kN))
 
 
 def setup_from(cfg: Config) -> optimizer.ModelSetup:

@@ -154,10 +154,3 @@ def sample_inverse_cdf(dist: TruncatedExponential, u) -> float:
         return dist.hi
     return x
 
-
-def build_input_model(alpha_lo, alpha_hi, alpha_mean, fs_lo, fs_hi, fs_mean) -> InputModel:
-    """Fit both marginals: the cam angle (deg) and the spring force (kN)."""
-    return InputModel(
-        alpha_dist=fit_truncexp(alpha_lo, alpha_hi, alpha_mean),
-        fs_dist=fit_truncexp(fs_lo, fs_hi, fs_mean),
-    )

@@ -218,7 +218,11 @@ def summarize(samples) -> SummaryStats:
     x = _flat_finite(samples, 2)
     lo, hi, mean, std = sample_stats(x)
     lo_q, hi_q = (float(v) for v in np.quantile(x, [0.025, 0.975]))
-    counts, edges = np.histogram(x, bins=sturges_bins(x.size))
+    bins = sturges_bins(x.size)
+    # a range of a few ulps: numpy refuses linspace(min, max, bins + 1) edges that repeat
+    if lo < hi and not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0.0):
+        bins = 1
+    counts, edges = np.histogram(x, bins=bins)
     grid, density = kde(x, lo, hi, std) if std > 0.0 else (None, None)
     return SummaryStats(
         mean=mean,

@@ -14,7 +14,7 @@ Both optimizers run one pipeline: map first, then climb.  The dense grid
 map (for the robust problem, its feasible cells) is scanned first; one
 projected ascent with finite-difference gradients, in box-normalized
 coordinates, starts at each local maximum of the map with that cell's value
-(map and ascent share one mapping of the unit square onto the box).  The
+(both take their designs from one mapping, :meth:`DesignBox.unmap`).  The
 best local maximum is the certificate; the best ascent, which climbs by
 strict gains only, is the reported optimum and so dominates it.  An ascent
 never asks for the design it stands on, whose value it holds.
@@ -23,11 +23,10 @@ is a float, and a non-finite value means rejected or not evaluable.  Designs
 are evaluated in batches by a design function ``values_at(a, c) -> values``
 over arrays that broadcast together: a block of whole lattice rows, as a
 ``(k, 1)`` column of a against the ``(ny,)`` row of c, or the equal-shape
-points of one request of an ascent.  :func:`classical_values` builds the
-classical map's design function.  :func:`optimize_robust` builds the robust
-and constraint maps itself, and returns them with its result; each of its
-sampled design functions transforms the run's drawn ``(nu, 2)`` uniform
-matrix once and computes the design-invariant cam term once with it.
+points of one request of an ascent.  The classical design function
+(:func:`classical_values`) and the sampled ones of :func:`optimize_robust`,
+which returns its robust and constraint maps, share one kernel closure: the
+design-invariant cam term once, then one kernel call per batch or design.
 """
 
 from __future__ import annotations
@@ -71,18 +70,13 @@ class DesignBox:
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
-    def unmap(self, ua: float, uc: float) -> DesignPoint:
-        """Map unit-square coordinates to a design point: [0, 1] into
-        [min, max] on each axis, with 0 and 1 exactly on the bounds; the
-        lattice cell (i, j) is ``unmap(i/(nx-1), j/(ny-1))`` bit for bit."""
-        return DesignPoint(a=_lerp(self.a_min, self.a_max, ua),
-                           c=_lerp(self.c_min, self.c_max, uc))
-
-
-def _lerp(lo: float, hi: float, u: float) -> float:
-    # lo + 1.0 * (hi - lo) can round one ulp off hi, either way; below 1.0,
-    # u * (hi - lo) falls short of hi - lo by more than its rounding error
-    return hi if u == 1.0 else lo + u * (hi - lo)
+    def unmap(self, ua, uc):
+        """``(a, c)`` at unit-square coordinates, arrays that broadcast
+        together: ``min + u * (max - min)`` on each axis, and max at u = 1.0,
+        where the sum can round one ulp off it (below, it falls short of max
+        by more).  The lattice and the ascent take their designs from it."""
+        return tuple(np.where(u == 1.0, hi, lo + u * (hi - lo)) for u, lo, hi in
+                     ((ua, self.a_min, self.a_max), (uc, self.c_min, self.c_max)))
 
 
 @dataclass(frozen=True)
@@ -133,34 +127,32 @@ class OptimizationResult:
     maps: dict | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
-def classical_values(setup: ModelSetup):
-    """Design function of the classical problem: the braking force (kN) at
-    the nominal loads, one kernel call per batch, nan where den1 is
-    singular."""
-    load = setup.nominal
-    axial = mechmodel.cam_axial(setup.fric, math.sin(load.alpha), math.cos(load.alpha))
-
-    def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        fh, _, _ = mechmodel.braking_force_ensemble(
-            setup.geom, setup.fric, load.Fg, load.Fb, axial, load.Fs, a=a, c=c)
-        return fh
-    return values_at
-
-
-def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
-    """``fh_at(a, c)``: the braking forces over the common-random-numbers
-    ensemble of the drawn ``uniforms`` at design (a, c).  The uniforms go
-    through :func:`mc_uq.sample_inputs` once, here, and so does the cam's
-    design-invariant :func:`mechmodel.cam_axial`."""
-    _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
+def _fh_at(setup: ModelSetup, sin_a, cos_a, fs):
+    """``fh_at(a, c)``: the braking forces at design (a, c) under the cam
+    angle ``(sin_a, cos_a)`` and spring force ``fs``, scalars or samples; one
+    kernel call, nan where den1 is singular.  The cam term is computed here."""
     axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
     load = setup.nominal
 
-    def fh_at(a: float, c: float) -> np.ndarray:
+    def fh_at(a, c) -> np.ndarray:
         fh, _, _ = mechmodel.braking_force_ensemble(
             setup.geom, setup.fric, load.Fg, load.Fb, axial, fs, a=a, c=c)
         return fh
     return fh_at
+
+
+def classical_values(setup: ModelSetup):
+    """Design function of the classical problem: the braking force (kN) at
+    the nominal operating point, one kernel call per batch."""
+    load = setup.nominal
+    return _fh_at(setup, math.sin(load.alpha), math.cos(load.alpha), load.Fs)
+
+
+def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
+    """``fh_at(a, c)`` over the common-random-numbers ensemble of the drawn
+    ``uniforms``, which go through :func:`mc_uq.sample_inputs` once, here."""
+    _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
+    return _fh_at(setup, sin_a, cos_a, fs)
 
 
 def _per_design_values(fh_at, value_of):
@@ -260,14 +252,12 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     the dense row-major nx x ny lattice of the box, in blocks of whole rows
     of at most ``_BLOCK`` designs (one row if a row is longer), each asked
     for as a ``(k, 1)`` column of a against the ``(ny,)`` row of c and stored
-    as it comes.  The axes are those of :meth:`DesignBox.unmap`.  A cell's
-    value does not depend on its block."""
+    as it comes.  The axes are :meth:`DesignBox.unmap` of ``i / (n - 1)``, the
+    coordinates at which the ascent starts.  A cell's value does not depend
+    on its block."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    # _lerp's operations in its order, with its u == 1.0 case as the last entry
-    a_values, c_values = (lo + np.arange(n) / (n - 1) * (hi - lo) for lo, hi, n in
-                          ((box.a_min, box.a_max, nx), (box.c_min, box.c_max, ny)))
-    a_values[-1], c_values[-1] = box.a_max, box.c_max
+    a_values, c_values = box.unmap(np.arange(nx) / (nx - 1), np.arange(ny) / (ny - 1))
     values = np.empty((nx, ny))
     rows = max(1, _BLOCK // ny)
     for i in range(0, nx, rows):
@@ -330,16 +320,14 @@ def _optimize(box: DesignBox, cells, values_at) -> OptimizationResult:
     def evaluate(points: list) -> list:
         nonlocal evaluations
         evaluations += len(points)
-        designs = [box.unmap(*p) for p in points]
-        a, c = np.array([(s.a, s.c) for s in designs]).T
-        return values_at(a, c).tolist()
+        return values_at(*box.unmap(*np.array(points).T)).tolist()
 
     ends = [_ascent((i / (nx - 1), j / (ny - 1)), float(values[i, j]), evaluate)
             for i, j in starts]
     u, objective = max(ends, key=lambda end: end[1])
     return OptimizationResult(
-        s_opt=box.unmap(*u), objective=objective, evaluations=evaluations,
-        certificate_value=cert[1], certificate_point=cert[0])
+        s_opt=DesignPoint(*map(float, box.unmap(*u))), objective=objective,
+        evaluations=evaluations, certificate_value=cert[1], certificate_point=cert[0])
 
 
 def optimize_classical(

@@ -293,13 +293,18 @@ def test_every_command_takes_the_common_options_and_uq_alone_the_freeze_flags(ca
                     cli._parse_args(argv)
                 assert usage.value.code == 2
                 assert f"{flag} applies to uq only, not to {command}" in capsys.readouterr().err
+    # a grid that is not NxM is a usage error of the parser
+    with pytest.raises(SystemExit) as usage:
+        cli._parse_args(["eval", "--grid", "5by3"])
+    assert usage.value.code == 2
+    assert "grid must look like 101x51" in capsys.readouterr().err
     # the one help lists every command with its description
     with pytest.raises(SystemExit) as done:
         cli._parse_args(["-h"])
     assert done.value.code == 0
     out = capsys.readouterr().out
     for command in ("eval", "uq", "opt-classical", "opt-robust", "contour"):
-        assert re.search(rf"^  {command} +{re.escape(cli._COMMANDS[command])}$", out, re.M)
+        assert re.search(rf"^  {command} +{re.escape(cli._COMMANDS[command][1])}$", out, re.M)
     with pytest.raises(SystemExit) as done:
         cli._parse_args(["--version"])
     assert (done.value.code, capsys.readouterr().out) == (0, f"brakeopt {__version__}\n")
@@ -360,11 +365,60 @@ def test_seed_and_nu_flags_write_the_same_bytes_as_the_file_keys(tmp_path):
     assert read_bytes(tmp_path / "flags", UQ_FILES) == read_bytes(tmp_path / "file", UQ_FILES)
 
 
-@pytest.mark.parametrize("flags", [["--nu", 0], ["--grid", "1x5"]])
+@pytest.mark.parametrize("flags", [["--nu", 0], ["--grid", "1x5"], ["--seed", -1]])
 def test_out_of_range_flags_map_to_validation_code(tmp_path, capsys, flags):
     assert run(["uq", "--out", tmp_path / "o", *flags]) == 11
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
     assert not (tmp_path / "o").exists()
+
+
+def shipped_with(old, new):
+    """The shipped config's document with the line ``old`` replaced by ``new``."""
+    doc = config_to_text(default_config())
+    assert old in doc
+    return doc.replace(old, new)
+
+
+@pytest.mark.parametrize("doc, error, code", [
+    pytest.param(shipped_with("random.alpha_hi_deg: 18.0\n", "random.alpha_hi_deg: 0.0\n"),
+                 "ValidationError", 11, id="alpha-support-empty"),
+    pytest.param(shipped_with("random.fs_hi_kN: 56.0\n", "random.fs_hi_kN: 0.0\n"),
+                 "ValidationError", 11, id="fs-support-empty"),
+    pytest.param(shipped_with("random.alpha_hi_deg: 18.0\n", "random.alpha_hi_deg: 90.0\n"),
+                 "ValidationError", 11, id="alpha-support-past-90-deg"),
+    pytest.param(shipped_with("random.fs_lo_kN: 0.0\n", "random.fs_lo_kN: -1.0\n"),
+                 "ValidationError", 11, id="fs-support-negative"),
+    pytest.param(shipped_with("random.alpha_mean_deg: 6.0\n", "random.alpha_mean_deg: 18.0\n"),
+                 "MeanOutOfSupport", 14, id="alpha-mean-on-the-bound"),
+    pytest.param(shipped_with("loads.Fg_kN: 50.0\n", "loads.Fg_kN: -1.0\n"),
+                 "ValidationError", 11, id="negative-load"),
+    pytest.param("", "ParseError", 10, id="empty-document"),
+    pytest.param("- geometry.a_mm: 55.0\n", "ParseError", 10, id="not-a-mapping"),
+])
+def test_a_config_its_sections_refuse_fails_before_any_output(tmp_path, capsys, doc, error,
+                                                              code):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(doc)
+    assert run(["uq", "--config", bad, "--out", tmp_path / "o", "--nu", 64]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == (error, code)
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_range_too_narrow_for_sturges_bins_takes_one_bin(tmp_path):
+    # Fs on [42, 42 + 3 ulps] with the angle frozen: the 300 forces span a
+    # few ulps, where numpy makes at most 8 of Sturges' 10 equal bins
+    doc = shipped_with("random.fs_lo_kN: 0.0\n", "random.fs_lo_kN: 42.0\n")
+    doc = doc.replace("random.fs_hi_kN: 56.0\n", "random.fs_hi_kN: 42.000000000000014\n")
+    doc = doc.replace("random.fs_mean_kN: 42.0\n", "random.fs_mean_kN: 42.00000000000001\n")
+    path = tmp_path / "narrow.yaml"
+    path.write_text(doc)
+    out = tmp_path / "o"
+    assert run(["uq", "--config", path, "--freeze-alpha", 6, "--nu", 300, "--out", out]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["evaluated"] == 300 and stats["stats_kN"]["min"] < stats["stats_kN"]["max"]
+    assert stats["histogram"] == {"counts": [300], "edges_kN": [stats["stats_kN"]["min"],
+                                                               stats["stats_kN"]["max"]]}
 
 
 @pytest.mark.parametrize("nu", [_NU_MAX + 1, 10**40])

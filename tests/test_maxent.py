@@ -22,12 +22,12 @@ from brakeopt import (
     MeanOutOfSupport,
     TruncatedExponential,
     ValidationError,
-    build_input_model,
     draw_uniform_matrix,
     fit_truncexp,
     mean_of,
     sample_inverse_cdf,
 )
+from brakeopt.config import default_config, input_model_from
 from oracles import cdf, pdf
 
 # oracle-fitted rates for the shipped supports/means
@@ -102,6 +102,16 @@ def test_mean_series_joins_direct_branch_smoothly():
             dist = TruncatedExponential(0.0, 1.0, z)
             exact = float(1 / mp.mpf(z) - 1 / (mp.e ** mp.mpf(z) - 1))
             assert mean_of(dist) == pytest.approx(exact, abs=1e-14)
+
+
+def test_mean_of_a_steep_law_matches_the_oracle():
+    # |z| >= 700, where e^z overflows or 1/(e^z - 1) is below the last bit of
+    # 1/z; a config reaches z >= 700 with random.alpha_mean_deg: 1e-300
+    with mp.workdps(40):
+        for z in (1000.0, -1000.0):
+            dist = TruncatedExponential(0.0, 1.0, z)
+            exact = float(1 / mp.mpf(z) - 1 / (mp.e ** mp.mpf(z) - 1))
+            assert mean_of(dist) == pytest.approx(exact, rel=1e-15)
 
 
 def test_fit_round_trip_random_supports():
@@ -191,21 +201,25 @@ def test_sampler_mean_statistical_check():
     assert abs(draws.mean() - 6.0) < 4.0 * std / math.sqrt(4096)
 
 
-SHIPPED_INPUTS = dict(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
-                      fs_lo=0.0, fs_hi=56.0, fs_mean=42.0)
+def input_model_with(**random):
+    """The input model of ``config.input_model_from``: the shipped config,
+    in which the ``random.*`` fields named in ``random`` take its values."""
+    cfg = default_config()
+    return input_model_from(dataclasses.replace(
+        cfg, random=dataclasses.replace(cfg.random, **random)))
 
 
-def test_build_input_model_default_shapes():
-    model = build_input_model(**SHIPPED_INPUTS)
+def test_input_model_default_shapes():
+    model = input_model_with()
     assert model.alpha_dist.rate > 0  # decaying over [0, 18]
     assert model.fs_dist.rate < 0     # increasing over [0, 56]
 
 
-def test_build_input_model_uniform_and_error_cases():
-    model = build_input_model(**{**SHIPPED_INPUTS, "fs_mean": 28.0})
+def test_input_model_uniform_and_error_cases():
+    model = input_model_with(fs_mean_kN=28.0)
     assert model.fs_dist.rate == 0.0
     with pytest.raises(MeanOutOfSupport):
-        build_input_model(**{**SHIPPED_INPUTS, "fs_mean": 60.0})
+        input_model_with(fs_mean_kN=60.0)
 
 
 def test_invalid_support_and_uniform_draw():

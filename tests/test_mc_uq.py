@@ -13,7 +13,6 @@ from brakeopt import (
     LoadCase,
     ValidationError,
     braking_force,
-    build_input_model,
     convergence_trace,
     draw_uniform_matrix,
     propagate,
@@ -23,7 +22,7 @@ from brakeopt import (
 from brakeopt import maxent, mc_uq, mechmodel, optimizer
 from brakeopt.mc_uq import sturges_bins, uniform_row
 from oracles import cdf, pdf
-from test_maxent import EDGE_US, law_of, oracle_sample_inverse_cdf
+from test_maxent import EDGE_US, input_model_with, law_of, oracle_sample_inverse_cdf
 
 
 def test_rows_derive_from_index_alone():
@@ -181,8 +180,8 @@ def test_monte_carlo_moments_match_the_exact_reference(cfg, input_model, exact, 
 
 def test_propagate_point_mass_limit_reduces_to_nominal(cfg):
     eps = 1e-9
-    model = build_input_model(alpha_lo=6.0 - eps, alpha_hi=6.0 + eps, alpha_mean=6.0,
-                              fs_lo=42.0 - eps, fs_hi=42.0 + eps, fs_mean=42.0)
+    model = input_model_with(alpha_lo_deg=6.0 - eps, alpha_hi_deg=6.0 + eps, alpha_mean_deg=6.0,
+                             fs_lo_kN=42.0 - eps, fs_hi_kN=42.0 + eps, fs_mean_kN=42.0)
     ens = propagate(model, draw_uniform_matrix(5, 256),
                     cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     assert np.all(np.abs(ens.outputs - 7.2693735011397308) < 1e-6)
@@ -221,8 +220,8 @@ def test_propagate_columns_are_read_only_and_equal_sample_inputs(cfg, input_mode
 def test_uniform_spring_force_gives_flat_topped_output(cfg):
     # with the spring-force marginal degenerated to uniform and the angle
     # frozen, the affine response keeps the output density flat
-    model = build_input_model(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
-                              fs_lo=0.0, fs_hi=56.0, fs_mean=28.0)
+    model = input_model_with(alpha_lo_deg=0.0, alpha_hi_deg=18.0, alpha_mean_deg=6.0,
+                             fs_lo_kN=0.0, fs_hi_kN=56.0, fs_mean_kN=28.0)
     ens = propagate(model, draw_uniform_matrix(13, 8192),
                     cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN,
                     freeze_alpha_deg=6.0)
@@ -247,6 +246,8 @@ def test_summarize_histogram_counts_and_quantile_sandwich(ensemble):
     stats = summarize(ensemble.outputs)
     assert int(stats.hist_counts.sum()) == ensemble.nu
     assert len(stats.hist_edges) == sturges_bins(ensemble.nu) + 1
+    # log2(300) = 8.2: Sturges' rule takes its ceiling
+    assert len(summarize(ensemble.outputs[:300]).hist_counts) == 10
     assert stats.min <= stats.ci95[0] <= stats.mean <= stats.ci95[1] <= stats.max
     q = np.quantile(ensemble.outputs, [0.025, 0.5, 0.975])
     assert stats.min <= q[0] <= q[1] <= q[2] <= stats.max
@@ -266,6 +267,9 @@ def test_point_mass_has_zero_spread_and_no_kde():
     assert stats.std == 0.0 and stats.min == stats.max == x[0]
     assert stats.ci95 == (x[0], x[0])
     assert stats.kde_grid is None and stats.kde_density is None
+    # numpy's edges 0.5 either side of the constant, in Sturges' bins
+    assert len(stats.hist_counts) == sturges_bins(3)
+    assert (stats.hist_edges[0], stats.hist_edges[-1]) == (x[0] - 0.5, x[0] + 0.5)
 
 
 def test_trace_small_sample():
@@ -426,8 +430,8 @@ def test_streamed_transform_has_the_bits_of_the_listed_one(input_model, freeze):
 def test_sample_inputs_keep_the_bits_of_the_per_call_law(fs_mean, law):
     # the shipped model, and its spring force moved to the uniform law and
     # to rate * width = -5600, past the expm1 overflow
-    model = build_input_model(alpha_lo=0.0, alpha_hi=18.0, alpha_mean=6.0,
-                              fs_lo=0.0, fs_hi=56.0, fs_mean=fs_mean)
+    model = input_model_with(alpha_lo_deg=0.0, alpha_hi_deg=18.0, alpha_mean_deg=6.0,
+                             fs_lo_kN=0.0, fs_hi_kN=56.0, fs_mean_kN=fs_mean)
     assert law_of(model.fs_dist) == law and law_of(model.alpha_dist) == "regular"
     edges = np.array([EDGE_US, EDGE_US[::-1]]).T
     uniforms = np.concatenate([draw_uniform_matrix(4, 2000), edges])
@@ -503,10 +507,7 @@ def streamed_layer_samples(cfg, input_model):
 def test_blocked_kde_has_the_bits_of_the_single_matrix(cfg, input_model):
     assert mc_uq._KDE_GRID % mc_uq._KDE_ROWS == 0 and mc_uq._KDE_ROWS < mc_uq._KDE_GRID
     for x in streamed_layer_samples(cfg, input_model):
-        # the step itself: summarize's histogram rejects the last sample,
-        # whose range of one ulp is too narrow for its bins
-        lo, hi, _, std = mc_uq.sample_stats(x)
-        for got, want in zip(mc_uq.kde(x, lo, hi, std), single_matrix_kde(x)):
+        for got, want in zip(kde(x), single_matrix_kde(x)):
             assert got.tobytes() == want.tobytes()
 
 

@@ -16,6 +16,7 @@ from brakeopt import (
     FrictionSet,
     LoadCase,
     SingularDenominator,
+    SingularSystem,
     ValidationError,
     braking_force,
     solve_equilibrium,
@@ -147,6 +148,14 @@ def test_singular_n4_denominator_raises(fric):
     with pytest.raises(SingularDenominator) as err:
         braking_force(geom, fric, LoadCase(**NOMINAL))
     assert "n+l" in err.value.name
+
+
+def test_singular_plant_is_a_singular_system_of_the_linear_solve(geom, fric):
+    # the shipped plant at m = 9.975 (geometry.m_mm in a config): den4 = mu4*(n+l) - m
+    # is 0, and so is the determinant of the 6x6 system
+    with pytest.raises(SingularSystem) as err:
+        solve_equilibrium(dataclasses.replace(geom, m=9.975), fric, LoadCase(**NOMINAL))
+    assert err.value.exit_code == 13
 
 
 def test_singular_n1_denominator_raises(fric):

@@ -203,13 +203,12 @@ OFF_BY_ONE_ULP_BOXES = [DesignBox(8.2, 49.63, 50.0, 55.0), DesignBox(24.599, 58.
 
 
 def test_design_box_unmap():
-    box = DesignBox()
-    corner = box.unmap(1.0, 0.0)
-    assert (corner.a, corner.c) == (60.0, 50.0)
+    a, c = DesignBox().unmap(np.array([1.0]), np.array([0.0]))
+    assert (a.tolist(), c.tolist()) == ([60.0], [50.0])
     # the last box rounds a_min + 1.0 * (a_max - a_min) one ulp below a_max
     for box in [*OFF_BY_ONE_ULP_BOXES, DesignBox(16.54, 100.46, 50.0, 55.0)]:
-        assert box.unmap(0.0, 0.0) == DesignPoint(a=box.a_min, c=box.c_min)
-        assert box.unmap(1.0, 1.0) == DesignPoint(a=box.a_max, c=box.c_max)
+        a, c = box.unmap(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert (a.tolist(), c.tolist()) == ([box.a_min, box.a_max], [box.c_min, box.c_max])
 
 
 @settings(max_examples=300)
@@ -218,9 +217,11 @@ def test_unmap_maps_the_unit_interval_into_the_box(lo_um, width_um, u):
     # bounds in whole micrometres, as a config spells them
     lo, hi = lo_um / 1000, (lo_um + width_um) / 1000
     box = DesignBox(a_min=lo, a_max=hi, c_min=lo, c_max=hi)
-    assert box.unmap(0.0, 1.0) == DesignPoint(a=lo, c=hi)
-    for x in (u, math.nextafter(1.0, 0.0)):
-        assert lo <= box.unmap(x, x).a <= hi
+    a, c = box.unmap(np.array([0.0]), np.array([1.0]))
+    assert (a.tolist(), c.tolist()) == ([lo], [hi])
+    x = np.array([u, math.nextafter(1.0, 0.0)])
+    for values in box.unmap(x, x):
+        assert np.all((lo <= values) & (values <= hi))
 
 
 @settings(max_examples=300)
@@ -233,10 +234,11 @@ def test_the_map_and_the_ascent_share_one_lattice(a_um, a_width_um, c_um, c_widt
     box = DesignBox(a_min=a_um / 1000, a_max=(a_um + a_width_um) / 1000,
                     c_min=c_um / 1000, c_max=(c_um + c_width_um) / 1000)
     a_values, c_values, _ = grid_scan(box, nx, ny, lambda a, c: np.zeros(a.shape))
+    # the ascent starts at the Python floats i / (nx - 1) and j / (ny - 1)
     for i in range(nx):
-        assert same_bits(a_values[i], box.unmap(i / (nx - 1), 0.0).a)
+        assert same_bits(a_values[i], box.unmap(i / (nx - 1), 0.0)[0])
     for j in range(ny):
-        assert same_bits(c_values[j], box.unmap(0.0, j / (ny - 1)).c)
+        assert same_bits(c_values[j], box.unmap(0.0, j / (ny - 1))[1])
 
 
 @pytest.mark.parametrize("box", OFF_BY_ONE_ULP_BOXES, ids=["a_max-49.63", "a_max-58.9"])
@@ -515,12 +517,12 @@ def test_two_samples_are_enough_for_a_std_term(setup, input_model):
 
 def row_by_row(box, nx, ny, values_at):
     """Oracle: the lattice as it was before the blocks, one ``values_at``
-    call per row; kept verbatim but for its axes, which it takes from the
-    ascent's mapping ``_lerp``, as the lattice does."""
+    call per row; kept verbatim but for its axes, which it takes point by
+    point from the ascent's mapping ``DesignBox.unmap``, as the lattice does."""
     if nx < 2 or ny < 2:
         raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
-    a_values = np.array([optimizer._lerp(box.a_min, box.a_max, i / (nx - 1)) for i in range(nx)])
-    c_values = np.array([optimizer._lerp(box.c_min, box.c_max, j / (ny - 1)) for j in range(ny)])
+    a_values = np.array([float(box.unmap(i / (nx - 1), 0.0)[0]) for i in range(nx)])
+    c_values = np.array([float(box.unmap(0.0, j / (ny - 1))[1]) for j in range(ny)])
     values = np.empty((nx, ny))
     for i, a in enumerate(a_values):
         values[i] = values_at(np.full(ny, a), c_values)
@@ -804,12 +806,12 @@ def test_each_ascent_request_is_one_values_at_call_of_its_own_points(monkeypatch
     ascent = optimizer._ascent
 
     def recorded(u0, f0, evaluate):
-        start = dataclasses.astuple(box.unmap(*u0))
+        start = tuple(map(float, box.unmap(*u0)))
         mine = []
         requests.append((start, f0, mine))
 
         def asked(points):
-            mine.append([dataclasses.astuple(box.unmap(*p)) for p in points])
+            mine.append([tuple(map(float, box.unmap(*p))) for p in points])
             return evaluate(points)
         return ascent(u0, f0, asked)
     monkeypatch.setattr(optimizer, "_ascent", recorded)

@@ -86,9 +86,10 @@ class McSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.nu, int) and 1 <= self.nu <= _NU_MAX):
+        # type(), not isinstance(): a bool is an int
+        if not (type(self.nu) is int and 1 <= self.nu <= _NU_MAX):
             raise ValidationError(f"mc.nu must be an integer in [1, {_NU_MAX}]", self.nu)
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValidationError("mc.seed must be a 64-bit unsigned integer", self.seed)
 
 

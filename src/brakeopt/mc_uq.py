@@ -145,8 +145,9 @@ def propagate(
     for i in range(0, len(uniforms), _BLOCK):
         part = slice(i, i + _BLOCK)
         axial = mechmodel.cam_axial(fric, sin_a[part], cos_a[part])
+        spring = mechmodel.spring_terms(geom, fric, Fg, Fb, fs[part], geom.a)
         fh[part], valid[part], _ = mechmodel.braking_force_ensemble(
-            geom, fric, Fg, Fb, axial, fs[part])
+            geom, fric, axial, spring, geom.c)
 
     for arr in (alpha_deg, fs, fh, valid):
         arr.setflags(write=False)

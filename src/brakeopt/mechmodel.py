@@ -9,13 +9,14 @@ total braking force Fh.
 Two independent evaluation routes are provided:
 
 * The closed-form solution obtained by eliminating the reactions by hand
-  (N4 first, then N1, N2, N3), written once in ``_closed_form``.
-  ``braking_force_ensemble`` evaluates it over sample arrays, and
-  ``braking_force`` is the same body on one sample.  The cam angle enters
-  it only through ``cam_axial``, which does not depend on the design, so a
-  caller that evaluates one ensemble at many designs computes it once.  A
-  singular den4 raises on both routes; a singular den1 raises on the scalar
-  route and is masked per entry on the ensemble route.
+  (N4 first, then N1, N2, N3), written once in two stages over sample
+  arrays: the row stage ``spring_terms`` (the loads, the spring force and
+  the length a) and the cell stage ``braking_force_ensemble`` (the cam's
+  axial factor and the length c); ``braking_force`` is the same two stages
+  on one sample.  A caller that evaluates one ensemble at many designs
+  computes ``cam_axial`` once and the spring terms once per value of a.  A
+  singular den4 raises on both routes; a singular den1 raises on the
+  scalar route and is masked per entry on the ensemble route.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -105,7 +106,7 @@ class LoadCase:
 class EquilibriumSolution:
     """Complete force state for one load case.
 
-    ``valid`` is True only when N1, N2 >= 0 (N3, N4 follow, see _closed_form),
+    ``valid`` is True only when N1, N2 >= 0 (N3, N4 follow, see _cell_stage),
     i.e. the contacts actually press.  Negative normals are reported as-is
     (never clamped) so that optimization can probe infeasible regions.
     """
@@ -130,12 +131,28 @@ def cam_axial(fric: FrictionSet, sin_a, cos_a):
     return fric.mu1 * sin_a + cos_a
 
 
-def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c):
-    """The closed form, elementwise over scalars or broadcastable arrays of
-    the cam's ``axial`` factor (see :func:`cam_axial`), the spring force and
-    the lengths a and c, which stand in for ``geom.a`` and ``geom.c``.
-    Returns ``(den1, n1, n2, n3, n4, fh)``.  Both public routes evaluate
-    this one body, which keeps them bitwise identical.
+def spring_terms(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, Fs, a):
+    """The row stage of the closed form, elementwise over scalars or
+    broadcastable arrays of the loads, the spring force and the length a
+    (in place of ``geom.a``): ``(Fs*a, N4, N4 - a*mu2*Fs/dwe, mu4*N4)``.
+    den4 is divided by unchecked, under the kernel's ``np.errstate`` flags;
+    the kernel tests it."""
+    # as an array, so a zero den4 (and den1 on one sample) gives inf, no ZeroDivisionError
+    Fs = np.asarray(Fs, dtype=float)
+    dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
+    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fsa = Fs * a
+        n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
+        return fsa, n4, n4 - a * fric.mu2 * Fs / dwe, fric.mu4 * n4
+
+
+def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, axial, spring, c):
+    """The rest of the closed form, elementwise over the cam's ``axial``
+    factor (see :func:`cam_axial`), the terms ``spring`` of
+    :func:`spring_terms` and the length c, which stands in for ``geom.c``.
+    Returns ``(den1, n1, n2, n3, fh)``.  Both public routes evaluate the two
+    stages in turn, which keeps them bitwise identical.
 
     den4 depends on the plant alone, so it is tested here, once for both
     routes: a singular den4 raises SingularDenominator.  Evaluation order N4
@@ -149,46 +166,45 @@ def _closed_form(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, axial, Fs, a, c
     N4 >= x >= 0.  Where den1 < 0, N4 = N3 holds in exact arithmetic; the
     property tests check the roots of N1 and N2 there.
     """
-    dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
+    dwe = geom.d + geom.e * fric.mu2
     den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
-    fsa = Fs * a
-    n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
-    n1 = (n4 - a * fric.mu2 * Fs / dwe) / den1
-    n2 = (fsa + (geom.b * fric.mu1 - c) * n1) / dwe
+    fsa, _, num1, t4 = spring
+    n1 = num1 / den1
+    n2 = (geom.b * fric.mu1 - c) * n1
+    n2 += fsa  # = (Fs*a + (b*mu1 - c)*N1) / dwe, in place as below
+    n2 /= dwe
     t2 = fric.mu2 * n2
     n3 = axial * n1
     n3 += t2  # = T2 + axial*N1: addition commutes, and in place spares a temporary
     fh = fric.mu1 * n1
     fh += t2
     fh += (geom.f / geom.R) * n3
-    fh += fric.mu4 * n4
-    return den1, n1, n2, n3, n4, fh
+    fh += t4
+    return den1, n1, n2, n3, fh
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh:
-    the ensemble body on one sample.  Raises SingularDenominator at a
-    singular denominator: den4 in the body, then den1."""
-    # Fs as np.float64: a zero den1 gives inf under errstate, no ZeroDivisionError
+    the ensemble's two stages on one sample.  Raises SingularDenominator at
+    a singular denominator: den4 in the cell stage, then den1."""
+    spring = spring_terms(geom, fric, load.Fg, load.Fb, load.Fs, geom.a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, n1, n2, n3, n4, fh = _closed_form(
-            geom, fric, load.Fg, load.Fb,
-            cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)),
-            np.float64(load.Fs), geom.a, geom.c)
+        den1, n1, n2, n3, fh = _cell_stage(
+            geom, fric, cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)),
+            spring, geom.c)
     if abs(den1) <= SINGULAR_TOL:
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
-    n1, n2, n3, n4 = float(n1), float(n2), float(n3), float(n4)
-    t4 = fric.mu4 * n4
+    n1, n2, n3, n4, t4 = map(float, (n1, n2, n3, spring[1], spring[3]))
     return EquilibriumSolution(
         N1=n1, N2=n2, N3=n3, N4=n4,
         T1=fric.mu1 * n1, T2=fric.mu2 * n2, T3=(geom.f / geom.R) * n3, T4=t4,
         Rx=n4 - load.Fs,
         Ry=t4 - (load.Fg + load.Fb) / 2,
         Fh=float(fh),
-        valid=n1 >= 0 and n2 >= 0,  # N3, N4 follow, see _closed_form
+        valid=n1 >= 0 and n2 >= 0,  # N3, N4 follow, see _cell_stage
     )
 
 
@@ -257,11 +273,11 @@ def trig_arrays(alpha_rad):
             np.fromiter(map(math.cos, values), float, len(values)))
 
 
-def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
-    """Vectorized closed form over sample arrays of the cam's ``axial``
-    factor (:func:`cam_axial` of the sampled angles) and the spring force,
-    and of the design lengths ``a`` and ``c`` (default ``geom.a``,
-    ``geom.c``), all broadcast together.
+def braking_force_ensemble(geom, fric, axial, spring, c):
+    """The cell stage of the closed form, vectorized over sample arrays of
+    the cam's ``axial`` factor (:func:`cam_axial` of the sampled angles), of
+    the terms ``spring`` of :func:`spring_terms` and of the length ``c``
+    (in place of ``geom.c``), all broadcast together.
 
     Returns ``(fh, valid, ok)``.  ``ok`` has den1's shape, which broadcasts
     against fh's; it is False where den1 is singular, and the entries of fh
@@ -269,12 +285,9 @@ def braking_force_ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
     A singular den4 raises SingularDenominator, as in :func:`braking_force`.
     """
     axial = np.asarray(axial, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
-    a = geom.a if a is None else a
-    c = geom.c if c is None else c
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, n1, n2, _, _, fh = _closed_form(geom, fric, Fg, Fb, axial, Fs, a, c)
-        valid = np.minimum(n1, n2) >= 0  # N3, N4 follow, see _closed_form
+        den1, n1, n2, _, fh = _cell_stage(geom, fric, axial, spring, c)
+        valid = np.minimum(n1, n2) >= 0  # N3, N4 follow, see _cell_stage
         ok = np.abs(den1) > SINGULAR_TOL
         if not ok.all():
             fh = np.where(ok, fh, np.nan)

@@ -25,8 +25,10 @@ over arrays that broadcast together: a block of whole lattice rows, as a
 ``(k, 1)`` column of a against the ``(ny,)`` row of c, or the equal-shape
 points of one request of an ascent.  The classical design function
 (:func:`classical_values`) and the sampled ones of :func:`optimize_robust`,
-which returns its robust and constraint maps, share one kernel closure: the
-design-invariant cam term once, then one kernel call per batch or design.
+which returns its robust and constraint maps, share the closed form's
+stages (:func:`_stages`): the design-invariant cam term once, then per
+batch, or on the sampled route per design, one kernel call, with the
+spring terms of each a (once per lattice row on the sampled route).
 """
 
 from __future__ import annotations
@@ -127,40 +129,58 @@ class OptimizationResult:
     maps: dict | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
-def _fh_at(setup: ModelSetup, sin_a, cos_a, fs):
-    """``fh_at(a, c)``: the braking forces at design (a, c) under the cam
-    angle ``(sin_a, cos_a)`` and spring force ``fs``, scalars or samples; one
-    kernel call, nan where den1 is singular.  The cam term is computed here."""
+def _stages(setup: ModelSetup, sin_a, cos_a, fs):
+    """``(spring_at, fh_at)`` under the cam angle ``(sin_a, cos_a)`` and
+    spring force ``fs``, scalars or samples: ``spring_at(a)`` gives the spring
+    terms of length a, and ``fh_at(spring, c)`` their braking forces at
+    length c, one kernel call, nan where den1 is singular.  The cam term is
+    computed here."""
     axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
-    load = setup.nominal
+    geom, fric, load = setup.geom, setup.fric, setup.nominal
 
-    def fh_at(a, c) -> np.ndarray:
-        fh, _, _ = mechmodel.braking_force_ensemble(
-            setup.geom, setup.fric, load.Fg, load.Fb, axial, fs, a=a, c=c)
+    def spring_at(a):
+        return mechmodel.spring_terms(geom, fric, load.Fg, load.Fb, fs, a)
+
+    def fh_at(spring, c) -> np.ndarray:
+        fh, _, _ = mechmodel.braking_force_ensemble(geom, fric, axial, spring, c)
         return fh
-    return fh_at
+    return spring_at, fh_at
 
 
 def classical_values(setup: ModelSetup):
     """Design function of the classical problem: the braking force (kN) at
-    the nominal operating point, one kernel call per batch."""
+    the nominal operating point, both stages once per batch."""
     load = setup.nominal
-    return _fh_at(setup, math.sin(load.alpha), math.cos(load.alpha), load.Fs)
+    spring_at, fh_at = _stages(setup, math.sin(load.alpha), math.cos(load.alpha), load.Fs)
+    return lambda a, c: fh_at(spring_at(a), c)
 
 
-def _ensemble_fh(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
-    """``fh_at(a, c)`` over the common-random-numbers ensemble of the drawn
+def _ensemble_stages(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
+    """The :func:`_stages` of the common-random-numbers ensemble of the drawn
     ``uniforms``, which go through :func:`mc_uq.sample_inputs` once, here."""
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
-    return _fh_at(setup, sin_a, cos_a, fs)
+    return _stages(setup, sin_a, cos_a, fs)
 
 
-def _per_design_values(fh_at, value_of):
-    """Design function that makes one ensemble call ``fh_at(a, c)`` per design,
-    on two Python floats, and maps its forces to a value with ``value_of``."""
+def _per_design_values(stages, value_of):
+    """Design function that makes one ensemble call per design, on two
+    Python floats, and maps its forces to a value with ``value_of``.  The
+    ``stages = (spring_at, fh_at)`` of :func:`_stages` are walked in
+    request order, and a design whose a equals the one before it takes that
+    design's spring terms, so a lattice row computes them once."""
+    spring_at, fh_at = stages
+
+    def forces(a_list, c_list):
+        last_a = math.nan  # equal to no a
+        for a, c in zip(a_list, c_list):
+            if a != last_a:
+                spring = None  # free the last row's terms first: one row's at a time
+                last_a, spring = a, spring_at(a)
+            yield fh_at(spring, c)
+
     def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         a, c = np.broadcast_arrays(a, c)
-        values = map(value_of, map(fh_at, a.ravel().tolist(), c.ravel().tolist()))
+        values = map(value_of, forces(a.ravel().tolist(), c.ravel().tolist()))
         return np.fromiter(values, float, a.size).reshape(a.shape)
     return values_at
 
@@ -192,7 +212,8 @@ def robust_objective(
     """The robust map at one design: bit-identical to its cell of the
     robust map of :func:`optimize_robust` and to the optimizer's value of a
     feasible design."""
-    return _robust_value(weights, _ensemble_fh(setup, input_model, uniforms)(s.a, s.c))
+    spring_at, fh_at = _ensemble_stages(setup, input_model, uniforms)
+    return _robust_value(weights, fh_at(spring_at(s.a), s.c))
 
 
 def _ascent(u0, f0, evaluate):
@@ -377,9 +398,9 @@ def optimize_robust(
     if weights.beta4 > 0.0 and len(uniforms) < 2:
         raise InsufficientSamples(f"beta4 > 0 needs at least 2 samples, got {len(uniforms)}")
     robust = grid_scan(box, *grid, _per_design_values(
-        _ensemble_fh(setup, input_model, uniforms), lambda fh: _robust_value(weights, fh)))
+        _ensemble_stages(setup, input_model, uniforms), lambda fh: _robust_value(weights, fh)))
     prob = grid_scan(box, *grid, _per_design_values(
-        _ensemble_fh(setup, input_model, uniforms), lambda fh: _constraint_value(cspec, fh)))
+        _ensemble_stages(setup, input_model, uniforms), lambda fh: _constraint_value(cspec, fh)))
     threshold = 1.0 - cspec.p_r
     cells = robust[0], robust[1], np.where(prob[2] >= threshold, robust[2], np.nan)
     if not np.isfinite(cells[2]).any():
@@ -389,13 +410,13 @@ def optimize_robust(
             f"and P(|Fh| > {cspec.y_star}) >= {threshold}; the largest probability is "
             f"{float(prob[2][i, j])!r}, at (a, c) = ({float(prob[0][i])!r}, "
             f"{float(prob[1][j])!r}) mm")
-    fh_at = _ensemble_fh(setup, input_model, uniforms)
+    spring_at, fh_at = _ensemble_stages(setup, input_model, uniforms)
 
     def value_of(fh: np.ndarray) -> float:
         feasible = _constraint_value(cspec, fh) >= threshold
         return _robust_value(weights, fh) if feasible else math.nan
 
-    result = _optimize(box, cells, _per_design_values(fh_at, value_of))
-    fh_opt = fh_at(result.s_opt.a, result.s_opt.c)
+    result = _optimize(box, cells, _per_design_values((spring_at, fh_at), value_of))
+    fh_opt = fh_at(spring_at(result.s_opt.a), result.s_opt.c)
     return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt),
                                maps={"robust": robust, "constraint": prob})

@@ -211,6 +211,14 @@ def test_nu_is_bounded_by_the_largest_uniform_matrix_numpy_accepts():
         np.empty((_NU_MAX + 1, 2))
 
 
+@pytest.mark.parametrize("field", ["nu", "seed"])
+def test_mc_settings_refuse_a_bool(field):
+    # a bool is an int, and True would pass as 1
+    with pytest.raises(ValidationError, match=f"mc.{field}") as err:
+        McSettings(**{field: True})
+    assert err.value.exit_code == 11
+
+
 class _PurePythonLoader(yaml.SafeLoader):
     """The config loader on PyYAML's pure-Python scanner and parser: the
     reference that the libyaml loader is compared against."""

@@ -225,6 +225,8 @@ def test_input_model_uniform_and_error_cases():
 def test_invalid_support_and_uniform_draw():
     with pytest.raises(ValidationError):
         TruncatedExponential(5.0, 5.0, 0.0)
+    with pytest.raises(ValidationError, match="rate must be finite"):
+        TruncatedExponential(0.0, 1.0, math.inf)
     dist = fit_truncexp(0.0, 18.0, 6.0)
     with pytest.raises(ValidationError):
         sample_inverse_cdf(dist, 1.5)

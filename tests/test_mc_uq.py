@@ -449,12 +449,13 @@ def test_sliced_kernel_has_the_bits_of_one_whole_ensemble_call(cfg, input_model,
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms, **freeze)
     args = (cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     axial = mechmodel.cam_axial(cfg.friction, sin_a, cos_a)
-    fh, valid, _ = mechmodel.braking_force_ensemble(*args, axial, fs)
+    spring = mechmodel.spring_terms(*args, fs, cfg.geometry.a)
+    fh, valid, _ = mechmodel.braking_force_ensemble(*args[:2], axial, spring, cfg.geometry.c)
 
     kernel, lengths = mechmodel.braking_force_ensemble, []
 
     def recorded(*call_args, **kwargs):
-        lengths.append(len(call_args[-1]))
+        lengths.append(len(call_args[3][0]))  # the spring terms' Fs*a
         return kernel(*call_args, **kwargs)
 
     monkeypatch.setattr(mechmodel, "braking_force_ensemble", recorded)

@@ -21,7 +21,7 @@ from brakeopt import (
     braking_force,
     solve_equilibrium,
 )
-from brakeopt.mechmodel import braking_force_ensemble, cam_axial, trig_arrays
+from brakeopt.mechmodel import braking_force_ensemble, cam_axial, spring_terms, trig_arrays
 from test_model_properties import exact_equilibrium
 
 # nominal duty point: shipped geometry/friction, Fs = 42 kN, alpha = 6 deg
@@ -175,8 +175,8 @@ def test_ensemble_route_flags_singular_samples_instead_of_raising(fric):
     geom = BrakeGeometry(a=55.0, b=16.6, c=c_sing, d=34.5, e=60.7, f=0.005,
                          l=49.0, m=40.0, n=17.5, R=29.0)
     sin_a, cos_a = trig_arrays([0.0, math.radians(6.0)])
-    fh, valid, ok = braking_force_ensemble(geom, fric, 50.0, 30.0, cam_axial(fric, sin_a, cos_a),
-                                           np.array([42.0, 42.0]))
+    spring = spring_terms(geom, fric, 50.0, 30.0, np.array([42.0, 42.0]), geom.a)
+    fh, valid, ok = braking_force_ensemble(geom, fric, cam_axial(fric, sin_a, cos_a), spring, geom.c)
     assert not ok[0] and math.isnan(fh[0]) and not valid[0]
     assert ok[1] and math.isfinite(fh[1])
 

@@ -42,7 +42,13 @@ from brakeopt import (
     solve_equilibrium,
 )
 from brakeopt.config import default_config, setup_from
-from brakeopt.mechmodel import SINGULAR_TOL, braking_force_ensemble, cam_axial, trig_arrays
+from brakeopt.mechmodel import (
+    SINGULAR_TOL,
+    braking_force_ensemble,
+    cam_axial,
+    spring_terms,
+    trig_arrays,
+)
 from brakeopt.optimizer import ModelSetup
 
 # signed distances from a singular denominator, on both sides of SINGULAR_TOL
@@ -68,6 +74,14 @@ def singular_den4(geom, fric):
     for this plant, or None where den4 is regular."""
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     return ("mu4*(n+l) - m", den4) if abs(den4) <= SINGULAR_TOL else None
+
+
+def ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
+    """The ensemble route as the commands take it: the spring terms of the
+    length a (default ``geom.a``), then one kernel call at the length c
+    (default ``geom.c``)."""
+    spring = spring_terms(geom, fric, Fg, Fb, Fs, geom.a if a is None else a)
+    return braking_force_ensemble(geom, fric, axial, spring, geom.c if c is None else c)
 
 
 def den4_error(call, *args, **kwargs):
@@ -178,15 +192,14 @@ def at_contact_root(geom, fric, Fg, Fb, alpha, Fs):
 def test_scalar_and_ensemble_routes_agree_and_match_the_linear_solve(case):
     geom, fric, Fg, Fb, alphas, forces = case
     sin_a, cos_a = trig_arrays(alphas)
-    ensemble = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb,
-                                 cam_axial(fric, sin_a, cos_a), forces)
+    samples = functools.partial(ensemble, geom, fric, Fg, Fb, cam_axial(fric, sin_a, cos_a), forces)
     loads = [LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha) for alpha, Fs in zip(alphas, forces)]
     want = singular_den4(geom, fric)
     if want is not None:
-        assert den4_error(ensemble) == want
+        assert den4_error(samples) == want
         assert all(den4_error(braking_force, geom, fric, load) == want for load in loads)
         return
-    fh, valid, ok = ensemble()
+    fh, valid, ok = samples()
     for i, (alpha, Fs, load) in enumerate(zip(alphas, forces, loads)):
         try:
             sol = braking_force(geom, fric, load)
@@ -403,7 +416,7 @@ def test_kernel_keeps_the_bits_of_the_plain_formula(call):
     # the oracle takes sin/cos alpha and spells the cam's axial factor
     # itself, so this covers cam_axial and the kernel together
     geom, fric, Fg, Fb, sin_a, cos_a, Fs, design = call
-    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb,
+    kernel = functools.partial(ensemble, geom, fric, Fg, Fb,
                                cam_axial(fric, sin_a, cos_a), Fs, **design)
     want = singular_den4(geom, fric)
     if want is not None:
@@ -426,7 +439,7 @@ def test_design_batch_equals_one_call_per_design(case, data):
     geom, fric, Fg, Fb, alphas, forces = case
     design = data.draw(design_batches(geom))
     axial, Fs = cam_axial(fric, math.sin(alphas[0]), math.cos(alphas[0])), forces[0]
-    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb, axial, Fs)
+    kernel = functools.partial(ensemble, geom, fric, Fg, Fb, axial, Fs)
     designs = list(zip(design["a"].tolist(), design["c"].tolist()))
     want = singular_den4(geom, fric)
     if want is not None:
@@ -446,7 +459,7 @@ def test_scalar_route_is_the_kernel_on_a_batch_of_one(case):
     geom, fric, Fg, Fb, alphas, forces = case
     alpha, Fs = alphas[0], forces[0]
     axial = cam_axial(fric, np.array(math.sin(alpha)), np.array(math.cos(alpha)))
-    kernel = functools.partial(braking_force_ensemble, geom, fric, Fg, Fb, axial, np.array(Fs))
+    kernel = functools.partial(ensemble, geom, fric, Fg, Fb, axial, np.array(Fs))
     scalar = functools.partial(braking_force, geom, fric,
                                LoadCase(Fg=Fg, Fb=Fb, Fs=Fs, alpha=alpha))
     want = singular_den4(geom, fric)
@@ -473,4 +486,4 @@ def test_singular_den4_raises_the_scalar_routes_error_in_every_broadcast_shape()
     for args, design in (((cam_axial(fric, sin_a, cos_a), np.array([40.0, 41.0, 42.0])), {}),
                          ((cam_axial(fric, 0.0, 1.0), 40.0), {"c": np.linspace(50.0, 55.0, 4)}),
                          ((np.array(cam_axial(fric, 0.0, 1.0)), np.array(40.0)), {})):
-        assert den4_error(braking_force_ensemble, geom, fric, 50.0, 30.0, *args, **design) == want
+        assert den4_error(ensemble, geom, fric, 50.0, 30.0, *args, **design) == want

@@ -33,6 +33,7 @@ from brakeopt import (
     summarize,
 )
 from brakeopt import mc_uq, mechmodel, optimizer
+from brakeopt.config import default_config, input_model_from, setup_from
 from brakeopt.optimizer import ModelSetup, OptimizationResult
 from test_model_properties import classical_objective, frictions, lengths, same_bits
 
@@ -81,16 +82,43 @@ def test_robust_objective_degenerate_ensemble(setup, input_model):
 SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
 
 
+def ensemble_fh(setup, input_model, uniforms, a, c):
+    """The braking forces of the ensemble of ``uniforms`` at one design,
+    through the optimizer's two stages."""
+    spring_at, fh_at = optimizer._ensemble_stages(setup, input_model, uniforms)
+    return fh_at(spring_at(a), c)
+
+
 def constraint_at_shipped_design(setup, input_model, cspec, nu):
-    fh_at = optimizer._ensemble_fh(setup, input_model, draw_uniform_matrix(0, nu))
-    return optimizer._constraint_value(cspec, fh_at(55.0, 52.7))
+    fh = ensemble_fh(setup, input_model, draw_uniform_matrix(0, nu), 55.0, 52.7)
+    return optimizer._constraint_value(cspec, fh)
 
 
 def sampled_map(box, grid, setup, input_model, uniforms, value_of):
     """A sampled map as optimize_robust scans it: one ensemble call per cell,
     its braking forces mapped to the cell's value by ``value_of(fh)``."""
-    fh_at = optimizer._ensemble_fh(setup, input_model, uniforms)
-    return grid_scan(box, *grid, optimizer._per_design_values(fh_at, value_of))
+    stages = optimizer._ensemble_stages(setup, input_model, uniforms)
+    return grid_scan(box, *grid, optimizer._per_design_values(stages, value_of))
+
+
+def fresh_map(box, grid, setup, input_model, uniforms, value_of):
+    """Oracle: the sampled map with nothing shared between its cells but the
+    sample transform and the cam term.  Each cell computes its own spring
+    terms and makes one kernel call, which ``value_of(fh)`` maps to its
+    value."""
+    _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
+    axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
+    geom, fric, load = setup.geom, setup.fric, setup.nominal
+
+    def value_at(a, c):
+        spring = mechmodel.spring_terms(geom, fric, load.Fg, load.Fb, fs, a)
+        return value_of(mechmodel.braking_force_ensemble(geom, fric, axial, spring, c)[0])
+
+    def values_at(a, c):
+        a, c = np.broadcast_arrays(a, c)
+        designs = zip(a.ravel().tolist(), c.ravel().tolist())
+        return np.array([value_at(*design) for design in designs]).reshape(a.shape)
+    return grid_scan(box, *grid, values_at)
 
 
 def test_empirical_constraint_trivial_levels(setup, input_model):
@@ -107,7 +135,7 @@ CHOSEN_UNIFORMS = np.array([[0.5, 0.0], [0.5, 0.05], [0.2, 0.9], [0.8, 0.95]])
 def test_a_sample_at_the_constraint_level_is_not_a_hit(setup, input_model):
     # |Fh| > y* is strict: with y* at the k-th least of four distinct |Fh|,
     # the 3 - k samples above it are the hits
-    fh = optimizer._ensemble_fh(setup, input_model, CHOSEN_UNIFORMS)(50.0, 50.0)
+    fh = ensemble_fh(setup, input_model, CHOSEN_UNIFORMS, 50.0, 50.0)
     levels = sorted(abs(f) for f in fh.tolist())
     assert len(set(levels)) == 4
     for k, y_star in enumerate(levels):
@@ -256,7 +284,7 @@ def test_uq_and_robust_optimizer_see_one_ensemble(cfg, setup, input_model):
     ens = propagate(input_model, uniforms, cfg.geometry, cfg.friction,
                     cfg.loads.Fg_kN, cfg.loads.Fb_kN)
     shipped = DesignPoint(a=cfg.geometry.a, c=cfg.geometry.c)
-    fh = optimizer._ensemble_fh(setup, input_model, uniforms)(shipped.a, shipped.c)
+    fh = ensemble_fh(setup, input_model, uniforms, shipped.a, shipped.c)
     assert fh.tobytes() == ens.outputs.tobytes()
     weights = cfg.design.weights
     assert robust_objective(shipped, weights, uniforms, input_model, setup) \
@@ -456,7 +484,9 @@ def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_requ
     assert res.evaluations == 2
     # the map's 231 cells are one block; the one ascent, from the corner
     # (60, 50), takes its value from the map and asks for its two stencil points
-    assert [np.broadcast(kw["a"], kw["c"]).size for _, kw in kernel_calls] == [231, 2]
+    # (the kernel's arguments are geom, fric, axial, the spring terms, whose
+    # first has a's shape, and c)
+    assert [np.broadcast(args[3][0], args[4]).size for args, _ in kernel_calls] == [231, 2]
 
 
 @pytest.mark.parametrize("grid", [(5, 3), (401, 201)], ids=["5x3", "401x201"])
@@ -464,7 +494,7 @@ def test_classical_evaluations_are_the_designs_of_the_ascent_requests(
         setup, kernel_calls, grid):
     res = optimize_classical(DesignBox(), setup, grid=grid)
     nx, ny = grid
-    sizes = [np.broadcast(kw["a"], kw["c"]).size for _, kw in kernel_calls]
+    sizes = [np.broadcast(args[3][0], args[4]).size for args, _ in kernel_calls]
     blocks = -(-nx // max(1, optimizer._BLOCK // ny))  # the map's calls come first
     assert sum(sizes[:blocks]) == nx * ny
     # the one ascent, from the corner (60, 50), asks for its two stencil points
@@ -571,14 +601,21 @@ def test_classical_lattice_blocks_equal_one_call_per_row(setup, nx, ny, at_pole)
     lambda fh: optimizer._constraint_value(ConstraintSpec(y_star=1.1), fh),
 ], ids=["robust", "constraint"])
 def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, kernel_calls,
-                                                       value_of):
-    fh_at = optimizer._ensemble_fh(setup, input_model, draw_uniform_matrix(0, 256))
-    args = (DesignBox(), 21, 11, optimizer._per_design_values(fh_at, value_of))
+                                                       monkeypatch, value_of):
+    stages = optimizer._ensemble_stages(setup, input_model, draw_uniform_matrix(0, 256))
+    args = (DesignBox(), 21, 11, optimizer._per_design_values(stages, value_of))
+    spring_terms, rows = mechmodel.spring_terms, []
+
+    def recorded(*call_args):
+        rows.append(call_args[-1])
+        return spring_terms(*call_args)
+    monkeypatch.setattr(mechmodel, "spring_terms", recorded)
     got = grid_scan(*args)
-    # one ensemble call per cell, at a design of two Python floats
+    # one ensemble call per cell, at a design of two Python floats, and the
+    # spring terms once per lattice row
     assert len(kernel_calls) == 21 * 11
-    assert all(type(kw["a"]) is float and type(kw["c"]) is float
-               for _, kw in kernel_calls)
+    assert all(type(call_args[-1]) is float for call_args, _ in kernel_calls)
+    assert rows == got[0].tolist() and all(type(a) is float for a in rows)
     want = row_by_row(*args)
     assert all(same_bits(x, y) for x, y in zip(got, want))
 
@@ -723,13 +760,68 @@ def test_certificate_and_maps_have_the_bits_of_the_per_cell_lattice(
     assert same_bits(res.certificate_point.a, point.a)
     assert same_bits(res.certificate_point.c, point.c)
 
+    assert_fresh_maps(res, box, grid, setup, input_model, uniforms, weights, cspec)
+
+
+def assert_fresh_maps(res, box, grid, setup, input_model, uniforms, weights, cspec):
+    """Both maps of ``res`` have the bits of :func:`fresh_map`."""
     assert list(res.maps) == ["robust", "constraint"]
-    want = {"robust": sampled_map(box, grid, setup, input_model, uniforms,
-                                  lambda fh: optimizer._robust_value(weights, fh)),
-            "constraint": sampled_map(box, grid, setup, input_model, uniforms,
-                                      lambda fh: optimizer._constraint_value(cspec, fh))}
+    want = {"robust": fresh_map(box, grid, setup, input_model, uniforms,
+                                lambda fh: optimizer._robust_value(weights, fh)),
+            "constraint": fresh_map(box, grid, setup, input_model, uniforms,
+                                    lambda fh: optimizer._constraint_value(cspec, fh))}
     for kind, scan in res.maps.items():
         assert all(same_bits(x, y) for x, y in zip(scan, want[kind], strict=True)), kind
+
+
+@st.composite
+def robust_problems(draw):
+    """(setup, box, grid, uniforms, weights, cspec): a plant with a regular
+    den4 and its loads, a box that may hold the den1 pole of some samples, a
+    lattice of 2..5 x 2..5 cells and 2..64 samples."""
+    b, d, e, l, m, n, R = (draw(lengths) for _ in range(7))
+    fric = FrictionSet(draw(frictions), draw(frictions), draw(frictions))
+    assume(abs(fric.mu4 * (n + l) - m) > mechmodel.SINGULAR_TOL)
+    geom = BrakeGeometry(a=draw(lengths), b=b, c=draw(lengths), d=d, e=e,
+                         f=R * draw(st.floats(0.01, 0.99)), l=l, m=m, n=n, R=R)
+    nominal = LoadCase.from_degrees(Fg=draw(lengths), Fb=draw(lengths), Fs=42.0, alpha_deg=6.0)
+    a_min, c_min = draw(lengths), draw(lengths)
+    box = DesignBox(a_min=a_min, a_max=a_min + draw(st.floats(0.0, 50.0)),
+                    c_min=c_min, c_max=c_min + draw(st.floats(0.0, 50.0)))
+    return (ModelSetup(geom=geom, fric=fric, nominal=nominal), box,
+            (draw(st.integers(2, 5)), draw(st.integers(2, 5))),
+            draw_uniform_matrix(draw(st.integers(0, 3)), draw(st.integers(2, 64))),
+            draw(st.sampled_from((RobustWeights(), STD_ONLY))),
+            ConstraintSpec(y_star=draw(st.floats(0.0, 1.0)), p_r=draw(st.floats(0.05, 0.95))))
+
+
+def pole_example():
+    """The shipped plant and 64 samples of seed 0 on a box whose last c
+    column is the den1 pole of the sample with the largest cam factor: every
+    other sample's den1 changes sign between the last two of three columns,
+    and that sample's den1 is 0 in the last one, so ok is False there."""
+    setup = setup_from(default_config())
+    uniforms = draw_uniform_matrix(0, 64)
+    _, _, sin_a, cos_a = mc_uq.sample_inputs(input_model_from(default_config()), uniforms)
+    geom, fric = setup.geom, setup.fric
+    axial = float(np.max(mechmodel.cam_axial(fric, sin_a, cos_a)))
+    pole = geom.b * fric.mu1 + axial * (geom.d + geom.e * fric.mu2) / fric.mu2
+    box = DesignBox(a_min=50.0, a_max=60.0, c_min=390.0, c_max=pole)
+    return setup, box, (5, 3), uniforms, RobustWeights(), ConstraintSpec()
+
+
+@settings(max_examples=200)
+@given(robust_problems())
+@example(pole_example())
+def test_each_map_cell_has_the_bits_of_its_own_kernel_call(input_model, problem):
+    # the maps compute the spring terms once per lattice row; each cell must
+    # still equal a call that computes its own
+    setup, box, grid, uniforms, weights, cspec = problem
+    try:
+        res = optimize_robust(box, weights, cspec, setup, input_model, uniforms, grid)
+    except NoFeasiblePoint:
+        assume(False)
+    assert_fresh_maps(res, box, grid, setup, input_model, uniforms, weights, cspec)
 
 
 def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatch):

@@ -144,10 +144,10 @@ def propagate(
     valid = np.empty(len(uniforms), dtype=bool)
     for i in range(0, len(uniforms), _BLOCK):
         part = slice(i, i + _BLOCK)
-        axial = mechmodel.cam_axial(fric, sin_a[part], cos_a[part])
+        column = mechmodel.column_terms(
+            geom, fric, mechmodel.cam_axial(fric, sin_a[part], cos_a[part]), geom.c)
         spring = mechmodel.spring_terms(geom, fric, Fg, Fb, fs[part], geom.a)
-        fh[part], valid[part], _ = mechmodel.braking_force_ensemble(
-            geom, fric, axial, spring, geom.c)
+        fh[part], valid[part], _ = mechmodel.braking_force_ensemble(geom, fric, column, spring)
 
     for arr in (alpha_deg, fs, fh, valid):
         arr.setflags(write=False)

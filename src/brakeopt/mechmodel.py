@@ -9,14 +9,17 @@ total braking force Fh.
 Two independent evaluation routes are provided:
 
 * The closed-form solution obtained by eliminating the reactions by hand
-  (N4 first, then N1, N2, N3), written once in two stages over sample
+  (N4 first, then N1, N2, N3), written once in three stages over sample
   arrays: the row stage ``spring_terms`` (the loads, the spring force and
-  the length a) and the cell stage ``braking_force_ensemble`` (the cam's
-  axial factor and the length c); ``braking_force`` is the same two stages
-  on one sample.  A caller that evaluates one ensemble at many designs
-  computes ``cam_axial`` once and the spring terms once per value of a.  A
+  the length a), the column stage ``column_terms`` (the cam's axial factor
+  and the length c, with den1's singular test) and the cell stage
+  ``braking_force_ensemble``, which combines the two; ``braking_force`` is
+  the same three stages on one sample.  A caller that evaluates one
+  ensemble at many designs computes ``cam_axial`` once, the spring terms
+  once per value of a and the column terms once per value of c.  A
   singular den4 raises on both routes; a singular den1 raises on the
-  scalar route and is masked per entry on the ensemble route.
+  scalar route and is masked per entry on the ensemble route, by the
+  ``ok`` mask that the column stage fixes.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -59,7 +62,8 @@ class BrakeGeometry:
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "e", "f", "l", "m", "n", "R"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            # type(), not isinstance(): a bool is an int
+            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValidationError(f"geometry length {name} must be > 0 mm", v)
         if not self.f < self.R:
             raise ValidationError("rolling ratio requires f < R", (self.f, self.R))
@@ -92,9 +96,9 @@ class LoadCase:
     def __post_init__(self):
         for name in ("Fg", "Fb", "Fs"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
+            if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
                 raise ValidationError(f"load {name} must be >= 0 kN", v)
-        if not (0.0 <= self.alpha < math.pi / 2):
+        if type(self.alpha) is bool or not (0.0 <= self.alpha < math.pi / 2):
             raise ValidationError("cam angle must lie in [0, pi/2) rad", self.alpha)
 
     @classmethod
@@ -147,11 +151,33 @@ def spring_terms(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, Fs, a):
         return fsa, n4, n4 - a * fric.mu2 * Fs / dwe, fric.mu4 * n4
 
 
-def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, axial, spring, c):
-    """The rest of the closed form, elementwise over the cam's ``axial``
-    factor (see :func:`cam_axial`), the terms ``spring`` of
-    :func:`spring_terms` and the length c, which stands in for ``geom.c``.
-    Returns ``(den1, n1, n2, n3, fh)``.  Both public routes evaluate the two
+def column_terms(geom: BrakeGeometry, fric: FrictionSet, axial, c):
+    """The column stage of the closed form, elementwise over the cam's
+    ``axial`` factor (see :func:`cam_axial`) and the length c (in place of
+    ``geom.c``): ``(axial, b*mu1 - c, mu2*(b*mu1 - c)/dwe, ok, regular)``.
+
+    den1 = axial + mu2*(b*mu1 - c)/dwe is tested here, once per column:
+    ``regular`` says that no entry of it is singular, and ``ok`` is then a
+    read-only all-True view of den1's shape that holds no data, else the
+    mask, False where den1 is singular.  The one division is by dwe > 0,
+    so no ``np.errstate`` is opened (a classical batch pays two: the row
+    stage's and the kernel's)."""
+    dwe = geom.d + geom.e * fric.mu2
+    bmc = geom.b * fric.mu1 - c
+    shift = fric.mu2 * bmc / dwe
+    ok = np.abs(axial + shift) > SINGULAR_TOL
+    regular = ok.all()
+    if regular:
+        # one read-only True byte on zero strides: np.broadcast_to(True,
+        # ok.shape) at a sixth of its cost, and no mask held
+        ok = np.ndarray(ok.shape, bool, b"\x01", 0, (0,) * ok.ndim)
+    return axial, bmc, shift, ok, regular
+
+
+def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, column, spring):
+    """The rest of the closed form, elementwise over the terms ``column`` of
+    :func:`column_terms` and ``spring`` of :func:`spring_terms`.  Returns
+    ``(den1, n1, n2, n3, fh)``.  Both public routes evaluate the three
     stages in turn, which keeps them bitwise identical.
 
     den4 depends on the plant alone, so it is tested here, once for both
@@ -167,13 +193,14 @@ def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, axial, spring, c):
     property tests check the roots of N1 and N2 there.
     """
     dwe = geom.d + geom.e * fric.mu2
-    den1 = axial + fric.mu2 * (geom.b * fric.mu1 - c) / dwe
+    axial, bmc, shift, _, _ = column
+    den1 = axial + shift
     den4 = fric.mu4 * (geom.n + geom.l) - geom.m
     if abs(den4) <= SINGULAR_TOL:
         raise SingularDenominator("mu4*(n+l) - m", den4)
     fsa, _, num1, t4 = spring
     n1 = num1 / den1
-    n2 = (geom.b * fric.mu1 - c) * n1
+    n2 = bmc * n1
     n2 += fsa  # = (Fs*a + (b*mu1 - c)*N1) / dwe, in place as below
     n2 /= dwe
     t2 = fric.mu2 * n2
@@ -188,14 +215,14 @@ def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, axial, spring, c):
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh:
-    the ensemble's two stages on one sample.  Raises SingularDenominator at
-    a singular denominator: den4 in the cell stage, then den1."""
+    the ensemble's three stages on one sample.  Raises SingularDenominator
+    at a singular denominator: den4 in the cell stage, then den1."""
     spring = spring_terms(geom, fric, load.Fg, load.Fb, load.Fs, geom.a)
+    column = column_terms(
+        geom, fric, cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)), geom.c)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, n1, n2, n3, fh = _cell_stage(
-            geom, fric, cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)),
-            spring, geom.c)
-    if abs(den1) <= SINGULAR_TOL:
+        den1, n1, n2, n3, fh = _cell_stage(geom, fric, column, spring)
+    if not column[4]:  # the column stage found den1 singular
         raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
     n1, n2, n3, n4, t4 = map(float, (n1, n2, n3, spring[1], spring[3]))
     return EquilibriumSolution(
@@ -273,23 +300,23 @@ def trig_arrays(alpha_rad):
             np.fromiter(map(math.cos, values), float, len(values)))
 
 
-def braking_force_ensemble(geom, fric, axial, spring, c):
-    """The cell stage of the closed form, vectorized over sample arrays of
-    the cam's ``axial`` factor (:func:`cam_axial` of the sampled angles), of
-    the terms ``spring`` of :func:`spring_terms` and of the length ``c``
-    (in place of ``geom.c``), all broadcast together.
+def braking_force_ensemble(geom, fric, column, spring):
+    """The cell stage of the closed form, vectorized over the terms
+    ``column`` of :func:`column_terms` (the cam's axial factor of the
+    sampled angles and the length c) and ``spring`` of :func:`spring_terms`,
+    all broadcast together.
 
-    Returns ``(fh, valid, ok)``.  ``ok`` has den1's shape, which broadcasts
-    against fh's; it is False where den1 is singular, and the entries of fh
-    there carry ``fh = nan`` and ``valid = False``.
+    Returns ``(fh, valid, ok)``, where ``ok`` is the column's: it has den1's
+    shape, which broadcasts against fh's, and is False where den1 is
+    singular; the entries of fh there carry ``fh = nan`` and
+    ``valid = False``.  A regular column masks nothing.
     A singular den4 raises SingularDenominator, as in :func:`braking_force`.
     """
-    axial = np.asarray(axial, dtype=float)
+    _, _, _, ok, regular = column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, n1, n2, _, fh = _cell_stage(geom, fric, axial, spring, c)
+        _, n1, n2, _, fh = _cell_stage(geom, fric, column, spring)
         valid = np.minimum(n1, n2) >= 0  # N3, N4 follow, see _cell_stage
-        ok = np.abs(den1) > SINGULAR_TOL
-        if not ok.all():
+        if not regular:
             fh = np.where(ok, fh, np.nan)
             valid &= ok
     return fh, valid, ok

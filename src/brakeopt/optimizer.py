@@ -28,7 +28,8 @@ points of one request of an ascent.  The classical design function
 which returns its robust and constraint maps, share the closed form's
 stages (:func:`_stages`): the design-invariant cam term once, then per
 batch, or on the sampled route per design, one kernel call, with the
-spring terms of each a (once per lattice row on the sampled route).
+spring terms of each a and the column terms of each c, which the sampled
+route computes once per lattice row and once per lattice column.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class DesignBox:
 
     def __post_init__(self):
         bounds = (self.a_min, self.a_max, self.c_min, self.c_max)
-        if not all(math.isfinite(v) for v in bounds):
+        # type(), not isinstance(): a bool is an int
+        if not all(type(v) is not bool and math.isfinite(v) for v in bounds):
             raise ValidationError("design box bounds must be finite", bounds)
         if not (self.a_min > 0 and self.c_min > 0):
             raise ValidationError("design box lower bounds must be > 0 mm", bounds)
@@ -90,7 +92,7 @@ class RobustWeights:
 
     def __post_init__(self):
         betas = (self.beta1, self.beta2, self.beta3, self.beta4)
-        if not all(0.0 <= b <= 1.0 for b in betas):
+        if not all(type(b) is not bool and 0.0 <= b <= 1.0 for b in betas):
             raise ValidationError("robust weights must lie in [0, 1]", betas)
         if abs(sum(betas) - 1.0) > 1e-12:
             raise ValidationError("robust weights must sum to 1", sum(betas))
@@ -102,9 +104,9 @@ class ConstraintSpec:
     p_r: float = 0.05
 
     def __post_init__(self):
-        if not (math.isfinite(self.y_star) and self.y_star >= 0):
+        if type(self.y_star) is bool or not (math.isfinite(self.y_star) and self.y_star >= 0):
             raise ValidationError("constraint level y_star must be finite and >= 0 kN", self.y_star)
-        if not 0.0 < self.p_r < 1.0:
+        if type(self.p_r) is bool or not 0.0 < self.p_r < 1.0:
             raise ValidationError("reference probability p_r must lie in (0, 1)", self.p_r)
 
 
@@ -130,29 +132,34 @@ class OptimizationResult:
 
 
 def _stages(setup: ModelSetup, sin_a, cos_a, fs):
-    """``(spring_at, fh_at)`` under the cam angle ``(sin_a, cos_a)`` and
-    spring force ``fs``, scalars or samples: ``spring_at(a)`` gives the spring
-    terms of length a, and ``fh_at(spring, c)`` their braking forces at
-    length c, one kernel call, nan where den1 is singular.  The cam term is
-    computed here."""
+    """``(spring_at, column_at, fh_at)`` under the cam angle
+    ``(sin_a, cos_a)`` and spring force ``fs``, scalars or samples:
+    ``spring_at(a)`` gives the spring terms of length a, ``column_at(c)``
+    the column terms of length c, and ``fh_at(column, spring)`` their
+    braking forces, one kernel call, nan where den1 is singular.  The cam
+    term is computed here."""
     axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
     geom, fric, load = setup.geom, setup.fric, setup.nominal
 
     def spring_at(a):
         return mechmodel.spring_terms(geom, fric, load.Fg, load.Fb, fs, a)
 
-    def fh_at(spring, c) -> np.ndarray:
-        fh, _, _ = mechmodel.braking_force_ensemble(geom, fric, axial, spring, c)
+    def column_at(c):
+        return mechmodel.column_terms(geom, fric, axial, c)
+
+    def fh_at(column, spring) -> np.ndarray:
+        fh, _, _ = mechmodel.braking_force_ensemble(geom, fric, column, spring)
         return fh
-    return spring_at, fh_at
+    return spring_at, column_at, fh_at
 
 
 def classical_values(setup: ModelSetup):
     """Design function of the classical problem: the braking force (kN) at
-    the nominal operating point, both stages once per batch."""
+    the nominal operating point, each stage once per batch."""
     load = setup.nominal
-    spring_at, fh_at = _stages(setup, math.sin(load.alpha), math.cos(load.alpha), load.Fs)
-    return lambda a, c: fh_at(spring_at(a), c)
+    spring_at, column_at, fh_at = _stages(
+        setup, math.sin(load.alpha), math.cos(load.alpha), load.Fs)
+    return lambda a, c: fh_at(column_at(c), spring_at(a))
 
 
 def _ensemble_stages(setup: ModelSetup, input_model: maxent.InputModel, uniforms: np.ndarray):
@@ -165,18 +172,24 @@ def _ensemble_stages(setup: ModelSetup, input_model: maxent.InputModel, uniforms
 def _per_design_values(stages, value_of):
     """Design function that makes one ensemble call per design, on two
     Python floats, and maps its forces to a value with ``value_of``.  The
-    ``stages = (spring_at, fh_at)`` of :func:`_stages` are walked in
-    request order, and a design whose a equals the one before it takes that
-    design's spring terms, so a lattice row computes them once."""
-    spring_at, fh_at = stages
+    ``stages = (spring_at, column_at, fh_at)`` of :func:`_stages` are walked
+    in request order.  A design whose a equals the one before it takes that
+    design's spring terms, so a lattice row computes them once; each
+    distinct c of a request has its column terms computed once, at its
+    first design, so a lattice block computes them once per column."""
+    spring_at, column_at, fh_at = stages
 
     def forces(a_list, c_list):
+        columns = {}  # by c, this request's only: a few small tuples
         last_a = math.nan  # equal to no a
         for a, c in zip(a_list, c_list):
             if a != last_a:
                 spring = None  # free the last row's terms first: one row's at a time
                 last_a, spring = a, spring_at(a)
-            yield fh_at(spring, c)
+            column = columns.get(c)
+            if column is None:
+                column = columns[c] = column_at(c)
+            yield fh_at(column, spring)
 
     def values_at(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         a, c = np.broadcast_arrays(a, c)
@@ -212,8 +225,8 @@ def robust_objective(
     """The robust map at one design: bit-identical to its cell of the
     robust map of :func:`optimize_robust` and to the optimizer's value of a
     feasible design."""
-    spring_at, fh_at = _ensemble_stages(setup, input_model, uniforms)
-    return _robust_value(weights, fh_at(spring_at(s.a), s.c))
+    spring_at, column_at, fh_at = _ensemble_stages(setup, input_model, uniforms)
+    return _robust_value(weights, fh_at(column_at(s.c), spring_at(s.a)))
 
 
 def _ascent(u0, f0, evaluate):
@@ -410,13 +423,14 @@ def optimize_robust(
             f"and P(|Fh| > {cspec.y_star}) >= {threshold}; the largest probability is "
             f"{float(prob[2][i, j])!r}, at (a, c) = ({float(prob[0][i])!r}, "
             f"{float(prob[1][j])!r}) mm")
-    spring_at, fh_at = _ensemble_stages(setup, input_model, uniforms)
+    stages = _ensemble_stages(setup, input_model, uniforms)
+    spring_at, column_at, fh_at = stages
 
     def value_of(fh: np.ndarray) -> float:
         feasible = _constraint_value(cspec, fh) >= threshold
         return _robust_value(weights, fh) if feasible else math.nan
 
-    result = _optimize(box, cells, _per_design_values((spring_at, fh_at), value_of))
-    fh_opt = fh_at(spring_at(result.s_opt.a), result.s_opt.c)
+    result = _optimize(box, cells, _per_design_values(stages, value_of))
+    fh_opt = fh_at(column_at(result.s_opt.c), spring_at(result.s_opt.a))
     return dataclasses.replace(result, constraint_prob=_constraint_value(cspec, fh_opt),
                                maps={"robust": robust, "constraint": prob})

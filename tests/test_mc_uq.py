@@ -448,9 +448,10 @@ def test_sliced_kernel_has_the_bits_of_one_whole_ensemble_call(cfg, input_model,
     uniforms = draw_uniform_matrix(4, NU_BLOCKS)
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms, **freeze)
     args = (cfg.geometry, cfg.friction, cfg.loads.Fg_kN, cfg.loads.Fb_kN)
-    axial = mechmodel.cam_axial(cfg.friction, sin_a, cos_a)
+    column = mechmodel.column_terms(
+        *args[:2], mechmodel.cam_axial(cfg.friction, sin_a, cos_a), cfg.geometry.c)
     spring = mechmodel.spring_terms(*args, fs, cfg.geometry.a)
-    fh, valid, _ = mechmodel.braking_force_ensemble(*args[:2], axial, spring, cfg.geometry.c)
+    fh, valid, _ = mechmodel.braking_force_ensemble(*args[:2], column, spring)
 
     kernel, lengths = mechmodel.braking_force_ensemble, []
 

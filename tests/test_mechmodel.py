@@ -21,7 +21,8 @@ from brakeopt import (
     braking_force,
     solve_equilibrium,
 )
-from brakeopt.mechmodel import braking_force_ensemble, cam_axial, spring_terms, trig_arrays
+from brakeopt.mechmodel import (braking_force_ensemble, cam_axial, column_terms, spring_terms,
+                                trig_arrays)
 from test_model_properties import exact_equilibrium
 
 # nominal duty point: shipped geometry/friction, Fs = 42 kN, alpha = 6 deg
@@ -176,7 +177,8 @@ def test_ensemble_route_flags_singular_samples_instead_of_raising(fric):
                          l=49.0, m=40.0, n=17.5, R=29.0)
     sin_a, cos_a = trig_arrays([0.0, math.radians(6.0)])
     spring = spring_terms(geom, fric, 50.0, 30.0, np.array([42.0, 42.0]), geom.a)
-    fh, valid, ok = braking_force_ensemble(geom, fric, cam_axial(fric, sin_a, cos_a), spring, geom.c)
+    column = column_terms(geom, fric, cam_axial(fric, sin_a, cos_a), geom.c)
+    fh, valid, ok = braking_force_ensemble(geom, fric, column, spring)
     assert not ok[0] and math.isnan(fh[0]) and not valid[0]
     assert ok[1] and math.isfinite(fh[1])
 
@@ -191,6 +193,15 @@ def test_geometry_validation(bad):
         BrakeGeometry(**{**base, **bad})
 
 
+def test_geometry_refuses_a_bool():
+    # a bool is an int, and True would pass as a length of 1 mm
+    base = dict(a=55.0, b=16.6, c=52.7, d=34.5, e=60.7, f=0.005,
+                l=49.0, m=40.0, n=17.5, R=29.0)
+    for name in base:
+        with pytest.raises(ValidationError, match=f"geometry length {name} "):
+            BrakeGeometry(**{**base, name: True})
+
+
 @pytest.mark.parametrize("bad", [dict(mu1=0.0), dict(mu2=1.0), dict(mu4=-0.1)])
 def test_friction_validation(bad):
     with pytest.raises(ValidationError):
@@ -203,3 +214,10 @@ def test_friction_validation(bad):
 def test_load_case_validation(bad):
     with pytest.raises(ValidationError):
         LoadCase(**{**NOMINAL, **bad})
+
+
+def test_load_case_refuses_a_bool():
+    # True would pass as a load of 1 kN or a cam angle of 1 rad
+    for name in NOMINAL:
+        with pytest.raises(ValidationError, match=("load " + name) if name != "alpha" else "angle"):
+            LoadCase(**{**NOMINAL, name: True})

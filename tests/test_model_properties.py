@@ -46,6 +46,7 @@ from brakeopt.mechmodel import (
     SINGULAR_TOL,
     braking_force_ensemble,
     cam_axial,
+    column_terms,
     spring_terms,
     trig_arrays,
 )
@@ -78,10 +79,11 @@ def singular_den4(geom, fric):
 
 def ensemble(geom, fric, Fg, Fb, axial, Fs, *, a=None, c=None):
     """The ensemble route as the commands take it: the spring terms of the
-    length a (default ``geom.a``), then one kernel call at the length c
-    (default ``geom.c``)."""
+    length a (default ``geom.a``) and the column terms of the length c
+    (default ``geom.c``), then one kernel call."""
     spring = spring_terms(geom, fric, Fg, Fb, Fs, geom.a if a is None else a)
-    return braking_force_ensemble(geom, fric, axial, spring, geom.c if c is None else c)
+    column = column_terms(geom, fric, axial, geom.c if c is None else c)
+    return braking_force_ensemble(geom, fric, column, spring)
 
 
 def den4_error(call, *args, **kwargs):

@@ -84,9 +84,9 @@ SHIPPED_POINT = DesignBox(a_min=55.0, a_max=55.0, c_min=52.7, c_max=52.7)
 
 def ensemble_fh(setup, input_model, uniforms, a, c):
     """The braking forces of the ensemble of ``uniforms`` at one design,
-    through the optimizer's two stages."""
-    spring_at, fh_at = optimizer._ensemble_stages(setup, input_model, uniforms)
-    return fh_at(spring_at(a), c)
+    through the optimizer's stages."""
+    spring_at, column_at, fh_at = optimizer._ensemble_stages(setup, input_model, uniforms)
+    return fh_at(column_at(c), spring_at(a))
 
 
 def constraint_at_shipped_design(setup, input_model, cspec, nu):
@@ -104,15 +104,16 @@ def sampled_map(box, grid, setup, input_model, uniforms, value_of):
 def fresh_map(box, grid, setup, input_model, uniforms, value_of):
     """Oracle: the sampled map with nothing shared between its cells but the
     sample transform and the cam term.  Each cell computes its own spring
-    terms and makes one kernel call, which ``value_of(fh)`` maps to its
-    value."""
+    and column terms and makes one kernel call, which ``value_of(fh)`` maps
+    to its value."""
     _, fs, sin_a, cos_a = mc_uq.sample_inputs(input_model, uniforms)
     axial = mechmodel.cam_axial(setup.fric, sin_a, cos_a)
     geom, fric, load = setup.geom, setup.fric, setup.nominal
 
     def value_at(a, c):
         spring = mechmodel.spring_terms(geom, fric, load.Fg, load.Fb, fs, a)
-        return value_of(mechmodel.braking_force_ensemble(geom, fric, axial, spring, c)[0])
+        column = mechmodel.column_terms(geom, fric, axial, c)
+        return value_of(mechmodel.braking_force_ensemble(geom, fric, column, spring)[0])
 
     def values_at(a, c):
         a, c = np.broadcast_arrays(a, c)
@@ -224,6 +225,29 @@ def test_weights_and_constraint_validation():
         ConstraintSpec(p_r=0.0)
     with pytest.raises(ValidationError):
         DesignBox(a_min=60.0, a_max=50.0)
+
+
+def test_design_box_refuses_a_bool():
+    # a bool is an int: each of these boxes would hold True as a bound of 1 mm
+    for bounds in (dict(a_min=True), dict(a_min=0.5, a_max=True),
+                   dict(c_min=True), dict(c_min=0.5, c_max=True)):
+        with pytest.raises(ValidationError, match="finite"):
+            DesignBox(**bounds)
+
+
+def test_robust_weights_refuse_a_bool():
+    # True as one weight and 0.0 as the others would sum to 1
+    for name in ("beta1", "beta2", "beta3", "beta4"):
+        weights = dict.fromkeys(("beta1", "beta2", "beta3", "beta4"), 0.0)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            RobustWeights(**{**weights, name: True})
+
+
+def test_constraint_spec_refuses_a_bool():
+    with pytest.raises(ValidationError, match="y_star"):
+        ConstraintSpec(y_star=True)
+    with pytest.raises(ValidationError, match="p_r"):
+        ConstraintSpec(p_r=True)
 
 
 # boxes where a_min + 1.0 * (a_max - a_min) rounds one ulp above a_max
@@ -484,9 +508,9 @@ def test_classical_optimizer_makes_one_kernel_call_per_map_block_and_ascent_requ
     assert res.evaluations == 2
     # the map's 231 cells are one block; the one ascent, from the corner
     # (60, 50), takes its value from the map and asks for its two stencil points
-    # (the kernel's arguments are geom, fric, axial, the spring terms, whose
-    # first has a's shape, and c)
-    assert [np.broadcast(args[3][0], args[4]).size for args, _ in kernel_calls] == [231, 2]
+    # (the kernel's arguments are geom, fric, the column terms, whose second
+    # has c's shape, and the spring terms, whose first has a's shape)
+    assert [np.broadcast(args[3][0], args[2][1]).size for args, _ in kernel_calls] == [231, 2]
 
 
 @pytest.mark.parametrize("grid", [(5, 3), (401, 201)], ids=["5x3", "401x201"])
@@ -494,7 +518,7 @@ def test_classical_evaluations_are_the_designs_of_the_ascent_requests(
         setup, kernel_calls, grid):
     res = optimize_classical(DesignBox(), setup, grid=grid)
     nx, ny = grid
-    sizes = [np.broadcast(args[3][0], args[4]).size for args, _ in kernel_calls]
+    sizes = [np.broadcast(args[3][0], args[2][1]).size for args, _ in kernel_calls]
     blocks = -(-nx // max(1, optimizer._BLOCK // ny))  # the map's calls come first
     assert sum(sizes[:blocks]) == nx * ny
     # the one ascent, from the corner (60, 50), asks for its two stencil points
@@ -604,18 +628,20 @@ def test_sampled_lattice_blocks_equal_one_call_per_row(setup, input_model, kerne
                                                        monkeypatch, value_of):
     stages = optimizer._ensemble_stages(setup, input_model, draw_uniform_matrix(0, 256))
     args = (DesignBox(), 21, 11, optimizer._per_design_values(stages, value_of))
-    spring_terms, rows = mechmodel.spring_terms, []
-
-    def recorded(*call_args):
-        rows.append(call_args[-1])
-        return spring_terms(*call_args)
-    monkeypatch.setattr(mechmodel, "spring_terms", recorded)
+    lengths = {"spring_terms": [], "column_terms": []}  # each stage's a or c, per call
+    for name in lengths:
+        def recorded(*call_args, _name=name, _stage=getattr(mechmodel, name)):
+            lengths[_name].append(call_args[-1])
+            return _stage(*call_args)
+        monkeypatch.setattr(mechmodel, name, recorded)
     got = grid_scan(*args)
-    # one ensemble call per cell, at a design of two Python floats, and the
-    # spring terms once per lattice row
+    # one ensemble call per cell, at a design of two Python floats, the
+    # spring terms once per lattice row and the column terms once per
+    # lattice column of the map pass (its 231 cells are one request)
     assert len(kernel_calls) == 21 * 11
-    assert all(type(call_args[-1]) is float for call_args, _ in kernel_calls)
+    rows, columns = lengths["spring_terms"], lengths["column_terms"]
     assert rows == got[0].tolist() and all(type(a) is float for a in rows)
+    assert columns == got[1].tolist() and all(type(c) is float for c in columns)
     want = row_by_row(*args)
     assert all(same_bits(x, y) for x, y in zip(got, want))
 
@@ -814,8 +840,9 @@ def pole_example():
 @given(robust_problems())
 @example(pole_example())
 def test_each_map_cell_has_the_bits_of_its_own_kernel_call(input_model, problem):
-    # the maps compute the spring terms once per lattice row; each cell must
-    # still equal a call that computes its own
+    # the maps compute the spring terms once per lattice row and the column
+    # terms once per lattice column; each cell must still equal a call that
+    # computes its own
     setup, box, grid, uniforms, weights, cspec = problem
     try:
         res = optimize_robust(box, weights, cspec, setup, input_model, uniforms, grid)

@@ -5,8 +5,9 @@ The canonical format is a flat YAML mapping whose keys look like
 once; unknown or repeated keys are rejected so typos cannot silently fall
 back to defaults.  The ``geometry``, ``friction``, ``loads`` and ``random``
 sections are required, while omitted ``mc``, ``design`` and ``output`` keys
-take their dataclass field defaults.  Domain invariants are enforced while
-the dataclasses are built, at parse time.
+take their dataclass field defaults.  Building the dataclasses, at parse
+time, checks each numeric field by one rule, ``errors.check_real`` (a finite
+number, not a bool, in its range), and the rules across fields.
 
 The document is parsed by libyaml's C parser (``yaml.CSafeLoader``), about
 ten times as fast as PyYAML's pure-Python one; there is no fallback, so a
@@ -23,7 +24,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -33,7 +33,7 @@ import numpy as np
 import yaml
 
 from . import maxent, mechmodel, optimizer
-from .errors import MeanOutOfSupport, ParseError, ValidationError
+from .errors import MeanOutOfSupport, ParseError, ValidationError, check_real
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class Loads:
 
     def __post_init__(self):
         for name in ("Fg_kN", "Fb_kN"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValidationError(f"load {name} must be >= 0", v)
+            check_real(f"load {name} must be >= 0", getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -58,21 +56,20 @@ class RandomModel:
     fs_mean_kN: float
 
     def __post_init__(self):
-        if not self.alpha_lo_deg < self.alpha_hi_deg:
-            raise ValidationError("alpha support requires lo < hi",
-                                  (self.alpha_lo_deg, self.alpha_hi_deg))
-        if not self.fs_lo_kN < self.fs_hi_kN:
-            raise ValidationError("Fs support requires lo < hi",
-                                  (self.fs_lo_kN, self.fs_hi_kN))
-        if not (0.0 <= self.alpha_lo_deg and self.alpha_hi_deg < 90.0):
-            raise ValidationError("alpha support must lie in [0, 90) deg",
-                                  (self.alpha_lo_deg, self.alpha_hi_deg))
-        if self.fs_lo_kN < 0.0:
-            raise ValidationError("Fs support must be non-negative", self.fs_lo_kN)
-        if not self.alpha_lo_deg < self.alpha_mean_deg < self.alpha_hi_deg:
-            raise MeanOutOfSupport(self.alpha_lo_deg, self.alpha_hi_deg, self.alpha_mean_deg)
-        if not self.fs_lo_kN < self.fs_mean_kN < self.fs_hi_kN:
-            raise MeanOutOfSupport(self.fs_lo_kN, self.fs_hi_kN, self.fs_mean_kN)
+        for v in (self.alpha_lo_deg, self.alpha_hi_deg):
+            check_real("alpha support must lie in [0, 90) deg", v, 0.0, 90.0, closed="[)")
+        for v in (self.fs_lo_kN, self.fs_hi_kN):
+            check_real("Fs support must be finite and non-negative", v, 0.0)
+        supports = (("alpha", self.alpha_lo_deg, self.alpha_hi_deg, self.alpha_mean_deg),
+                    ("Fs", self.fs_lo_kN, self.fs_hi_kN, self.fs_mean_kN))
+        for name, lo, hi, _ in supports:
+            if not lo < hi:
+                raise ValidationError(f"{name} support requires lo < hi", (lo, hi))
+        for name, lo, hi, mean in supports:
+            # a nan or infinite mean lies outside the support: exit 14, not 11
+            if not lo < mean < hi:
+                raise MeanOutOfSupport(lo, hi, mean)
+            check_real(f"{name} mean must be a number, not a bool", mean)
 
 
 # the largest nu whose (nu, 2) float64 uniform matrix numpy will try to
@@ -86,11 +83,9 @@ class McSettings:
     seed: int = 0
 
     def __post_init__(self):
-        # type(), not isinstance(): a bool is an int
-        if not (type(self.nu) is int and 1 <= self.nu <= _NU_MAX):
-            raise ValidationError(f"mc.nu must be an integer in [1, {_NU_MAX}]", self.nu)
-        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise ValidationError("mc.seed must be a 64-bit unsigned integer", self.seed)
+        check_real(f"mc.nu must be an integer in [1, {_NU_MAX}]", self.nu, 1, _NU_MAX, integer=True)
+        check_real("mc.seed must be a 64-bit unsigned integer", self.seed, 0, 2**64 - 1,
+                   integer=True)
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,8 @@ class OutputSettings:
     def __post_init__(self):
         if self.dir == "":  # Path("") is the current directory
             raise ValidationError("output.dir must name a directory", self.dir)
-        if not (isinstance(self.grid_nx, int) and isinstance(self.grid_ny, int)
-                and self.grid_nx >= 2 and self.grid_ny >= 2):
-            raise ValidationError("output grid must be at least 2x2",
-                                  (self.grid_nx, self.grid_ny))
+        for n in (self.grid_nx, self.grid_ny):
+            check_real("output grid must be at least 2x2", n, 2, integer=True)
 
 
 @dataclass(frozen=True)
@@ -290,8 +283,6 @@ _PLAIN_STR = re.compile(r"^[A-Za-z0-9_./-]+$")
 
 
 def _emit(value) -> str:
-    if isinstance(value, bool):
-        raise ValidationError("boolean config values are not supported", value)
     if isinstance(value, float):
         text = repr(value)
         if "e" in text and "." not in text:

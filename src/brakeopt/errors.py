@@ -1,5 +1,8 @@
 """Exception hierarchy. Every error carries a stable CLI exit code."""
 
+import math
+import sys
+
 
 class BrakeOptError(Exception):
     """Base class for all brakeopt errors."""
@@ -33,6 +36,20 @@ class ValidationError(BrakeOptError):
         self.invariant = invariant
         self.value = value
         super().__init__(f"{invariant}: got {value!r}")
+
+
+def check_real(invariant, value, lo=-math.inf, hi=math.inf, *, closed="[]", integer=False):
+    """``value`` if it is an int or a float (an int if ``integer``), not a
+    bool, finite as a float unless ``integer``, and between ``lo`` and ``hi``
+    with the ends that ``closed`` marks, as "[)"; else ValidationError."""
+    # type(), not isinstance(): a bool is an int.  The bound on abs() refuses
+    # nan, inf and an int too large for a float, where math.isfinite raises
+    if not (type(value) is not bool and isinstance(value, int if integer else (int, float))
+            and (integer or abs(value) <= sys.float_info.max)
+            and (lo <= value if closed[0] == "[" else lo < value)
+            and (value <= hi if closed[1] == "]" else value < hi)):
+        raise ValidationError(invariant, value)
+    return value
 
 
 class SingularDenominator(BrakeOptError):

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import MeanOutOfSupport, ValidationError
+from .errors import MeanOutOfSupport, ValidationError, check_real
 
 #: Below this |rate * (hi - lo)| the mean switches to a series expansion;
 #: direct evaluation loses precision to cancellation there.
@@ -37,10 +37,11 @@ class TruncatedExponential:
     rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        for v in (self.lo, self.hi):
+            check_real("support requires lo < hi", v)
+        if not self.lo < self.hi:
             raise ValidationError("support requires lo < hi", (self.lo, self.hi))
-        if not math.isfinite(self.rate):
-            raise ValidationError("rate must be finite", self.rate)
+        check_real("rate must be finite", self.rate)
         # the law of the sampler, fixed once per distribution:
         # expm1(-z) with z = rate * (hi - lo) where it is finite or inf (never
         # 0.0), 0.0 where |z| < _TINY (uniform law) and None where expm1(-z)

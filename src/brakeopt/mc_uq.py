@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mechmodel
-from .errors import InsufficientSamples, ValidationError
+from .errors import InsufficientSamples, ValidationError, check_real
 
 _BLOCK = 4096  # samples per kernel call in propagate
 _KDE_BINS = 2048  # lattice points of the binned KDE
@@ -31,10 +31,8 @@ def draw_uniform_matrix(seed: int, nu: int) -> np.ndarray:
     Row i holds stream positions 2i and 2i+1 of the Philox stream keyed by
     ``seed``; see :func:`uniform_row` for the per-index derivation.
     """
-    if not isinstance(nu, int) or nu < 1:
-        raise ValidationError("sample count nu must be an integer >= 1", nu)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError("seed must be a 64-bit unsigned integer", seed)
+    check_real("sample count nu must be an integer >= 1", nu, 1, integer=True)
+    check_real("seed must be a 64-bit unsigned integer", seed, 0, 2**64 - 1, integer=True)
     values = np.random.Generator(np.random.Philox(key=seed)).random((nu, 2))
     values.setflags(write=False)
     return values
@@ -106,10 +104,11 @@ def sample_inputs(
     unchanged against the unfrozen run).  A frozen value must lie in the
     domain of :class:`mechmodel.LoadCase`: alpha in [0, 90) deg, Fs >= 0 kN.
     """
-    if freeze_alpha_deg is not None and not 0.0 <= freeze_alpha_deg < 90.0:
-        raise ValidationError("frozen cam angle must lie in [0, 90) deg", freeze_alpha_deg)
-    if freeze_fs_kn is not None and not (math.isfinite(freeze_fs_kn) and freeze_fs_kn >= 0.0):
-        raise ValidationError("frozen spring force must be finite and >= 0 kN", freeze_fs_kn)
+    if freeze_alpha_deg is not None:
+        check_real("frozen cam angle must lie in [0, 90) deg", freeze_alpha_deg, 0.0, 90.0,
+                   closed="[)")
+    if freeze_fs_kn is not None:
+        check_real("frozen spring force must be finite and >= 0 kN", freeze_fs_kn, 0.0)
     alpha_deg = _inverse_cdf_column(input_model.alpha_dist, uniforms[:, 0], freeze_alpha_deg)
     fs = _inverse_cdf_column(input_model.fs_dist, uniforms[:, 1], freeze_fs_kn)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDenominator, SingularSystem, ValidationError
+from .errors import SingularDenominator, SingularSystem, ValidationError, check_real
 
 #: Closed-form denominators with magnitude below this (in their natural
 #: units) are treated as singular.  Far below any physical value.
@@ -61,10 +61,8 @@ class BrakeGeometry:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "e", "f", "l", "m", "n", "R"):
-            v = getattr(self, name)
-            # type(), not isinstance(): a bool is an int
-            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValidationError(f"geometry length {name} must be > 0 mm", v)
+            check_real(f"geometry length {name} must be > 0 mm", getattr(self, name), 0.0,
+                       closed="(]")
         if not self.f < self.R:
             raise ValidationError("rolling ratio requires f < R", (self.f, self.R))
 
@@ -79,9 +77,8 @@ class FrictionSet:
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "mu4"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
-                raise ValidationError(f"friction coefficient {name} out of (0, 1)", v)
+            check_real(f"friction coefficient {name} out of (0, 1)", getattr(self, name), 0.0, 1.0,
+                       closed="()")
 
 
 @dataclass(frozen=True)
@@ -95,11 +92,8 @@ class LoadCase:
 
     def __post_init__(self):
         for name in ("Fg", "Fb", "Fs"):
-            v = getattr(self, name)
-            if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
-                raise ValidationError(f"load {name} must be >= 0 kN", v)
-        if type(self.alpha) is bool or not (0.0 <= self.alpha < math.pi / 2):
-            raise ValidationError("cam angle must lie in [0, pi/2) rad", self.alpha)
+            check_real(f"load {name} must be >= 0 kN", getattr(self, name), 0.0)
+        check_real("cam angle must lie in [0, pi/2) rad", self.alpha, 0.0, math.pi / 2, closed="[)")
 
     @classmethod
     def from_degrees(cls, Fg, Fb, Fs, alpha_deg):

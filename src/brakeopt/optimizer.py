@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, mc_uq, mechmodel
-from .errors import AllStartsFailed, InsufficientSamples, NoFeasiblePoint, ValidationError
+from .errors import (AllStartsFailed, InsufficientSamples, NoFeasiblePoint, ValidationError,
+                     check_real)
 
 # ascent steps and the FD stencil are fractions of the box width
 _MAX_ITER, _STEP0, _STEP_MIN, _FD_STEP = 200, 0.25, 1e-8, 1e-4
@@ -66,11 +67,10 @@ class DesignBox:
 
     def __post_init__(self):
         bounds = (self.a_min, self.a_max, self.c_min, self.c_max)
-        # type(), not isinstance(): a bool is an int
-        if not all(type(v) is not bool and math.isfinite(v) for v in bounds):
-            raise ValidationError("design box bounds must be finite", bounds)
-        if not (self.a_min > 0 and self.c_min > 0):
-            raise ValidationError("design box lower bounds must be > 0 mm", bounds)
+        for v in bounds:
+            check_real("design box bounds must be finite", v)
+        for v in (self.a_min, self.c_min):
+            check_real("design box lower bounds must be > 0 mm", v, 0.0, closed="(]")
         if not (self.a_min <= self.a_max and self.c_min <= self.c_max):
             raise ValidationError("design box requires a_min <= a_max and c_min <= c_max", bounds)
 
@@ -92,8 +92,8 @@ class RobustWeights:
 
     def __post_init__(self):
         betas = (self.beta1, self.beta2, self.beta3, self.beta4)
-        if not all(type(b) is not bool and 0.0 <= b <= 1.0 for b in betas):
-            raise ValidationError("robust weights must lie in [0, 1]", betas)
+        for b in betas:
+            check_real("robust weights must lie in [0, 1]", b, 0.0, 1.0)
         if abs(sum(betas) - 1.0) > 1e-12:
             raise ValidationError("robust weights must sum to 1", sum(betas))
 
@@ -104,10 +104,8 @@ class ConstraintSpec:
     p_r: float = 0.05
 
     def __post_init__(self):
-        if type(self.y_star) is bool or not (math.isfinite(self.y_star) and self.y_star >= 0):
-            raise ValidationError("constraint level y_star must be finite and >= 0 kN", self.y_star)
-        if type(self.p_r) is bool or not 0.0 < self.p_r < 1.0:
-            raise ValidationError("reference probability p_r must lie in (0, 1)", self.p_r)
+        check_real("constraint level y_star must be finite and >= 0 kN", self.y_star, 0.0)
+        check_real("reference probability p_r must lie in (0, 1)", self.p_r, 0.0, 1.0, closed="()")
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,8 @@ def shipped_with(old, new):
                  "ValidationError", 11, id="alpha-support-past-90-deg"),
     pytest.param(shipped_with("random.fs_lo_kN: 0.0\n", "random.fs_lo_kN: -1.0\n"),
                  "ValidationError", 11, id="fs-support-negative"),
+    pytest.param(shipped_with("random.fs_hi_kN: 56.0\n", "random.fs_hi_kN: .inf\n"),
+                 "ValidationError", 11, id="fs-support-infinite"),
     pytest.param(shipped_with("random.alpha_mean_deg: 6.0\n", "random.alpha_mean_deg: 18.0\n"),
                  "MeanOutOfSupport", 14, id="alpha-mean-on-the-bound"),
     pytest.param(shipped_with("loads.Fg_kN: 50.0\n", "loads.Fg_kN: -1.0\n"),
@@ -403,6 +405,8 @@ def test_a_config_its_sections_refuse_fails_before_any_output(tmp_path, capsys, 
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["exit_code"]) == (error, code)
     assert not (tmp_path / "o").exists()
+    # eval, which writes nothing, refuses the same document
+    assert run(["eval", "--config", bad]) == code
 
 
 def test_a_range_too_narrow_for_sturges_bins_takes_one_bin(tmp_path):

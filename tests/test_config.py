@@ -1,6 +1,8 @@
 """Config parsing, validation, canonical serialization and hashing."""
 
 import dataclasses
+import functools
+import math
 import random
 import typing
 
@@ -10,6 +12,7 @@ import yaml
 
 from brakeopt import BrakeOptError, MeanOutOfSupport, ParseError, ValidationError
 from brakeopt import config as cfgmod
+from brakeopt import mc_uq
 from brakeopt.config import (
     _NU_MAX,
     _SCHEMA,
@@ -211,12 +214,80 @@ def test_nu_is_bounded_by_the_largest_uniform_matrix_numpy_accepts():
         np.empty((_NU_MAX + 1, 2))
 
 
-@pytest.mark.parametrize("field", ["nu", "seed"])
-def test_mc_settings_refuse_a_bool(field):
-    # a bool is an int, and True would pass as 1
-    with pytest.raises(ValidationError, match=f"mc.{field}") as err:
-        McSettings(**{field: True})
-    assert err.value.exit_code == 11
+def _refusal(build, value):
+    """What ``build(value)`` raises: (error class, exit code, the value the
+    error names), or None."""
+    try:
+        build(value)
+    except BrakeOptError as exc:
+        return type(exc), exc.exit_code, getattr(exc, "value", getattr(exc, "mean", None))
+    return None
+
+
+# a value out of range for each numeric key: out of the key's own range or,
+# for a design bound, a support bound or a mean, out of what the other
+# fields of its section allow
+_OUT_OF_RANGE = {
+    **{key: 0.0 for key in _SCHEMA if key.startswith("geometry.")},
+    "friction.mu1": 0.0, "friction.mu2": 1.0, "friction.mu4": -0.1,
+    "loads.Fg_kN": -1.0, "loads.Fb_kN": -1.0,
+    "random.alpha_lo_deg": -1.0, "random.alpha_hi_deg": 90.0, "random.alpha_mean_deg": 18.0,
+    "random.fs_lo_kN": -1.0, "random.fs_hi_kN": 0.0, "random.fs_mean_kN": 0.0,
+    "mc.nu": 0, "mc.seed": 2**64,
+    "design.a_min_mm": 0.0, "design.a_max_mm": 49.0, "design.c_min_mm": 0.0,
+    "design.c_max_mm": 49.0, "design.beta1": -0.1, "design.beta2": 1.1, "design.beta3": -0.1,
+    "design.beta4": 1.1, "design.y_star_kN": -1.0, "design.p_r": 1.0,
+    "output.grid_nx": 1, "output.grid_ny": 1,
+}
+_MEAN_KEYS = ("random.alpha_mean_deg", "random.fs_mean_kN")
+
+
+@pytest.mark.parametrize("key", [key for key, (_, kind) in _SCHEMA.items() if kind is not str])
+def test_every_numeric_key_refuses_a_bool_a_nan_an_inf_and_a_value_out_of_range(cfg, key):
+    path, kind = _SCHEMA[key]
+    *section, field = path.split(".")
+    shipped = functools.reduce(getattr, section, cfg)
+
+    def build(value):
+        return dataclasses.replace(shipped, **{field: value})
+    # the key's own rule refuses each of these and names it, not a rule of the
+    # whole section: True would pass as 1 wherever 1 is in range, and an int
+    # beyond a float's range is no float.  A mean outside its support, nan
+    # and inf included, exits 14; a bool mean exits 11
+    for value in (True, math.nan, math.inf, *([10**400] if kind is float else [])):
+        mean_out = key in _MEAN_KEYS and value is not True
+        want = (MeanOutOfSupport, 14) if mean_out else (ValidationError, 11)
+        assert _refusal(build, value) == (*want, value), value
+    want = (MeanOutOfSupport, 14) if key in _MEAN_KEYS else (ValidationError, 11)
+    assert _refusal(build, _OUT_OF_RANGE[key])[:2] == want
+
+
+# the library's input fields that no config key sets, each with a value out of
+# its range: the nominal load case's and a fitted law's fields, and the
+# arguments of the uniform draw and of the sample transform
+_LIBRARY_OUT_OF_RANGE = {
+    "LoadCase.Fg": -1.0, "LoadCase.Fb": -1.0, "LoadCase.Fs": -1.0, "LoadCase.alpha": math.pi / 2,
+    "TruncatedExponential.lo": 18.0, "TruncatedExponential.hi": 0.0,
+    "TruncatedExponential.rate": -math.inf,
+    "draw_uniform_matrix.seed": 2**64, "draw_uniform_matrix.nu": 0,
+    "sample_inputs.freeze_alpha_deg": 90.0, "sample_inputs.freeze_fs_kn": -1.0,
+}
+
+
+@pytest.mark.parametrize("field", list(_LIBRARY_OUT_OF_RANGE))
+def test_every_library_input_refuses_a_bool_a_nan_an_inf_and_a_value_out_of_range(
+        setup, input_model, field):
+    owner, name = field.split(".")
+    build = {
+        "LoadCase": lambda v: dataclasses.replace(setup.nominal, **{name: v}),
+        "TruncatedExponential": lambda v: dataclasses.replace(input_model.alpha_dist, **{name: v}),
+        "draw_uniform_matrix": lambda v: mc_uq.draw_uniform_matrix(**{"seed": 0, "nu": 2, name: v}),
+        "sample_inputs": lambda v: mc_uq.sample_inputs(input_model, np.full((1, 2), 0.5),
+                                                       **{name: v}),
+    }[owner]
+    for value in (True, math.nan, math.inf):
+        assert _refusal(build, value) == (ValidationError, 11, value), value
+    assert _refusal(build, _LIBRARY_OUT_OF_RANGE[field])[:2] == (ValidationError, 11)
 
 
 class _PurePythonLoader(yaml.SafeLoader):

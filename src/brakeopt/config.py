@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import maxent, mechmodel, optimizer
+from . import maxent, mc_uq, mechmodel, optimizer
 from .errors import MeanOutOfSupport, ParseError, ValidationError, check_real
 
 
@@ -72,18 +71,14 @@ class RandomModel:
             check_real(f"{name} mean must be a number, not a bool", mean)
 
 
-# the largest nu whose (nu, 2) float64 uniform matrix numpy will try to
-# allocate; above it numpy raises ValueError (2**59 - 1 on 64-bit platforms)
-_NU_MAX = np.iinfo(np.intp).max // 16
-
-
 @dataclass(frozen=True)
 class McSettings:
     nu: int = 4096
     seed: int = 0
 
     def __post_init__(self):
-        check_real(f"mc.nu must be an integer in [1, {_NU_MAX}]", self.nu, 1, _NU_MAX, integer=True)
+        check_real(f"mc.nu must be an integer in [1, {mc_uq._NU_MAX}]", self.nu, 1, mc_uq._NU_MAX,
+                   integer=True)
         check_real("mc.seed must be a 64-bit unsigned integer", self.seed, 0, 2**64 - 1,
                    integer=True)
 

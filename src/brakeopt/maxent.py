@@ -94,8 +94,9 @@ def fit_truncexp(lo, hi, target_mean) -> TruncatedExponential:
     bisection on a bracket that is expanded geometrically until it straddles
     the target.  The midpoint target is short-circuited to the exact uniform.
     """
-    if not lo < target_mean < hi:
+    if not lo < target_mean < hi:  # nan and inf included, as in config.RandomModel
         raise MeanOutOfSupport(lo, hi, target_mean)
+    check_real("target mean must be a number, not a bool", target_mean)
     if target_mean == (lo + hi) / 2.0:
         return TruncatedExponential(lo, hi, 0.0)
 

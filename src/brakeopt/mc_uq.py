@@ -22,6 +22,9 @@ _BLOCK = 4096  # samples per kernel call in propagate
 _KDE_BINS = 2048  # lattice points of the binned KDE
 _KDE_GRID = 256  # points of the returned density curve
 _KDE_ROWS = 16  # density points summed per (rows, _KDE_BINS) matrix
+# the largest nu whose (nu, 2) float64 uniform matrix numpy will try to
+# allocate; above it numpy raises ValueError (2**59 - 1 on 64-bit platforms)
+_NU_MAX = np.iinfo(np.intp).max // 16
 
 
 def draw_uniform_matrix(seed: int, nu: int) -> np.ndarray:
@@ -31,7 +34,8 @@ def draw_uniform_matrix(seed: int, nu: int) -> np.ndarray:
     Row i holds stream positions 2i and 2i+1 of the Philox stream keyed by
     ``seed``; see :func:`uniform_row` for the per-index derivation.
     """
-    check_real("sample count nu must be an integer >= 1", nu, 1, integer=True)
+    check_real(f"sample count nu must be an integer in [1, {_NU_MAX}]", nu, 1, _NU_MAX,
+               integer=True)
     check_real("seed must be a 64-bit unsigned integer", seed, 0, 2**64 - 1, integer=True)
     values = np.random.Generator(np.random.Philox(key=seed)).random((nu, 2))
     values.setflags(write=False)

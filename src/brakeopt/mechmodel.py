@@ -16,10 +16,11 @@ Two independent evaluation routes are provided:
   ``braking_force_ensemble``, which combines the two; ``braking_force`` is
   the same three stages on one sample.  A caller that evaluates one
   ensemble at many designs computes ``cam_axial`` once, the spring terms
-  once per value of a and the column terms once per value of c.  A
-  singular den4 raises on both routes; a singular den1 raises on the
-  scalar route and is masked per entry on the ensemble route, by the
-  ``ok`` mask that the column stage fixes.
+  once per value of a and the column terms once per value of c.  Each
+  stage tests its own denominator: the row stage raises at a singular
+  den4 on both routes, and a singular den1, which the column stage finds,
+  raises on the scalar route and is masked per entry on the ensemble
+  route by the column's ``ok`` mask.
 * ``solve_equilibrium`` assembles the six balance equations as a dense
   6x6 linear system and solves it numerically, never touching the closed
   forms.  It exists to cross-check the first route.
@@ -133,13 +134,15 @@ def spring_terms(geom: BrakeGeometry, fric: FrictionSet, Fg, Fb, Fs, a):
     """The row stage of the closed form, elementwise over scalars or
     broadcastable arrays of the loads, the spring force and the length a
     (in place of ``geom.a``): ``(Fs*a, N4, N4 - a*mu2*Fs/dwe, mu4*N4)``.
-    den4 is divided by unchecked, under the kernel's ``np.errstate`` flags;
-    the kernel tests it."""
-    # as an array, so a zero den4 (and den1 on one sample) gives inf, no ZeroDivisionError
+    den4 = mu4*(n+l) - m depends on the plant alone and is tested here,
+    before it is divided by: a singular den4 raises SingularDenominator."""
+    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
+    if abs(den4) <= SINGULAR_TOL:
+        raise SingularDenominator("mu4*(n+l) - m", den4)
+    # as an array, so both routes run the later stages in numpy arithmetic
     Fs = np.asarray(Fs, dtype=float)
     dwe = geom.d + geom.e * fric.mu2  # the cam-wedge lever
-    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge Fs overflows
         fsa = Fs * a
         n4 = ((Fg + Fb) * geom.l / 2 - fsa) / den4
         return fsa, n4, n4 - a * fric.mu2 * Fs / dwe, fric.mu4 * n4
@@ -171,29 +174,24 @@ def column_terms(geom: BrakeGeometry, fric: FrictionSet, axial, c):
 def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, column, spring):
     """The rest of the closed form, elementwise over the terms ``column`` of
     :func:`column_terms` and ``spring`` of :func:`spring_terms`.  Returns
-    ``(den1, n1, n2, n3, fh)``.  Both public routes evaluate the three
-    stages in turn, which keeps them bitwise identical.
+    ``(n1, n2, n3, fh, valid)``.  Both public routes evaluate the three
+    stages in turn, which keeps them bitwise identical.  It tests no
+    denominator: den1 is divided by unchecked, under the caller's
+    ``np.errstate``.  Evaluation order N4 -> N1 -> N2 -> N3, then
+    Fh = T1 + T2 + T3 + T4 summed left to right.
 
-    den4 depends on the plant alone, so it is tested here, once for both
-    routes: a singular den4 raises SingularDenominator.  Evaluation order N4
-    -> N1 -> N2 -> N3, then Fh = T1 + T2 + T3 + T4 summed left to right.
-    den1 is divided by unchecked, under the caller's ``np.errstate``.
-
-    The contacts press when N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 +
-    T2 with axial = mu1*sin(alpha) + cos(alpha) > 0 and T2 = mu2*N2, so
-    N3 >= 0 in IEEE arithmetic too.  N1 = (N4 - x)/den1 with
-    x = a*mu2*Fs/dwe >= 0, so where den1 > 0 (all of the shipped box)
-    N4 >= x >= 0.  Where den1 < 0, N4 = N3 holds in exact arithmetic; the
-    property tests check the roots of N1 and N2 there.
+    ``valid`` is the contact rule of both routes: the contacts press when
+    N1, N2 >= 0; N3 and N4 follow.  N3 = axial*N1 + T2 with
+    axial = mu1*sin(alpha) + cos(alpha) > 0 and T2 = mu2*N2, so N3 >= 0 in
+    IEEE arithmetic too.  N1 = (N4 - x)/den1 with x = a*mu2*Fs/dwe >= 0, so
+    where den1 > 0 (all of the shipped box) N4 >= x >= 0.  Where den1 < 0,
+    N4 = N3 holds in exact arithmetic; the property tests check the roots
+    of N1 and N2 there.
     """
     dwe = geom.d + geom.e * fric.mu2
     axial, bmc, shift, _, _ = column
-    den1 = axial + shift
-    den4 = fric.mu4 * (geom.n + geom.l) - geom.m
-    if abs(den4) <= SINGULAR_TOL:
-        raise SingularDenominator("mu4*(n+l) - m", den4)
     fsa, _, num1, t4 = spring
-    n1 = num1 / den1
+    n1 = num1 / (axial + shift)
     n2 = bmc * n1
     n2 += fsa  # = (Fs*a + (b*mu1 - c)*N1) / dwe, in place as below
     n2 /= dwe
@@ -204,20 +202,22 @@ def _cell_stage(geom: BrakeGeometry, fric: FrictionSet, column, spring):
     fh += t2
     fh += (geom.f / geom.R) * n3
     fh += t4
-    return den1, n1, n2, n3, fh
+    return n1, n2, n3, fh, np.minimum(n1, n2) >= 0
 
 
 def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> EquilibriumSolution:
     """Full closed-form solution including friction forces, reactions and Fh:
     the ensemble's three stages on one sample.  Raises SingularDenominator
-    at a singular denominator: den4 in the cell stage, then den1."""
+    at a singular denominator: den4 in the row stage, den1 after the column
+    stage."""
     spring = spring_terms(geom, fric, load.Fg, load.Fb, load.Fs, geom.a)
-    column = column_terms(
+    axial, _, shift, _, regular = column = column_terms(
         geom, fric, cam_axial(fric, math.sin(load.alpha), math.cos(load.alpha)), geom.c)
+    if not regular:
+        raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)",
+                                  axial + shift)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den1, n1, n2, n3, fh = _cell_stage(geom, fric, column, spring)
-    if not column[4]:  # the column stage found den1 singular
-        raise SingularDenominator("mu1*sin(alpha) + cos(alpha) + mu2*(b*mu1 - c)/(d + e*mu2)", den1)
+        n1, n2, n3, fh, valid = _cell_stage(geom, fric, column, spring)
     n1, n2, n3, n4, t4 = map(float, (n1, n2, n3, spring[1], spring[3]))
     return EquilibriumSolution(
         N1=n1, N2=n2, N3=n3, N4=n4,
@@ -225,7 +225,7 @@ def braking_force(geom: BrakeGeometry, fric: FrictionSet, load: LoadCase) -> Equ
         Rx=n4 - load.Fs,
         Ry=t4 - (load.Fg + load.Fb) / 2,
         Fh=float(fh),
-        valid=n1 >= 0 and n2 >= 0,  # N3, N4 follow, see _cell_stage
+        valid=bool(valid),
     )
 
 
@@ -300,16 +300,15 @@ def braking_force_ensemble(geom, fric, column, spring):
     sampled angles and the length c) and ``spring`` of :func:`spring_terms`,
     all broadcast together.
 
-    Returns ``(fh, valid, ok)``, where ``ok`` is the column's: it has den1's
-    shape, which broadcasts against fh's, and is False where den1 is
-    singular; the entries of fh there carry ``fh = nan`` and
-    ``valid = False``.  A regular column masks nothing.
-    A singular den4 raises SingularDenominator, as in :func:`braking_force`.
+    Returns ``(fh, valid, ok)``, where ``valid`` is the contact rule of
+    :func:`_cell_stage` and ``ok`` is the column's: it has den1's shape,
+    which broadcasts against fh's, and is False where den1 is singular; the
+    entries of fh there carry ``fh = nan`` and ``valid = False``.  A regular
+    column masks nothing.  den4 was tested by the row stage.
     """
     _, _, _, ok, regular = column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, n1, n2, _, fh = _cell_stage(geom, fric, column, spring)
-        valid = np.minimum(n1, n2) >= 0  # N3, N4 follow, see _cell_stage
+        _, _, _, fh, valid = _cell_stage(geom, fric, column, spring)
         if not regular:
             fh = np.where(ok, fh, np.nan)
             valid &= ok

@@ -287,8 +287,8 @@ def grid_scan(box: DesignBox, nx: int, ny: int,
     as it comes.  The axes are :meth:`DesignBox.unmap` of ``i / (n - 1)``, the
     coordinates at which the ascent starts.  A cell's value does not depend
     on its block."""
-    if nx < 2 or ny < 2:
-        raise ValidationError("grid resolution must be at least 2x2", (nx, ny))
+    for n in (nx, ny):
+        check_real("grid resolution must be at least 2x2", n, 2, integer=True)
     a_values, c_values = box.unmap(np.arange(nx) / (nx - 1), np.arange(ny) / (ny - 1))
     values = np.empty((nx, ny))
     rows = max(1, _BLOCK // ny)

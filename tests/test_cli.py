@@ -14,8 +14,8 @@ from brakeopt import (
     ConstraintSpec, DesignBox, RobustWeights, ValidationError, __version__, classical_values, cli,
     grid_scan, mc_uq, optimizer)
 from brakeopt.cli import main
-from brakeopt.config import (
-    _NU_MAX, config_to_text, default_config, default_config_path, load_config)
+from brakeopt.config import config_to_text, default_config, default_config_path, load_config
+from brakeopt.mc_uq import _NU_MAX
 
 UQ_FILES = ("ensemble.csv", "stats.json", "trace.csv", "kde.csv")
 

@@ -12,9 +12,8 @@ import yaml
 
 from brakeopt import BrakeOptError, MeanOutOfSupport, ParseError, ValidationError
 from brakeopt import config as cfgmod
-from brakeopt import mc_uq
+from brakeopt import maxent, mc_uq
 from brakeopt.config import (
-    _NU_MAX,
     _SCHEMA,
     Config,
     McSettings,
@@ -26,6 +25,7 @@ from brakeopt.config import (
     load_config,
     parse_config_text,
 )
+from brakeopt.mc_uq import _NU_MAX
 
 
 def test_default_config_carries_shipped_values(cfg):
@@ -212,6 +212,10 @@ def test_nu_is_bounded_by_the_largest_uniform_matrix_numpy_accepts():
     # numpy refuses the (nu, 2) matrix above the bound before it allocates anything
     with pytest.raises(ValueError):
         np.empty((_NU_MAX + 1, 2))
+    # the draw checks the same bound, so only values above it reach it here
+    for nu in (_NU_MAX + 1, 2**62):
+        with pytest.raises(ValidationError, match="nu"):
+            mc_uq.draw_uniform_matrix(0, nu)
 
 
 def _refusal(build, value):
@@ -263,12 +267,12 @@ def test_every_numeric_key_refuses_a_bool_a_nan_an_inf_and_a_value_out_of_range(
 
 
 # the library's input fields that no config key sets, each with a value out of
-# its range: the nominal load case's and a fitted law's fields, and the
-# arguments of the uniform draw and of the sample transform
+# its range: the nominal load case's and a fitted law's fields, the fit's mean
+# and the arguments of the uniform draw and of the sample transform
 _LIBRARY_OUT_OF_RANGE = {
     "LoadCase.Fg": -1.0, "LoadCase.Fb": -1.0, "LoadCase.Fs": -1.0, "LoadCase.alpha": math.pi / 2,
     "TruncatedExponential.lo": 18.0, "TruncatedExponential.hi": 0.0,
-    "TruncatedExponential.rate": -math.inf,
+    "TruncatedExponential.rate": -math.inf, "fit_truncexp.target_mean": 18.0,
     "draw_uniform_matrix.seed": 2**64, "draw_uniform_matrix.nu": 0,
     "sample_inputs.freeze_alpha_deg": 90.0, "sample_inputs.freeze_fs_kn": -1.0,
 }
@@ -281,13 +285,18 @@ def test_every_library_input_refuses_a_bool_a_nan_an_inf_and_a_value_out_of_rang
     build = {
         "LoadCase": lambda v: dataclasses.replace(setup.nominal, **{name: v}),
         "TruncatedExponential": lambda v: dataclasses.replace(input_model.alpha_dist, **{name: v}),
+        "fit_truncexp": lambda v: maxent.fit_truncexp(0.0, 2.0, v),
         "draw_uniform_matrix": lambda v: mc_uq.draw_uniform_matrix(**{"seed": 0, "nu": 2, name: v}),
         "sample_inputs": lambda v: mc_uq.sample_inputs(input_model, np.full((1, 2), 0.5),
                                                        **{name: v}),
     }[owner]
+    # as for a config mean, the fit's mean exits 14 outside its support, nan
+    # and inf included, and 11 as a bool
+    out = (MeanOutOfSupport, 14) if owner == "fit_truncexp" else (ValidationError, 11)
     for value in (True, math.nan, math.inf):
-        assert _refusal(build, value) == (ValidationError, 11, value), value
-    assert _refusal(build, _LIBRARY_OUT_OF_RANGE[field])[:2] == (ValidationError, 11)
+        want = (ValidationError, 11) if value is True else out
+        assert _refusal(build, value) == (*want, value), value
+    assert _refusal(build, _LIBRARY_OUT_OF_RANGE[field])[:2] == out
 
 
 class _PurePythonLoader(yaml.SafeLoader):

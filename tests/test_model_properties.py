@@ -338,7 +338,7 @@ def test_classical_map_cells_equal_the_scalar_route(case):
 def plain_kernel(geom, fric, Fg, Fb, sin_a, cos_a, Fs, *, a=None, c=None):
     """Oracle: the ensemble kernel as first written, one expression per
     normal and no shared terms; the kernel must return its bits.  ``ok``
-    tests den1 alone: the kernel raises at a singular den4."""
+    tests den1 alone: the row stage raises at a singular den4."""
     sin_a = np.asarray(sin_a, dtype=float)
     cos_a = np.asarray(cos_a, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -489,3 +489,5 @@ def test_singular_den4_raises_the_scalar_routes_error_in_every_broadcast_shape()
                          ((cam_axial(fric, 0.0, 1.0), 40.0), {"c": np.linspace(50.0, 55.0, 4)}),
                          ((np.array(cam_axial(fric, 0.0, 1.0)), np.array(40.0)), {})):
         assert den4_error(ensemble, geom, fric, 50.0, 30.0, *args, **design) == want
+        # the row stage raises it, before any other stage runs
+        assert den4_error(spring_terms, geom, fric, 50.0, 30.0, args[1], geom.a) == want

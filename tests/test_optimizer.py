@@ -198,8 +198,9 @@ def test_shipped_constraint_level_leaves_whole_box_feasible(setup, input_model):
 
 
 def test_grid_scan_rejects_bad_resolution(setup):
-    with pytest.raises(ValidationError):
-        grid_scan(DesignBox(), 1, 2, classical_values(setup))
+    for nx, ny in ((1, 2), (2.5, 3)):
+        with pytest.raises(ValidationError):
+            grid_scan(DesignBox(), nx, ny, classical_values(setup))
 
 
 def test_one_sample_ensemble(setup, input_model):
@@ -838,12 +839,13 @@ def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatc
     ascents = []
     monkeypatch.setattr(optimizer, "_ascent", lambda u0, f0, evaluate: ascents.append(u0))
     # m = 9.975 mm puts den4 at 0: the plant itself is singular, so the map's
-    # one kernel call raises, for every (a, c) at once
+    # row stage raises, for every (a, c) at once, before any kernel call
     dead = dataclasses.replace(setup, geom=dataclasses.replace(setup.geom, m=9.975))
     with pytest.raises(SingularDenominator) as singular:
         optimize_classical(DesignBox(), dead, grid=(5, 3))
     err = singular.value
     assert (err.name, err.value, err.exit_code) == ("mu4*(n+l) - m", 0.0, 12)
+    assert kernel_calls == []
     # no denominator is near 0 (den4 = -30, den1 >= 0.85), but the forces
     # overflow to nan
     huge = dataclasses.replace(setup, nominal=dataclasses.replace(setup.nominal, Fg=1.0e307))
@@ -854,8 +856,9 @@ def test_singular_design_space_fails_every_start(setup, kernel_calls, monkeypatc
             optimize_classical(box, plant, grid=(5, 3))
         assert failed.value.exit_code == 19
         assert "finite" in str(failed.value) and "hit a singular" not in str(failed.value)
-    # one kernel call per map, whose 5 x 3 cells are one block, and no ascent
-    assert len(kernel_calls) == 3
+    # one kernel call per regular plant's map, whose 5 x 3 cells are one
+    # block, and no ascent
+    assert len(kernel_calls) == 2
     assert ascents == []
 
 
